@@ -79,7 +79,6 @@ from .solvers import (
     MaxLeafResult,
     SolveResult,
     SolverConfig,
-    alpha_brute,
     max_leaf_spanning_tree,
     mu_brute,
     vv_exact,

@@ -55,8 +55,9 @@ COMPLETE_PRODUCT_NOTE = (
 TORUS_EVEN_NOTE = (
     "square torus, even n >= 6: the tabulated value (n^2+2)/2 is a verified "
     "lower bound but not the maximum; exact solves give (n^2+n-2)/2 (20 at "
-    "n=6, 35 at n=8, 54 at n=10), packing the full antipodal row, which the "
-    "diagonal-alternation counting behind the tabulated value does not allow"
+    "n=6, 35 at n=8, 54 at n=10, 77 at n=12), packing the full antipodal "
+    "row, which the diagonal-alternation counting behind the tabulated "
+    "value does not allow"
 )
 
 

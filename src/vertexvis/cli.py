@@ -113,7 +113,7 @@ def _config(args) -> SolverConfig:
         kwargs["timeout_s"] = args.timeout
     if getattr(args, "jobs", None) is not None:
         kwargs["jobs"] = args.jobs
-    return SolverConfig(**kwargs)
+    return SolverConfig(**kwargs).started()
 
 
 def _cmd_gen(args) -> int:
@@ -312,7 +312,7 @@ def _add_caps(p):
     p.add_argument("--brute-cap", type=int, default=None)
     p.add_argument("--mu-cap", type=int, default=None)
     p.add_argument("--maxleaf-cap", type=int, default=None)
-    p.add_argument("--timeout", type=float, default=None, help="seconds")
+    p.add_argument("--timeout", type=float, default=None, help="seconds for the whole request")
     p.add_argument("--jobs", type=int, default=None, help="parallel roots for vv")
 
 

@@ -9,11 +9,15 @@ such P can be realized, so
 
     vx(g, x) = n - min{ |P| : P hits every dag_in(v), v != x }.
 
-That minimum hitting set is solved by branch and bound over bitmasks with
-unit propagation, a disjoint-candidate-set lower bound, and deterministic
-smallest-id tie-breaking.  Every solver returns a certificate, never a bare
-number: a witness set that re-verifies through the visibility module, and a
-parent map realizing the matching shortest-path tree.
+That minimum hitting set splits into independent groups: the root covers
+layer 1, every other dag_in(v) lies inside the layer above v, and
+union-find joins constraints that share a candidate.  Each group is solved
+on its own by branch and bound over bitmasks with unit propagation, a
+disjoint-candidate-set lower bound, smallest-id tie-breaking, and the
+group's greedy cover (all that vx_greedy keeps) as incumbent.  Every solver
+returns a certificate, never a bare number: a witness set that re-verifies
+through the visibility module, and a parent map realizing the matching
+shortest-path tree.
 
 The maximum leaf count over all spanning trees (not just shortest-path
 trees) is computed through the classical duality with minimum connected
@@ -27,6 +31,7 @@ import time
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 
 from .errors import (
     DisconnectedError,
@@ -48,7 +53,6 @@ __all__ = [
     "vv_exact",
     "max_leaf_spanning_tree",
     "mu_brute",
-    "alpha_brute",
 ]
 
 
@@ -63,11 +67,18 @@ class SolverConfig:
     mcds_cap: int = 32
     timeout_s: float | None = None
     jobs: int = 1
+    # absolute time.monotonic() deadline, system-wide on Linux, so that
+    # every solve of one request and its worker processes share it
+    deadline_at: float | None = None
 
     def deadline(self) -> float | None:
-        if self.timeout_s is None:
-            return None
+        if self.deadline_at is not None or self.timeout_s is None:
+            return self.deadline_at
         return time.monotonic() + self.timeout_s
+
+    def started(self) -> SolverConfig:
+        """This config with its deadline fixed from now on."""
+        return replace(self, deadline_at=self.deadline())
 
 
 DEFAULT_CONFIG = SolverConfig()
@@ -131,46 +142,69 @@ def _require_solvable(g: Graph, min_n: int = 2) -> None:
 
 
 # ---------------------------------------------------------------------------
-# minimum parent cover (exact vx)
+# minimum parent cover, one independent group of constraints at a time
 
-def _greedy_cover(rv: RootView, n: int, covers: list[int]) -> int:
-    """Feasible parent set by repeated max-coverage choice; returns a mask."""
-    full = (1 << n) - 1
-    chosen = 1 << rv.root
-    covered = covers[rv.root] | (1 << rv.root)
+def _cover_groups(rv: RootView):
+    """Yield the independent groups of parent-cover constraints of rv, none
+    spanning two layers, as (cands, sets, covers): the group's candidate
+    ids ascending, each constraint (vertex-id order) as a bitmask over
+    positions in cands, and each candidate's constraints as a bitmask over
+    positions in sets."""
+    link: dict[int, int] = {}
+
+    def find(a: int) -> int:
+        while link[a] != a:
+            link[a] = a = link[link[a]]
+        return a
+
+    # the root covers layer 1
+    constraints = [preds for v, preds in enumerate(rv.dag_in) if rv.dist[v] >= 2]
+    for preds in constraints:
+        for p in preds:
+            link.setdefault(p, p)
+        head = find(preds[0])
+        for p in preds[1:]:
+            link[find(p)] = head
+    groups: dict[int, list] = {}
+    for preds in constraints:
+        groups.setdefault(find(preds[0]), []).append(preds)
+    for members in groups.values():
+        cands = sorted({p for preds in members for p in preds})
+        pos = {p: i for i, p in enumerate(cands)}
+        sets = []
+        covers = [0] * len(cands)
+        for j, preds in enumerate(members):
+            mask = 0
+            for p in preds:
+                mask |= 1 << pos[p]
+                covers[pos[p]] |= 1 << j
+            sets.append(mask)
+        yield cands, sets, covers
+
+
+def _greedy_group(sets: list[int], covers: list[int]) -> int:
+    """Feasible cover of one group by repeated max-coverage choice, ties to
+    the smallest candidate; returns a mask over the group's candidates."""
+    full = (1 << len(sets)) - 1
+    chosen = covered = 0
     while covered != full:
-        best_p, best_gain = -1, 0
         uncovered = full & ~covered
-        for p in range(n):
-            if (chosen >> p) & 1:
-                continue
-            gain = (covers[p] & uncovered).bit_count()
+        best_i, best_gain = -1, 0
+        for i, cov in enumerate(covers):
+            gain = (cov & uncovered).bit_count()
             if gain > best_gain:
-                best_p, best_gain = p, gain
-        chosen |= 1 << best_p
-        covered |= covers[best_p]
+                best_i, best_gain = i, gain
+        chosen |= 1 << best_i
+        covered |= covers[best_i]
     return chosen
 
 
-def _min_parent_cover(rv: RootView, n: int, deadline) -> int:
-    """Smallest P containing the root and meeting every dag_in set; returns
-    the chosen mask.  Branches on the uncovered vertex with fewest remaining
-    candidates, candidates tried in ascending id order."""
-    _check_deadline(deadline, "exact visibility solve")
-    root = rv.root
-    dag_in_mask = rv.dag_in_mask
-    covers = [0] * n
-    for v in range(n):
-        if v == root:
-            continue
-        rest = dag_in_mask[v]
-        while rest:
-            low = rest & -rest
-            covers[low.bit_length() - 1] |= 1 << v
-            rest ^= low
-    full = (1 << n) - 1
-
-    best_mask = _greedy_cover(rv, n, covers)
+def _min_group_cover(sets: list[int], covers: list[int], deadline) -> int:
+    """Smallest cover of one group, as a mask over its candidates.  Branches
+    on the uncovered constraint with fewest remaining candidates, candidates
+    tried in ascending order, from the greedy cover as incumbent."""
+    full = (1 << len(sets)) - 1
+    best_mask = _greedy_group(sets, covers)
     best_size = best_mask.bit_count()
     node_budget = 0
 
@@ -179,85 +213,88 @@ def _min_parent_cover(rv: RootView, n: int, deadline) -> int:
         node_budget += 1
         if node_budget & 0xFF == 0:
             _check_deadline(deadline, "exact visibility solve")
-        # unit propagation: uncovered vertices with one allowed candidate
+        # unit propagation: uncovered constraints with one allowed candidate
         while True:
             forced = 0
             rest = full & ~covered
             while rest:
                 low = rest & -rest
-                v = low.bit_length() - 1
+                j = low.bit_length() - 1
                 rest ^= low
-                allowed = dag_in_mask[v] & ~excluded
+                allowed = sets[j] & ~excluded
                 if allowed == 0:
                     return
                 if allowed & (allowed - 1) == 0:
                     forced |= allowed
             if not forced:
                 break
-            add = forced & ~chosen
-            if add:
-                size += add.bit_count()
-                if size >= best_size:
-                    return
-                chosen |= add
-                rest = add
-                while rest:
-                    low = rest & -rest
-                    covered |= covers[low.bit_length() - 1]
-                    rest ^= low
-            else:
-                break
+            # a chosen candidate's constraints are covered, so none is forced
+            size += forced.bit_count()
+            if size >= best_size:
+                return
+            chosen |= forced
+            rest = forced
+            while rest:
+                low = rest & -rest
+                covered |= covers[low.bit_length() - 1]
+                rest ^= low
         if covered == full:
             if size < best_size:
                 best_size, best_mask = size, chosen
             return
-        # lower bound: uncovered vertices with pairwise disjoint candidates
+        # lower bound: uncovered constraints with pairwise disjoint candidates
         lb = 0
         used = 0
-        branch_v, branch_opts = -1, n + 1
+        branch_j, branch_opts = -1, len(covers) + 1
         rest = full & ~covered
         while rest:
             low = rest & -rest
-            v = low.bit_length() - 1
+            j = low.bit_length() - 1
             rest ^= low
-            allowed = dag_in_mask[v] & ~excluded
+            allowed = sets[j] & ~excluded
             if not allowed & used:
                 lb += 1
                 used |= allowed
             k = allowed.bit_count()
             if k < branch_opts:
-                branch_v, branch_opts = v, k
+                branch_j, branch_opts = j, k
         if size + lb >= best_size:
             return
-        allowed = dag_in_mask[branch_v] & ~excluded
+        allowed = sets[branch_j] & ~excluded
         while allowed:
             low = allowed & -allowed
-            p = low.bit_length() - 1
+            i = low.bit_length() - 1
             allowed ^= low
-            search(chosen | low, size + 1, excluded, covered | covers[p])
+            search(chosen | low, size + 1, excluded, covered | covers[i])
             excluded |= low
             if size + 1 >= best_size:
                 return
 
-    start_cover = covers[root] | (1 << root)
-    search(1 << root, 1, 0, start_cover)
+    search(0, 0, 0, 0)
     return best_mask
 
 
-def _tree_from_parent_set(rv: RootView, n: int, chosen: int):
-    """Assign each non-root vertex its smallest chosen DAG parent; return
-    (parent map, leaf set)."""
+def _solve_root(g: Graph, x: int, solve_group, method: str) -> SolveResult:
+    """Certificate for root x from a cover of every constraint group.  The
+    internal vertices are x plus each group's picks from
+    solve_group(sets, covers); every other vertex hangs off its smallest
+    internal DAG parent, and the witness is the resulting leaf set."""
+    rv = bfs_root_view(g, x)
+    chosen = 1 << x
+    for cands, sets, covers in _cover_groups(rv):
+        picked = solve_group(sets, covers)
+        for i, p in enumerate(cands):
+            if (picked >> i) & 1:
+                chosen |= 1 << p
     tree: dict[int, int] = {}
     used = 0
     for v in rv.order[1:]:
-        cands = rv.dag_in_mask[v] & chosen
-        p = (cands & -cands).bit_length() - 1
+        internal = rv.dag_in_mask[v] & chosen
+        p = (internal & -internal).bit_length() - 1
         tree[v] = p
         used |= 1 << p
-    leaves = frozenset(
-        v for v in range(n) if v != rv.root and not (used >> v) & 1
-    )
-    return tree, leaves
+    leaves = frozenset(v for v in range(g.n) if v != x and not (used >> v) & 1)
+    return SolveResult(value=len(leaves), root=x, witness=leaves, tree=tree, method=method)
 
 
 def vx_exact(g: Graph, x: int, config: SolverConfig = DEFAULT_CONFIG) -> SolveResult:
@@ -265,16 +302,9 @@ def vx_exact(g: Graph, x: int, config: SolverConfig = DEFAULT_CONFIG) -> SolveRe
     tree certificate."""
     g.check_vertex(x)
     _require_solvable(g)
-    rv = bfs_root_view(g, x)
-    chosen = _min_parent_cover(rv, g.n, config.deadline())
-    tree, leaves = _tree_from_parent_set(rv, g.n, chosen)
-    return SolveResult(
-        value=g.n - chosen.bit_count(),
-        root=x,
-        witness=leaves,
-        tree=tree,
-        method="cover_bnb",
-    )
+    deadline = config.deadline()
+    _check_deadline(deadline, "exact visibility solve")
+    return _solve_root(g, x, partial(_min_group_cover, deadline=deadline), "cover_bnb")
 
 
 def vx_brute(g: Graph, x: int, config: SolverConfig = DEFAULT_CONFIG) -> SolveResult:
@@ -326,26 +356,7 @@ def vx_greedy(g: Graph, x: int, config: SolverConfig = DEFAULT_CONFIG) -> SolveR
     never exceeding the exact value."""
     g.check_vertex(x)
     _require_solvable(g)
-    rv = bfs_root_view(g, x)
-    n = g.n
-    covers = [0] * n
-    for v in range(n):
-        if v == x:
-            continue
-        rest = rv.dag_in_mask[v]
-        while rest:
-            low = rest & -rest
-            covers[low.bit_length() - 1] |= 1 << v
-            rest ^= low
-    chosen = _greedy_cover(rv, n, covers)
-    tree, leaves = _tree_from_parent_set(rv, n, chosen)
-    return SolveResult(
-        value=len(leaves),
-        root=x,
-        witness=leaves,
-        tree=tree,
-        method="greedy",
-    )
+    return _solve_root(g, x, _greedy_group, "greedy")
 
 
 def _vx_worker(payload):
@@ -357,8 +368,9 @@ def _vx_worker(payload):
 def vv_exact(g: Graph, config: SolverConfig = DEFAULT_CONFIG) -> SolveResult:
     """Maximum visibility number over all roots; leaves are skipped as roots
     once n >= 3 because their support vertex always does strictly better.
-    Ties resolve to the smallest root id."""
+    Ties resolve to the smallest root id.  One deadline bounds all roots."""
     _require_solvable(g)
+    config = config.started()
     if g.n == 2:
         roots = [0]
     else:
@@ -580,7 +592,8 @@ def mu_brute(g: Graph, config: SolverConfig = DEFAULT_CONFIG) -> int:
 
 
 def alpha_brute(g: Graph, config: SolverConfig = DEFAULT_CONFIG) -> int:
-    """Maximum independent set size by branching on a highest-degree vertex."""
+    """Maximum independent set size by branching on a highest-degree vertex.
+    Not exported: it is the independence-number reference of the tests."""
     if g.n > config.alpha_cap:
         raise TooLargeError(f"independence brute force capped at n={config.alpha_cap}")
     adj_mask = g.adj_mask

@@ -110,6 +110,27 @@ def test_criterion_2_extended_grid_prism():
     print("[criterion 2 extended] PASS - grid(6)=20, prism(6)=19")
 
 
+def test_criterion_2_closed_forms_to_12():
+    cases = [("grid", n) for n in range(4, 13)]
+    cases += [("prism", n) for n in range(4, 13)]
+    cases += [("torus", n) for n in range(5, 12, 2)]
+    for family, n in cases:
+        spec = FamilySpec(family, (n,))
+        got = vv_exact(generate(spec)).value
+        assert got == closed_form(spec), (family, n, got)
+        assert not closed_form_notes(spec)
+    # even torus: the exact value exceeds the tabulated one (see the note)
+    for n in (8, 10, 12):
+        spec = FamilySpec("torus", (n,))
+        got = vv_exact(generate(spec)).value
+        assert got == (n * n + n - 2) // 2 > closed_form(spec), (n, got)
+        assert closed_form_notes(spec)
+    print(
+        "[criterion 2 closed forms] PASS - grid/prism n=4..12 and odd torus "
+        "n=5..11 match the closed form; even torus n=8,10,12 give (n^2+n-2)/2"
+    )
+
+
 @pytest.mark.xfail(
     strict=True,
     reason=(

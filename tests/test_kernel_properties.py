@@ -1,0 +1,77 @@
+"""Property tests of the grouped parent-cover kernel behind vx_exact and
+vx_greedy, on graphs built so that the root sees several non-trivial BFS
+layers and several independent constraint groups in each of them."""
+
+from collections import Counter
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from vertexvis.graph import Graph, bfs_root_view
+from vertexvis.solvers import _cover_groups, vx_brute, vx_exact, vx_greedy
+from vertexvis.visibility import is_x_visibility_set
+
+
+@st.composite
+def branched_graphs(draw, max_n, max_branches, max_depth):
+    """A connected graph on at most max_n vertices: two or more branches hang
+    off root 0, each with at least three layers.  Every vertex has one or more
+    parents in the layer above it, in its own branch, plus a few edges inside
+    its layer.  Branches meet only at the root, so from root 0 each of layers
+    2 and 3 holds at least one constraint group per branch."""
+    branches = draw(st.integers(2, max_branches))
+    depths = [draw(st.integers(3, max_depth)) for _ in range(branches)]
+    layers_left = sum(depths)
+    spare = max_n - 1
+    edges: set[tuple[int, int]] = set()
+    n = 1
+    for depth in depths:
+        above = [0]
+        for _ in range(depth):
+            layers_left -= 1
+            size = draw(st.integers(1, min(3, spare - layers_left)))
+            spare -= size
+            layer = list(range(n, n + size))
+            n += size
+            for v in layer:
+                parents = draw(st.lists(st.sampled_from(above), min_size=1, unique=True))
+                edges.update((p, v) for p in parents)
+            if size > 1:
+                pairs = [(u, v) for u in layer for v in layer if u < v]
+                edges.update(draw(st.lists(st.sampled_from(pairs), unique=True)))
+            above = layer
+    return Graph(n, sorted(edges))
+
+
+def _layers_with_several_groups(g: Graph) -> int:
+    rv = bfs_root_view(g, 0)
+    per_layer = Counter(rv.dist[cands[0]] for cands, _, _ in _cover_groups(rv))
+    return sum(1 for count in per_layer.values() if count >= 2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(branched_graphs(max_n=10, max_branches=2, max_depth=3))
+def test_exact_equals_brute(g):
+    assert _layers_with_several_groups(g) >= 2
+    for x in range(g.n):
+        assert vx_exact(g, x).value == vx_brute(g, x).value, x
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_exact_is_invariant_under_relabelling(data):
+    g = data.draw(branched_graphs(max_n=24, max_branches=3, max_depth=4))
+    perm = data.draw(st.permutations(range(g.n)))
+    relabelled = Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+    for x in range(g.n):
+        assert vx_exact(relabelled, perm[x]).value == vx_exact(g, x).value, x
+
+
+@settings(max_examples=60, deadline=None)
+@given(branched_graphs(max_n=24, max_branches=3, max_depth=4))
+def test_greedy_is_a_certified_lower_bound(g):
+    assert _layers_with_several_groups(g) >= 2
+    for x in range(g.n):
+        greedy = vx_greedy(g, x)
+        assert len(greedy.witness) == greedy.value <= vx_exact(g, x).value
+        assert is_x_visibility_set(g, x, greedy.witness)

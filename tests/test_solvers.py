@@ -9,8 +9,10 @@ from vertexvis.generators import (
     complete_product,
     cycle_graph,
     figure_family,
+    generate,
     grid_graph,
     np_gadget,
+    parse_family_spec,
     path_graph,
     star_graph,
 )
@@ -216,3 +218,11 @@ def test_timeout_fires():
     with pytest.raises(SolveTimeoutError):
         for x in range(g.n):
             vx_exact(g, x, SolverConfig(timeout_s=1e-7))
+
+
+def test_timeout_bounds_the_whole_root_loop():
+    # every root alone finishes far inside the budget; only a deadline
+    # shared by the whole vv request can fire
+    g = generate(parse_family_spec("torus:16"))
+    with pytest.raises(SolveTimeoutError):
+        vv_exact(g, SolverConfig(timeout_s=0.05))
