@@ -62,7 +62,6 @@ from .graph import (
     Graph,
     RootView,
     bfs_root_view,
-    build_graph,
     format_graph,
     from_external_ids,
     interval,

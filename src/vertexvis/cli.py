@@ -1,10 +1,11 @@
 """Command-line front door.
 
 Graphs are read either from a file in the `p/e` line format or from a family
-spec like grid:5 or kxk:3,2 (detected by the name:params shape).  All ids in
-files, flags, and output are 1-based.  Exit codes: 0 success, 1 computation
-error (disconnected input, caps, timeouts), 2 usage error, 3 verification
-failure (the verify and witness verbs).
+spec like grid:5 or kxk:3,2 (a name from generators.FAMILIES, a colon, and
+the parameters; seeded families draw from --seed).  All ids in files, flags,
+and output are 1-based.  Exit codes: 0 success, 1 computation error
+(disconnected input, caps, timeouts), 2 usage error, 3 verification failure
+(the verify and witness verbs).
 """
 
 from __future__ import annotations
@@ -25,14 +26,11 @@ from .errors import (
     WitnessRejectedError,
 )
 from .generators import (
+    FAMILIES,
     FamilySpec,
     generate,
     np_gadget,
     parse_family_spec,
-    random_block_graph,
-    random_connected_graph,
-    random_tree,
-    _FAMILY_ARITY,
 )
 from .graph import (
     Graph,
@@ -40,6 +38,7 @@ from .graph import (
     from_external_ids,
     read_graph_file,
     to_external_ids,
+    write_graph_file,
 )
 from .solvers import (
     SolverConfig,
@@ -51,30 +50,14 @@ from .solvers import (
     vx_greedy,
 )
 from .visibility import is_x_visibility_set
-from .witnesses import witness_for
-
-_RANDOM_FAMILIES = ("random", "rtree", "rblock")
-
-
-def _looks_like_spec(text: str) -> bool:
-    name = text.partition(":")[0]
-    return ":" in text and (name in _FAMILY_ARITY or name in _RANDOM_FAMILIES)
+from .witnesses import WITNESS_BUILDERS, witness_for
 
 
 def _load_graph(where: str, seed: int) -> Graph:
-    if not _looks_like_spec(where):
-        return read_graph_file(where)
-    name, _, rest = where.partition(":")
-    if name == "random":
-        parts = rest.split(",")
-        if len(parts) != 2:
-            raise InvalidParameterError("random spec is random:<n>,<p>")
-        return random_connected_graph(int(parts[0]), float(parts[1]), seed)
-    if name == "rtree":
-        return random_tree(int(rest), seed)
-    if name == "rblock":
-        return random_block_graph(int(rest), seed)
-    return generate(parse_family_spec(where))
+    name, sep, _ = where.partition(":")
+    if sep and name in FAMILIES:
+        return generate(parse_family_spec(where), seed)
+    return read_graph_file(where)
 
 
 def _read_set_file(path: str, n: int):
@@ -111,19 +94,16 @@ def _config(args) -> SolverConfig:
         kwargs["mcds_cap"] = args.maxleaf_cap
     if getattr(args, "timeout", None) is not None:
         kwargs["timeout_s"] = args.timeout
-    if getattr(args, "jobs", None) is not None:
-        kwargs["jobs"] = args.jobs
     return SolverConfig(**kwargs).started()
 
 
 def _cmd_gen(args) -> int:
     g = _load_graph(args.input, args.seed)
-    text = format_graph(g, comment=f"generated from {args.input}")
+    comment = f"generated from {args.input}"
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        write_graph_file(args.output, g, comment)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(format_graph(g, comment))
     return 0
 
 
@@ -208,10 +188,8 @@ def _cmd_reduce(args) -> int:
         f"visibility gadget of {args.input}; apex {red.apex + 1}; "
         f"threshold offset {red.k_offset}"
     )
-    text = format_graph(red.gprime, comment=comment)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        write_graph_file(args.output, red.gprime, comment)
     payload = {
         "n": red.gprime.n,
         "m": red.gprime.m,
@@ -227,7 +205,7 @@ def _cmd_reduce(args) -> int:
         f"threshold offset={red.k_offset}",
     ]
     if not args.output:
-        lines.append(text.rstrip("\n"))
+        lines.append(format_graph(red.gprime, comment).rstrip("\n"))
     else:
         lines.append(f"graph written to {args.output}")
     _emit(args, payload, lines)
@@ -236,8 +214,6 @@ def _cmd_reduce(args) -> int:
 
 def _cmd_witness(args) -> int:
     spec = parse_family_spec(args.spec)
-    if spec.family not in ("grid", "prism", "torus"):
-        raise InvalidParameterError("witness supports grid:<n>, prism:<n>, torus:<n>")
     w = witness_for(spec.family, spec.args[0])
     row, col = w.root_coords()
     _emit(
@@ -313,7 +289,6 @@ def _add_caps(p):
     p.add_argument("--mu-cap", type=int, default=None)
     p.add_argument("--maxleaf-cap", type=int, default=None)
     p.add_argument("--timeout", type=float, default=None, help="seconds for the whole request")
-    p.add_argument("--jobs", type=int, default=None, help="parallel roots for vv")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -363,12 +338,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_reduce)
 
     p = sub.add_parser("witness", help="construct and verify an extremal set")
-    p.add_argument("spec", help="grid:<n>, prism:<n>, or torus:<n>")
+    p.add_argument("spec", help=", ".join(f"{f}:<n>" for f in WITNESS_BUILDERS))
     _add_common(p)
     p.set_defaults(func=_cmd_witness)
 
     p = sub.add_parser("table", help="closed form vs witness vs exact over a range")
-    p.add_argument("family", choices=("grid", "prism", "torus"))
+    p.add_argument("family", choices=tuple(WITNESS_BUILDERS))
     p.add_argument("--range", required=True, help="e.g. 4..8")
     p.add_argument("--exact-max", type=int, default=None)
     _add_common(p)

@@ -10,15 +10,17 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 from .errors import (
     InvalidParameterError,
     IsolatedVertexError,
     UnsupportedFamilyError,
 )
-from .graph import Graph, build_graph, is_connected
+from .graph import Graph, is_connected
 
 __all__ = [
+    "FAMILIES",
     "FamilySpec",
     "parse_family_spec",
     "generate",
@@ -45,71 +47,69 @@ __all__ = [
     "random_block_graph",
 ]
 
-_FAMILY_ARITY = {
-    "path": 1,
-    "cycle": 1,
-    "complete": 1,
-    "star": 1,
-    "double_star": 2,
-    "cocktail": 1,
-    "grid": 1,
-    "prism": 1,
-    "torus": 1,
-    "kxk": 2,
-    "figure1": 1,
-}
-
 
 @dataclass(frozen=True)
 class FamilySpec:
-    """A named family plus its integer parameters, e.g. grid:5 or kxk:3,2."""
+    """A named family plus its parameters, e.g. grid:5, kxk:3,2 or
+    random:8,0.4; FAMILIES lists the names and parameter types."""
 
     family: str
-    args: tuple[int, ...]
+    args: tuple[int | float, ...]
 
     def __post_init__(self):
-        arity = _FAMILY_ARITY.get(self.family)
-        if arity is None:
-            raise UnsupportedFamilyError(f"unknown family {self.family!r}")
+        arity = len(_family(self.family).params)
         if len(self.args) != arity:
             raise InvalidParameterError(
                 f"family {self.family!r} takes {arity} parameter(s), got {self.args}"
             )
-        if any(a < 1 for a in self.args):
+        if not all(a > 0 for a in self.args):
             raise InvalidParameterError(f"parameters must be positive: {self.args}")
 
     def __str__(self):
         return f"{self.family}:{','.join(str(a) for a in self.args)}"
 
 
+def _family(name: str) -> Family:
+    try:
+        return FAMILIES[name]
+    except KeyError:
+        raise UnsupportedFamilyError(f"unknown family {name!r}") from None
+
+
 def parse_family_spec(text: str) -> FamilySpec:
     name, sep, rest = text.partition(":")
     if not sep:
         raise InvalidParameterError(f"family spec needs 'name:params', got {text!r}")
+    params = _family(name).params
     try:
-        args = tuple(int(part) for part in rest.split(","))
+        args = tuple(
+            kind(part) for kind, part in zip(params, rest.split(","), strict=True)
+        )
     except ValueError as exc:
-        raise InvalidParameterError(f"bad family parameters in {text!r}") from exc
+        usage = ",".join(kind.__name__ for kind in params)
+        raise InvalidParameterError(
+            f"bad family parameters in {text!r}, expected {name}:{usage}"
+        ) from exc
     return FamilySpec(name, args)
 
 
 def path_graph(n: int) -> Graph:
-    return build_graph(n, [(i, i + 1) for i in range(n - 1)])
+    return Graph(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def cycle_graph(n: int) -> Graph:
     if n < 3:
         raise InvalidParameterError("cycle needs n >= 3")
-    return build_graph(n, [(i, (i + 1) % n) for i in range(n)])
+    return Graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def complete_graph(n: int) -> Graph:
-    return build_graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+    return Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
 
 
 def star_graph(k: int) -> Graph:
     """K_{1,k}: center 0 with k leaves."""
-    return build_graph(k + 1, [(0, i) for i in range(1, k + 1)])
+    return Graph(k + 1, [(0, i) for i in range(1, k + 1)])
 
 
 def double_star(a: int, b: int) -> Graph:
@@ -117,7 +117,7 @@ def double_star(a: int, b: int) -> Graph:
     edges = [(0, 1)]
     edges += [(0, 2 + i) for i in range(a)]
     edges += [(1, 2 + a + i) for i in range(b)]
-    return build_graph(a + b + 2, edges)
+    return Graph(a + b + 2, edges)
 
 
 def cocktail_party(k: int) -> Graph:
@@ -131,7 +131,7 @@ def cocktail_party(k: int) -> Graph:
         for v in range(u + 1, n)
         if u // 2 != v // 2
     ]
-    return build_graph(n, edges)
+    return Graph(n, edges)
 
 
 def cartesian_product(g: Graph, h: Graph) -> Graph:
@@ -146,7 +146,7 @@ def cartesian_product(g: Graph, h: Graph) -> Graph:
     for a, a2 in g.edges():
         for b in range(nh):
             edges.append((a * nh + b, a2 * nh + b))
-    return build_graph(g.n * nh, edges)
+    return Graph(g.n * nh, edges)
 
 
 def first_factor_layer(ng: int, nh: int, b: int) -> tuple[int, ...]:
@@ -174,35 +174,6 @@ def torus_graph(n: int) -> Graph:
 
 def complete_product(m: int, n: int) -> Graph:
     return cartesian_product(complete_graph(m), complete_graph(n))
-
-
-def generate(spec: FamilySpec) -> Graph:
-    """Materialize a family spec; figure1 returns the graph only (see
-    figure_family for the labeled vertices)."""
-    fam, args = spec.family, spec.args
-    if fam == "path":
-        return path_graph(args[0])
-    if fam == "cycle":
-        return cycle_graph(args[0])
-    if fam == "complete":
-        return complete_graph(args[0])
-    if fam == "star":
-        return star_graph(args[0])
-    if fam == "double_star":
-        return double_star(args[0], args[1])
-    if fam == "cocktail":
-        return cocktail_party(args[0])
-    if fam == "grid":
-        return grid_graph(args[0])
-    if fam == "prism":
-        return prism_graph(args[0])
-    if fam == "torus":
-        return torus_graph(args[0])
-    if fam == "kxk":
-        return complete_product(args[0], args[1])
-    if fam == "figure1":
-        return figure_family(args[0])[0]
-    raise UnsupportedFamilyError(f"unknown family {fam!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +215,7 @@ def figure_family(copies: int) -> tuple[Graph, dict]:
     for name in ("y", "z", "a", "b", "c"):
         local = _FIGURE_LABELS[name]
         labels[name] = tuple(15 * j + local - 1 for j in range(copies))
-    return build_graph(15 * copies + 1, edges), labels
+    return Graph(15 * copies + 1, edges), labels
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +263,7 @@ def np_gadget(g: Graph) -> ReductionResult:
         edges.append((v, ev))
     evs = sorted(edge_ids.values())
     edges += [(a, b) for i, a in enumerate(evs) for b in evs[i + 1:]]
-    gprime = build_graph(n + 1 + len(original_edges), edges)
+    gprime = Graph(n + 1 + len(original_edges), edges)
     return ReductionResult(
         gprime=gprime,
         apex=apex,
@@ -305,8 +276,8 @@ def np_gadget(g: Graph) -> ReductionResult:
 # ---------------------------------------------------------------------------
 # seeded random graphs (test plumbing)
 
-def random_connected_graph(n: int, p: float, seed: int, max_tries: int = 1000) -> Graph:
-    """Erdos-Renyi G(n, p), resampled until connected."""
+def _sample_gnp(n: int, p: float, seed: int, max_tries: int, accept, what: str) -> Graph:
+    """Erdos-Renyi G(n, p), resampled until accept(graph) holds."""
     rng = random.Random(seed)
     for _ in range(max_tries):
         edges = [
@@ -315,40 +286,32 @@ def random_connected_graph(n: int, p: float, seed: int, max_tries: int = 1000) -
             for v in range(u + 1, n)
             if rng.random() < p
         ]
-        g = build_graph(n, edges)
-        if is_connected(g):
+        g = Graph(n, edges)
+        if accept(g):
             return g
     raise InvalidParameterError(
-        f"no connected sample in {max_tries} tries for n={n}, p={p}"
+        f"no {what} sample in {max_tries} tries for n={n}, p={p}"
     )
+
+
+def random_connected_graph(n: int, p: float, seed: int, max_tries: int = 1000) -> Graph:
+    """Erdos-Renyi G(n, p), resampled until connected."""
+    return _sample_gnp(n, p, seed, max_tries, is_connected, "connected")
 
 
 def random_graph_no_isolated(n: int, p: float, seed: int, max_tries: int = 1000) -> Graph:
     """Erdos-Renyi G(n, p), resampled until no vertex is isolated (the graph
     itself may be disconnected)."""
-    rng = random.Random(seed)
-    for _ in range(max_tries):
-        edges = [
-            (u, v)
-            for u in range(n)
-            for v in range(u + 1, n)
-            if rng.random() < p
-        ]
-        g = build_graph(n, edges)
-        if all(g.adj[v] for v in range(n)):
-            return g
-    raise InvalidParameterError(
-        f"no isolated-free sample in {max_tries} tries for n={n}, p={p}"
-    )
+    return _sample_gnp(n, p, seed, max_tries, lambda g: all(g.adj), "isolated-free")
 
 
 def random_tree(n: int, seed: int) -> Graph:
     """Random labeled tree: each vertex attaches to a random earlier one."""
     if n == 1:
-        return build_graph(1, [])
+        return Graph(1, [])
     rng = random.Random(seed)
     edges = [(rng.randrange(v), v) for v in range(1, n)]
-    return build_graph(n, edges)
+    return Graph(n, edges)
 
 
 def random_block_graph(n: int, seed: int, max_clique: int = 4) -> Graph:
@@ -370,4 +333,44 @@ def random_block_graph(n: int, seed: int, max_clique: int = 4) -> Graph:
         block = [cut] + list(range(count, count + size - 1))
         count += size - 1
         edges += [(u, v) for i, u in enumerate(block) for v in block[i + 1:]]
-    return build_graph(n, edges)
+    return Graph(n, edges)
+
+
+# ---------------------------------------------------------------------------
+# the family table behind specs such as grid:5, kxk:3,2 or random:8,0.4
+
+class Family(NamedTuple):
+    """A spec family: its parameter types, in spec order, and its builder,
+    which takes the seed as one more argument when seeded is set."""
+
+    params: tuple[type, ...]
+    build: Callable[..., Graph]
+    seeded: bool = False
+
+
+FAMILIES: dict[str, Family] = {
+    "path": Family((int,), path_graph),
+    "cycle": Family((int,), cycle_graph),
+    "complete": Family((int,), complete_graph),
+    "star": Family((int,), star_graph),
+    "double_star": Family((int, int), double_star),
+    "cocktail": Family((int,), cocktail_party),
+    "grid": Family((int,), grid_graph),
+    "prism": Family((int,), prism_graph),
+    "torus": Family((int,), torus_graph),
+    "kxk": Family((int, int), complete_product),
+    "figure1": Family((int,), lambda copies: figure_family(copies)[0]),
+    "random": Family((int, float), random_connected_graph, seeded=True),
+    "rtree": Family((int,), random_tree, seeded=True),
+    "rblock": Family((int,), random_block_graph, seeded=True),
+}
+
+
+def generate(spec: FamilySpec, seed: int = 0) -> Graph:
+    """Materialize a family spec; seed drives the random families and is
+    ignored by the others.  figure1 returns the graph only (see
+    figure_family for the labeled vertices)."""
+    family = FAMILIES[spec.family]
+    if family.seeded:
+        return family.build(*spec.args, seed)
+    return family.build(*spec.args)

@@ -25,7 +25,6 @@ from .errors import (
 __all__ = [
     "Graph",
     "RootView",
-    "build_graph",
     "bfs_root_view",
     "interval",
     "is_connected",
@@ -46,9 +45,9 @@ __all__ = [
 class Graph:
     """Simple undirected graph with sorted adjacency lists.
 
-    Instances are immutable after construction and safe to share across
-    workers.  ``adj_mask[v]`` is the neighborhood of v as a bitmask; the
-    exponential solvers work on these masks directly.
+    Instances are immutable after construction.  ``adj_mask[v]`` is the
+    neighborhood of v as a bitmask; the exponential solvers work on these
+    masks directly.
     """
 
     __slots__ = ("n", "m", "adj", "adj_mask", "_root_views", "_connected")
@@ -107,19 +106,6 @@ class Graph:
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.m})"
-
-    # pickling support for parallel root solves (slots + caches)
-    def __getstate__(self):
-        return (self.n, list(self.edges()))
-
-    def __setstate__(self, state):
-        n, edges = state
-        self.__init__(n, edges)
-
-
-def build_graph(n: int, edges) -> Graph:
-    """Validate and normalize (n, edge list) into a Graph."""
-    return Graph(n, edges)
 
 
 @dataclass(frozen=True)

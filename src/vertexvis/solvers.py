@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
 
@@ -66,9 +65,8 @@ class SolverConfig:
     alpha_cap: int = 30
     mcds_cap: int = 32
     timeout_s: float | None = None
-    jobs: int = 1
-    # absolute time.monotonic() deadline, system-wide on Linux, so that
-    # every solve of one request and its worker processes share it
+    # absolute time.monotonic() deadline, so that every solve of one
+    # request shares it
     deadline_at: float | None = None
 
     def deadline(self) -> float | None:
@@ -359,12 +357,6 @@ def vx_greedy(g: Graph, x: int, config: SolverConfig = DEFAULT_CONFIG) -> SolveR
     return _solve_root(g, x, _greedy_group, "greedy")
 
 
-def _vx_worker(payload):
-    g, x, config = payload
-    res = vx_exact(g, x, config)
-    return x, res
-
-
 def vv_exact(g: Graph, config: SolverConfig = DEFAULT_CONFIG) -> SolveResult:
     """Maximum visibility number over all roots; leaves are skipped as roots
     once n >= 3 because their support vertex always does strictly better.
@@ -375,18 +367,10 @@ def vv_exact(g: Graph, config: SolverConfig = DEFAULT_CONFIG) -> SolveResult:
         roots = [0]
     else:
         roots = [v for v in range(g.n) if g.degree(v) > 1]
-    if config.jobs > 1 and len(roots) > 1:
-        worker_cfg = replace(config, jobs=1)
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            results = dict(
-                pool.map(_vx_worker, [(g, x, worker_cfg) for x in roots])
-            )
-        per_root = [results[x] for x in roots]
-    else:
-        per_root = [vx_exact(g, x, config) for x in roots]
-    best = per_root[0]
-    for res in per_root[1:]:
-        if res.value > best.value:
+    best = None
+    for x in roots:
+        res = vx_exact(g, x, config)
+        if best is None or res.value > best.value:
             best = res
     return best
 

@@ -27,6 +27,7 @@ __all__ = [
     "grid_witness",
     "prism_witness",
     "torus_witness",
+    "WITNESS_BUILDERS",
     "witness_for",
 ]
 
@@ -201,12 +202,15 @@ def torus_witness(n: int) -> WitnessResult:
     return _finish("torus", n, g, x, members)
 
 
+WITNESS_BUILDERS = {"grid": grid_witness, "prism": prism_witness, "torus": torus_witness}
+
+
 def witness_for(family: str, n: int) -> WitnessResult:
-    builders = {"grid": grid_witness, "prism": prism_witness, "torus": torus_witness}
     try:
-        builder = builders[family]
+        builder = WITNESS_BUILDERS[family]
     except KeyError:
         raise InvalidParameterError(
-            f"witness constructions exist for grid, prism, torus; got {family!r}"
+            f"witness constructions exist for {', '.join(WITNESS_BUILDERS)}; "
+            f"got {family!r}"
         ) from None
     return builder(n)

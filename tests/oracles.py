@@ -8,7 +8,7 @@ meaningful evidence.
 from collections import deque
 from itertools import combinations
 
-from vertexvis.graph import Graph, build_graph
+from vertexvis.graph import Graph
 
 
 def bfs_dist(g: Graph, x: int) -> dict[int, int]:
@@ -113,7 +113,7 @@ def connected_graphs_upto(nmax: int = 5):
             if not _connected_edge_mask(n, pairs, mask):
                 continue
             edges = [pairs[i] for i in range(len(pairs)) if (mask >> i) & 1]
-            yield build_graph(n, edges)
+            yield Graph(n, edges)
 
 
 def diameter(g: Graph) -> int:

@@ -111,7 +111,10 @@ def test_criterion_2_extended_grid_prism():
 
 
 def test_criterion_2_closed_forms_to_12():
-    cases = [("grid", n) for n in range(4, 13)]
+    cases = [("path", n) for n in range(2, 13)]
+    cases += [("cycle", n) for n in range(3, 13)]
+    cases += [("complete", n) for n in range(2, 13)]
+    cases += [("grid", n) for n in range(4, 13)]
     cases += [("prism", n) for n in range(4, 13)]
     cases += [("torus", n) for n in range(5, 12, 2)]
     for family, n in cases:
@@ -126,8 +129,9 @@ def test_criterion_2_closed_forms_to_12():
         assert got == (n * n + n - 2) // 2 > closed_form(spec), (n, got)
         assert closed_form_notes(spec)
     print(
-        "[criterion 2 closed forms] PASS - grid/prism n=4..12 and odd torus "
-        "n=5..11 match the closed form; even torus n=8,10,12 give (n^2+n-2)/2"
+        "[criterion 2 closed forms] PASS - path/cycle/complete up to n=12, "
+        "grid/prism n=4..12 and odd torus n=5..11 match the closed form; even "
+        "torus n=8,10,12 give (n^2+n-2)/2"
     )
 
 

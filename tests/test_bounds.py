@@ -29,10 +29,10 @@ from vertexvis.generators import (
     random_tree,
     star_graph,
 )
-from vertexvis.graph import build_graph
+from vertexvis.graph import Graph
 from vertexvis.solvers import vv_exact, vx_exact
 
-BOWTIE = build_graph(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)])
+BOWTIE = Graph(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)])
 
 
 def entry(report, name):

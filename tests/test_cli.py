@@ -157,6 +157,9 @@ def test_error_exit_codes(tmp_path, capsys):
     assert code == 1  # exceeds the exhaustive cap
     code, _, err = run(capsys, "witness", "cycle:6")
     assert code == 1
+    for spec in ("random:abc,0.3", "rtree:x", "rblock:2.5", "random:8,zz"):
+        code, _, err = run(capsys, "gen", spec)
+        assert code == 1 and "error:" in err, spec
 
 
 def test_random_specs_seeded(capsys):

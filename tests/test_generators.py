@@ -8,6 +8,7 @@ from vertexvis.errors import (
     UnsupportedFamilyError,
 )
 from vertexvis.generators import (
+    FAMILIES,
     FamilySpec,
     cartesian_product,
     cocktail_party,
@@ -27,7 +28,7 @@ from vertexvis.generators import (
     second_factor_layer,
     star_graph,
 )
-from vertexvis.graph import build_graph, is_connected
+from vertexvis.graph import Graph, is_connected
 
 from oracles import diameter
 
@@ -44,6 +45,16 @@ def test_family_spec_parsing():
         parse_family_spec("moebius:4")
     with pytest.raises(InvalidParameterError):
         FamilySpec("double_star", (3,))
+    for name, family in FAMILIES.items():
+        parts = ["0.5" if kind is float else "4" for kind in family.params]
+        text = f"{name}:{','.join(parts)}"
+        spec = parse_family_spec(text)
+        assert str(spec) == text
+        assert generate(spec).n > 1
+        with pytest.raises(InvalidParameterError):
+            parse_family_spec(f"{text},4")
+        with pytest.raises(InvalidParameterError):
+            FamilySpec(name, spec.args + (4,))
 
 
 def test_generate_named_families():
@@ -96,7 +107,7 @@ def test_gadget_path5_counts():
 
 
 def test_gadget_single_edge():
-    red = np_gadget(build_graph(2, [(0, 1)]))
+    red = np_gadget(Graph(2, [(0, 1)]))
     assert red.gprime.n == 4
 
 
@@ -123,7 +134,7 @@ def test_gadget_adjacency_contract():
 
 def test_gadget_rejects_isolated_vertices():
     with pytest.raises(IsolatedVertexError):
-        np_gadget(build_graph(3, [(0, 1)]))
+        np_gadget(Graph(3, [(0, 1)]))
 
 
 def test_gadget_diameter_two_over_corpus():

@@ -18,8 +18,8 @@ from vertexvis.generators import (
     random_tree,
 )
 from vertexvis.graph import (
+    Graph,
     bfs_root_view,
-    build_graph,
     format_graph,
     from_external_ids,
     interval,
@@ -32,16 +32,16 @@ from vertexvis.graph import (
 
 from oracles import all_shortest_paths, unique_geodesics_by_paths
 
-BOWTIE = build_graph(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)])
+BOWTIE = Graph(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)])
 
 
 def test_build_singleton():
-    g = build_graph(1, [])
+    g = Graph(1, [])
     assert g.n == 1 and g.m == 0
 
 
 def test_build_path():
-    g = build_graph(4, [(0, 1), (1, 2), (2, 3)])
+    g = Graph(4, [(0, 1), (1, 2), (2, 3)])
     assert g.max_degree() == 2
     assert g.adj[1] == (0, 2)
 
@@ -53,13 +53,13 @@ def test_build_cocktail_counts():
 
 def test_build_rejects_bad_input():
     with pytest.raises(SelfLoopError):
-        build_graph(3, [(0, 0)])
+        Graph(3, [(0, 0)])
     with pytest.raises(DuplicateEdgeError):
-        build_graph(3, [(0, 1), (1, 0)])
+        Graph(3, [(0, 1), (1, 0)])
     with pytest.raises(IdOutOfRangeError):
-        build_graph(3, [(0, 3)])
+        Graph(3, [(0, 3)])
     with pytest.raises(IdOutOfRangeError):
-        build_graph(0, [])
+        Graph(0, [])
 
 
 def test_bfs_path_end():
@@ -129,7 +129,7 @@ def test_interval_symmetric_and_metric(small_graphs):
 
 
 def test_interval_rejects_disconnected():
-    g = build_graph(4, [(0, 1), (2, 3)])
+    g = Graph(4, [(0, 1), (2, 3)])
     with pytest.raises(DisconnectedError):
         interval(g, 0, 2)
 
@@ -142,8 +142,8 @@ def test_interval_rejects_equal_endpoints():
 
 
 def test_is_connected():
-    assert is_connected(build_graph(1, []))
-    assert not is_connected(build_graph(4, [(0, 1), (2, 3)]))
+    assert is_connected(Graph(1, []))
+    assert not is_connected(Graph(4, [(0, 1), (2, 3)]))
     assert is_connected(cycle_graph(5))
 
 

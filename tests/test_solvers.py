@@ -16,7 +16,7 @@ from vertexvis.generators import (
     path_graph,
     star_graph,
 )
-from vertexvis.graph import bfs_root_view, build_graph
+from vertexvis.graph import Graph, bfs_root_view
 from vertexvis.solvers import (
     SolverConfig,
     alpha_brute,
@@ -110,7 +110,7 @@ def test_vv_examples():
     assert vv_exact(grid_graph(4)).value == 9
     assert vv_exact(star_graph(5)).value == 5
     assert vv_exact(complete_product(3, 2)).value == 4
-    assert vv_exact(build_graph(2, [(0, 1)])).value == 1
+    assert vv_exact(Graph(2, [(0, 1)])).value == 1
 
 
 def test_vv_tie_breaks_to_smallest_root():
@@ -125,15 +125,8 @@ def test_vv_skips_leaves():
     assert g.degree(res.root) > 1
 
 
-def test_vv_parallel_matches_sequential():
-    g, _ = figure_family(1)
-    seq = vv_exact(g)
-    par = vv_exact(g, SolverConfig(jobs=2))
-    assert (seq.value, seq.root, seq.witness) == (par.value, par.root, par.witness)
-
-
 def test_solvers_reject_disconnected():
-    g = build_graph(4, [(0, 1), (2, 3)])
+    g = Graph(4, [(0, 1), (2, 3)])
     with pytest.raises(DisconnectedError):
         vx_exact(g, 0)
     with pytest.raises(DisconnectedError):
@@ -145,8 +138,8 @@ def test_max_leaf_examples():
     assert max_leaf_spanning_tree(g).value == 11
     assert max_leaf_spanning_tree(star_graph(6)).value == 6
     assert max_leaf_spanning_tree(cycle_graph(8)).value == 2
-    assert max_leaf_spanning_tree(build_graph(2, [(0, 1)])).value == 2
-    assert max_leaf_spanning_tree(build_graph(1, [])).value == 1
+    assert max_leaf_spanning_tree(Graph(2, [(0, 1)])).value == 2
+    assert max_leaf_spanning_tree(Graph(1, [])).value == 1
 
 
 def test_max_leaf_certificate():
@@ -184,7 +177,7 @@ def test_alpha_examples():
     assert alpha_brute(path_graph(5)) == 3
     assert alpha_brute(complete_graph(4)) == 1
     assert alpha_brute(cycle_graph(5)) == 2
-    assert alpha_brute(build_graph(4, [(0, 1), (2, 3)])) == 2
+    assert alpha_brute(Graph(4, [(0, 1), (2, 3)])) == 2
 
 
 def test_greedy_examples():

@@ -9,7 +9,7 @@ from vertexvis.generators import (
     path_graph,
     star_graph,
 )
-from vertexvis.graph import build_graph
+from vertexvis.graph import Graph
 from vertexvis.visibility import (
     clear_reachable,
     has_spanning_double_star,
@@ -24,7 +24,7 @@ from vertexvis.visibility import (
 
 from oracles import all_shortest_paths, mutual_by_paths, visible_by_paths
 
-BOWTIE = build_graph(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)])
+BOWTIE = Graph(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)])
 
 
 def test_clear_reachable_examples():
