@@ -57,11 +57,18 @@ class FamilySpec:
     args: tuple[int | float, ...]
 
     def __post_init__(self):
-        arity = len(_family(self.family).params)
-        if len(self.args) != arity:
+        params = _family(self.family).params
+        if len(self.args) != len(params):
             raise InvalidParameterError(
-                f"family {self.family!r} takes {arity} parameter(s), got {self.args}"
+                f"family {self.family!r} takes {len(params)} parameter(s), got {self.args}"
             )
+        for kind, a in zip(params, self.args):
+            # bool is an int subclass; a float parameter also takes an int
+            if isinstance(a, bool) or not isinstance(a, int if kind is int else (int, float)):
+                usage = ",".join(k.__name__ for k in params)
+                raise InvalidParameterError(
+                    f"family {self.family!r} takes {usage} parameters, got {self.args}"
+                )
         if not all(a > 0 for a in self.args):
             raise InvalidParameterError(f"parameters must be positive: {self.args}")
 
@@ -278,6 +285,8 @@ def np_gadget(g: Graph) -> ReductionResult:
 
 def _sample_gnp(n: int, p: float, seed: int, max_tries: int, accept, what: str) -> Graph:
     """Erdos-Renyi G(n, p), resampled until accept(graph) holds."""
+    if not 0 < p <= 1:
+        raise InvalidParameterError(f"edge probability must lie in (0, 1], got {p}")
     rng = random.Random(seed)
     for _ in range(max_tries):
         edges = [

@@ -12,12 +12,14 @@ such P can be realized, so
 That minimum hitting set splits into independent groups: the root covers
 layer 1, every other dag_in(v) lies inside the layer above v, and
 union-find joins constraints that share a candidate.  Each group is solved
-on its own by branch and bound over bitmasks with unit propagation, a
-disjoint-candidate-set lower bound, smallest-id tie-breaking, and the
-group's greedy cover (all that vx_greedy keeps) as incumbent.  Every solver
-returns a certificate, never a bare number: a witness set that re-verifies
-through the visibility module, and a parent map realizing the matching
-shortest-path tree.
+on its own by branch and bound over bitmasks: take or exclude the candidate
+covering the most uncovered constraints, with unit propagation, a dominance
+rule, a disjoint-candidate-set lower bound, smallest-id tie-breaking, and
+the group's greedy cover (all that vx_greedy keeps) as incumbent.  On a
+vertex-cover group this is the take-a-vertex-or-its-neighbours rule.
+Every solver returns a certificate, never a bare number: a witness set that
+re-verifies through the visibility module, and a parent map realizing the
+matching shortest-path tree.
 
 The maximum leaf count over all spanning trees (not just shortest-path
 trees) is computed through the classical duality with minimum connected
@@ -198,9 +200,13 @@ def _greedy_group(sets: list[int], covers: list[int]) -> int:
 
 
 def _min_group_cover(sets: list[int], covers: list[int], deadline) -> int:
-    """Smallest cover of one group, as a mask over its candidates.  Branches
-    on the uncovered constraint with fewest remaining candidates, candidates
-    tried in ascending order, from the greedy cover as incumbent."""
+    """Smallest cover of one group, as a mask over its candidates, from the
+    greedy cover as incumbent.  A node propagates units, bounds by the
+    constraints with disjoint candidates, and drops each candidate covering
+    one uncovered constraint j when another candidate of j covers two or
+    more, or only j with a smaller id (swapping keeps the cover's size).
+    Then it takes, or else excludes, the candidate covering the most
+    uncovered constraints, smallest id on ties."""
     full = (1 << len(sets)) - 1
     best_mask = _greedy_group(sets, covers)
     best_size = best_mask.bit_count()
@@ -211,62 +217,67 @@ def _min_group_cover(sets: list[int], covers: list[int], deadline) -> int:
         node_budget += 1
         if node_budget & 0xFF == 0:
             _check_deadline(deadline, "exact visibility solve")
-        # unit propagation: uncovered constraints with one allowed candidate
         while True:
-            forced = 0
-            rest = full & ~covered
+            uncovered = full & ~covered
+            if not uncovered:
+                if size < best_size:
+                    best_size, best_mask = size, chosen
+                return
+            # units, uncovered constraints with pairwise disjoint candidates,
+            # and the live candidates (a candidate covering nothing
+            # uncovered is not live), in twice if they cover two or more
+            forced = used = lb = live = twice = 0
+            rest = uncovered
             while rest:
                 low = rest & -rest
-                j = low.bit_length() - 1
                 rest ^= low
-                allowed = sets[j] & ~excluded
+                allowed = sets[low.bit_length() - 1] & ~excluded
                 if allowed == 0:
                     return
                 if allowed & (allowed - 1) == 0:
                     forced |= allowed
-            if not forced:
-                break
-            # a chosen candidate's constraints are covered, so none is forced
-            size += forced.bit_count()
-            if size >= best_size:
+                if not allowed & used:
+                    lb += 1
+                    used |= allowed
+                twice |= live & allowed
+                live |= allowed
+            if forced:
+                # a chosen candidate's constraints are covered, so none is forced
+                size += forced.bit_count()
+                if size >= best_size:
+                    return
+                chosen |= forced
+                while forced:
+                    low = forced & -forced
+                    covered |= covers[low.bit_length() - 1]
+                    forced ^= low
+                continue
+            if size + lb >= best_size:
                 return
-            chosen |= forced
-            rest = forced
+            drop = 0
+            rest = live & ~twice
             while rest:
                 low = rest & -rest
-                covered |= covers[low.bit_length() - 1]
                 rest ^= low
-        if covered == full:
-            if size < best_size:
-                best_size, best_mask = size, chosen
-            return
-        # lower bound: uncovered constraints with pairwise disjoint candidates
-        lb = 0
-        used = 0
-        branch_j, branch_opts = -1, len(covers) + 1
-        rest = full & ~covered
-        while rest:
-            low = rest & -rest
-            j = low.bit_length() - 1
-            rest ^= low
-            allowed = sets[j] & ~excluded
-            if not allowed & used:
-                lb += 1
-                used |= allowed
-            k = allowed.bit_count()
-            if k < branch_opts:
-                branch_j, branch_opts = j, k
-        if size + lb >= best_size:
-            return
-        allowed = sets[branch_j] & ~excluded
-        while allowed:
-            low = allowed & -allowed
-            i = low.bit_length() - 1
-            allowed ^= low
-            search(chosen | low, size + 1, excluded, covered | covers[i])
-            excluded |= low
+                j = (covers[low.bit_length() - 1] & uncovered).bit_length() - 1
+                if sets[j] & live & (twice | (low - 1)):
+                    drop |= low
+            if drop:
+                excluded |= drop
+                continue
+            # without a drop some live candidate covers two or more
+            pick, pick_gain = -1, 1
+            rest = twice
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                gain = (covers[low.bit_length() - 1] & uncovered).bit_count()
+                if gain > pick_gain:
+                    pick, pick_gain = low.bit_length() - 1, gain
+            search(chosen | 1 << pick, size + 1, excluded, covered | covers[pick])
             if size + 1 >= best_size:
                 return
+            excluded |= 1 << pick
 
     search(0, 0, 0, 0)
     return best_mask

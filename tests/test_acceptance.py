@@ -27,6 +27,7 @@ from vertexvis.generators import (
     generate,
     np_gadget,
     random_block_graph,
+    random_connected_graph,
     random_graph_no_isolated,
     random_tree,
 )
@@ -189,18 +190,23 @@ def test_criterion_4_figure_family():
 
 def test_criterion_5_reduction_identity():
     rng = random.Random(20240605)
+    bases = []
     for i in range(25):
         n = rng.randint(4, 9)
         p = rng.uniform(0.3, 0.7)
-        g = random_graph_no_isolated(n, p, seed=2000 + i)
+        bases.append(random_graph_no_isolated(n, p, seed=2000 + i))
+    # larger bases, whose vertex-cover group the search has to branch on
+    for i, n in enumerate(range(20, 31, 2)):
+        bases.append(random_connected_graph(n, 8 / (n - 1), 3000 + i))
+    for i, g in enumerate(bases):
         red = np_gadget(g)
         assert diameter(red.gprime) == 2
         apex_value = vx_exact(red.gprime, red.apex).value
         want = g.m + alpha_brute(g)
-        assert apex_value == want, (i, n, apex_value, want)
+        assert apex_value == want, (i, g.n, apex_value, want)
     print(
         "[criterion 5] PASS - apex visibility equals edge count plus "
-        "independence number on 25 gadgets, all of diameter 2"
+        "independence number on 31 gadgets, all of diameter 2"
     )
 
 

@@ -157,7 +157,8 @@ def test_error_exit_codes(tmp_path, capsys):
     assert code == 1  # exceeds the exhaustive cap
     code, _, err = run(capsys, "witness", "cycle:6")
     assert code == 1
-    for spec in ("random:abc,0.3", "rtree:x", "rblock:2.5", "random:8,zz"):
+    for spec in ("random:abc,0.3", "rtree:x", "rblock:2.5", "random:8,zz", "random:5,7",
+                 "random:5,inf"):
         code, _, err = run(capsys, "gen", spec)
         assert code == 1 and "error:" in err, spec
 

@@ -55,6 +55,11 @@ def test_family_spec_parsing():
             parse_family_spec(f"{text},4")
         with pytest.raises(InvalidParameterError):
             FamilySpec(name, spec.args + (4,))
+        FamilySpec(name, (4,) * len(family.params))  # a float parameter takes an int
+        for at, kind in enumerate(family.params):
+            wrong = 4.5 if kind is int else True
+            with pytest.raises(InvalidParameterError):
+                FamilySpec(name, spec.args[:at] + (wrong,) + spec.args[at + 1:])
 
 
 def test_generate_named_families():

@@ -1,14 +1,22 @@
 """Property tests of the grouped parent-cover kernel behind vx_exact and
-vx_greedy, on graphs built so that the root sees several non-trivial BFS
-layers and several independent constraint groups in each of them."""
+vx_greedy: directly on random hitting-set groups, and on graphs built so
+that the root sees several non-trivial BFS layers and several independent
+constraint groups in each of them."""
 
 from collections import Counter
+from itertools import combinations
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vertexvis.graph import Graph, bfs_root_view
-from vertexvis.solvers import _cover_groups, vx_brute, vx_exact, vx_greedy
+from vertexvis.solvers import (
+    _cover_groups,
+    _min_group_cover,
+    vx_brute,
+    vx_exact,
+    vx_greedy,
+)
 from vertexvis.visibility import is_x_visibility_set
 
 
@@ -41,6 +49,42 @@ def branched_graphs(draw, max_n, max_branches, max_depth):
                 edges.update(draw(st.lists(st.sampled_from(pairs), unique=True)))
             above = layer
     return Graph(n, sorted(edges))
+
+
+@st.composite
+def hitting_groups(draw):
+    """One group as _cover_groups yields it, (sets, covers): at most 12
+    candidates, each used, and 8-35 constraints of 1-4 candidates, some of
+    them singletons or repeats.  So many constraints on so few candidates
+    make the greedy incumbent miss the optimum in about one group in nine,
+    so that a search that gives up too early shows."""
+    size = draw(st.integers(6, 12))
+    constraint = st.frozensets(st.integers(0, size - 1), min_size=1, max_size=4)
+    drawn = draw(st.lists(constraint, min_size=8, max_size=32))
+    drawn += draw(st.lists(st.sampled_from(drawn), max_size=3))
+    cands = sorted(set().union(*drawn))
+    pos = {p: i for i, p in enumerate(cands)}
+    sets = [sum(1 << pos[p] for p in c) for c in drawn]
+    covers = [sum(1 << j for j, c in enumerate(drawn) if p in c) for p in cands]
+    return sets, covers
+
+
+def _min_hitting_set_size(sets, candidates):
+    for size in range(candidates + 1):
+        for picks in combinations(range(candidates), size):
+            mask = sum(1 << i for i in picks)
+            if all(s & mask for s in sets):
+                return size
+    raise AssertionError("every constraint has a candidate")
+
+
+@settings(max_examples=1000, deadline=None)
+@given(hitting_groups())
+def test_kernel_is_a_minimum_hitting_set(group):
+    sets, covers = group
+    mask = _min_group_cover(sets, covers, None)
+    assert all(s & mask for s in sets)
+    assert mask.bit_count() == _min_hitting_set_size(sets, len(covers))
 
 
 def _layers_with_several_groups(g: Graph) -> int:

@@ -14,6 +14,7 @@ from vertexvis.generators import (
     np_gadget,
     parse_family_spec,
     path_graph,
+    random_connected_graph,
     star_graph,
 )
 from vertexvis.graph import Graph, bfs_root_view
@@ -219,3 +220,13 @@ def test_timeout_bounds_the_whole_root_loop():
     g = generate(parse_family_spec("torus:16"))
     with pytest.raises(SolveTimeoutError):
         vv_exact(g, SolverConfig(timeout_s=0.05))
+
+
+def test_sparse_random_roots_solve_inside_the_budget():
+    # both roots ran past a 5 s budget when the search branched on the
+    # constraint with the fewest candidates
+    g = random_connected_graph(400, 0.015, 2)
+    for x in (0, 3):
+        res = vx_exact(g, x, SolverConfig(timeout_s=5))
+        assert len(res.witness) == res.value >= vx_greedy(g, x).value
+        assert is_x_visibility_set(g, x, res.witness)
