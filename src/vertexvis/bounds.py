@@ -24,6 +24,7 @@ from .errors import (
 )
 from .generators import FamilySpec
 from .graph import Graph, bfs_root_view, is_block_graph, require_connected
+from .solvers import DEFAULT_CONFIG, SolverConfig, mu_brute, vv_exact, vx_exact
 from .visibility import (
     has_spanning_double_star,
     has_universal_vertex,
@@ -111,7 +112,7 @@ def bounds_report(
     x: int | None = None,
     compute_mu: bool = False,
     compute_exact: bool = False,
-    config=None,
+    config: SolverConfig = DEFAULT_CONFIG,
 ) -> BoundsReport:
     """Assemble every applicable bound; per-root entries appear only when a
     root is given.  The mutual-visibility entry is exponential to evaluate
@@ -158,9 +159,7 @@ def bounds_report(
     )
     mu_value: int | None = None
     if compute_mu:
-        from .solvers import DEFAULT_CONFIG, mu_brute
-
-        mu_value = mu_brute(g, config or DEFAULT_CONFIG)
+        mu_value = mu_brute(g, config)
     entries.append(
         BoundEntry(
             "mutual_visibility_lower",
@@ -221,13 +220,10 @@ def bounds_report(
         )
     exact_value = exact_root = None
     if compute_exact:
-        from .solvers import DEFAULT_CONFIG, vv_exact, vx_exact
-
-        cfg = config or DEFAULT_CONFIG
         if x is not None:
-            res = vx_exact(g, x, cfg)
+            res = vx_exact(g, x, config)
         else:
-            res = vv_exact(g, cfg)
+            res = vv_exact(g, config)
         exact_value, exact_root = res.value, res.root
     return BoundsReport(
         n=n,

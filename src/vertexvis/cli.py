@@ -85,16 +85,7 @@ def _emit(args, payload: dict, text_lines: list[str]) -> None:
 
 
 def _config(args) -> SolverConfig:
-    kwargs = {}
-    if getattr(args, "brute_cap", None) is not None:
-        kwargs["brute_cap"] = args.brute_cap
-    if getattr(args, "mu_cap", None) is not None:
-        kwargs["mu_cap"] = args.mu_cap
-    if getattr(args, "maxleaf_cap", None) is not None:
-        kwargs["mcds_cap"] = args.maxleaf_cap
-    if getattr(args, "timeout", None) is not None:
-        kwargs["timeout_s"] = args.timeout
-    return SolverConfig(**kwargs).started()
+    return SolverConfig(timeout_s=args.timeout).started()
 
 
 def _cmd_gen(args) -> int:
@@ -284,10 +275,7 @@ def _add_common(p, root=False, required_root=False):
         p.add_argument("--root", type=int, required=required_root, help="1-based root id")
 
 
-def _add_caps(p):
-    p.add_argument("--brute-cap", type=int, default=None)
-    p.add_argument("--mu-cap", type=int, default=None)
-    p.add_argument("--maxleaf-cap", type=int, default=None)
+def _add_timeout(p):
     p.add_argument("--timeout", type=float, default=None, help="seconds for the whole request")
 
 
@@ -308,13 +296,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input")
     _add_common(p, root=True, required_root=True)
     p.add_argument("--method", choices=("exact", "brute", "greedy"), default="exact")
-    _add_caps(p)
+    _add_timeout(p)
     p.set_defaults(func=_cmd_vx)
 
     p = sub.add_parser("vv", help="vertex visibility number of the graph")
     p.add_argument("input")
     _add_common(p)
-    _add_caps(p)
+    _add_timeout(p)
     p.set_defaults(func=_cmd_vv)
 
     p = sub.add_parser("verify", help="check a vertex set file against a root")
@@ -328,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, root=True)
     p.add_argument("--mu", action="store_true", help="compute the mutual-visibility entry")
     p.add_argument("--exact", action="store_true", help="solve exactly as well")
-    _add_caps(p)
+    _add_timeout(p)
     p.set_defaults(func=_cmd_bounds)
 
     p = sub.add_parser("reduce", help="build the independent-set hardness gadget")
@@ -347,19 +335,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--range", required=True, help="e.g. 4..8")
     p.add_argument("--exact-max", type=int, default=None)
     _add_common(p)
-    _add_caps(p)
+    _add_timeout(p)
     p.set_defaults(func=_cmd_table)
 
     p = sub.add_parser("maxleaf", help="maximum spanning-tree leaf count")
     p.add_argument("input")
     _add_common(p)
-    _add_caps(p)
+    _add_timeout(p)
     p.set_defaults(func=_cmd_maxleaf)
 
     p = sub.add_parser("mu", help="mutual visibility number (exhaustive)")
     p.add_argument("input")
     _add_common(p)
-    _add_caps(p)
+    _add_timeout(p)
     p.set_defaults(func=_cmd_mu)
 
     return parser

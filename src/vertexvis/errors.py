@@ -20,7 +20,7 @@ class DisconnectedError(VertexVisError):
 
 
 class TooLargeError(VertexVisError):
-    """The instance exceeds the configured cap for an exponential solver."""
+    """The instance exceeds the fixed size cap of an exponential solver."""
 
 
 class InvalidParameterError(VertexVisError): ...

@@ -283,12 +283,13 @@ def np_gadget(g: Graph) -> ReductionResult:
 # ---------------------------------------------------------------------------
 # seeded random graphs (test plumbing)
 
-def _sample_gnp(n: int, p: float, seed: int, max_tries: int, accept, what: str) -> Graph:
-    """Erdos-Renyi G(n, p), resampled until accept(graph) holds."""
+def _sample_gnp(n: int, p: float, seed: int, accept, what: str) -> Graph:
+    """Erdos-Renyi G(n, p), resampled until accept(graph) holds, at most
+    1000 times."""
     if not 0 < p <= 1:
         raise InvalidParameterError(f"edge probability must lie in (0, 1], got {p}")
     rng = random.Random(seed)
-    for _ in range(max_tries):
+    for _ in range(1000):
         edges = [
             (u, v)
             for u in range(n)
@@ -299,19 +300,19 @@ def _sample_gnp(n: int, p: float, seed: int, max_tries: int, accept, what: str) 
         if accept(g):
             return g
     raise InvalidParameterError(
-        f"no {what} sample in {max_tries} tries for n={n}, p={p}"
+        f"no {what} sample in 1000 tries for n={n}, p={p}"
     )
 
 
-def random_connected_graph(n: int, p: float, seed: int, max_tries: int = 1000) -> Graph:
+def random_connected_graph(n: int, p: float, seed: int) -> Graph:
     """Erdos-Renyi G(n, p), resampled until connected."""
-    return _sample_gnp(n, p, seed, max_tries, is_connected, "connected")
+    return _sample_gnp(n, p, seed, is_connected, "connected")
 
 
-def random_graph_no_isolated(n: int, p: float, seed: int, max_tries: int = 1000) -> Graph:
+def random_graph_no_isolated(n: int, p: float, seed: int) -> Graph:
     """Erdos-Renyi G(n, p), resampled until no vertex is isolated (the graph
     itself may be disconnected)."""
-    return _sample_gnp(n, p, seed, max_tries, lambda g: all(g.adj), "isolated-free")
+    return _sample_gnp(n, p, seed, lambda g: all(g.adj), "isolated-free")
 
 
 def random_tree(n: int, seed: int) -> Graph:
@@ -323,21 +324,21 @@ def random_tree(n: int, seed: int) -> Graph:
     return Graph(n, edges)
 
 
-def random_block_graph(n: int, seed: int, max_clique: int = 4) -> Graph:
-    """Random connected block graph: cliques glued at cut vertices.
+def random_block_graph(n: int, seed: int) -> Graph:
+    """Random connected block graph: cliques of 2 to 4 vertices glued at cut
+    vertices.
 
     Guarantees at least two blocks, hence never a complete graph, for n >= 3.
     """
     if n < 3:
         raise InvalidParameterError("block graph sampler needs n >= 3")
     rng = random.Random(seed)
-    first = rng.randint(2, min(max_clique, n - 1))
+    first = rng.randint(2, min(4, n - 1))
     vertices = list(range(first))
     edges = [(u, v) for i, u in enumerate(vertices) for v in vertices[i + 1:]]
     count = first
     while count < n:
-        size = rng.randint(2, max_clique)
-        size = min(size, n - count + 1)
+        size = min(rng.randint(2, 4), n - count + 1)
         cut = rng.choice(range(count))
         block = [cut] + list(range(count, count + size - 1))
         count += size - 1

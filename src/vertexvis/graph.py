@@ -37,7 +37,6 @@ __all__ = [
     "write_graph_file",
     "to_external_ids",
     "from_external_ids",
-    "set_to_mask",
     "mask_to_set",
 ]
 
@@ -287,13 +286,6 @@ def is_block_graph(g: Graph) -> bool:
 
 # ---------------------------------------------------------------------------
 # vertex-set helpers (internal 0-based <-> external 1-based)
-
-def set_to_mask(vertices) -> int:
-    mask = 0
-    for v in vertices:
-        mask |= 1 << v
-    return mask
-
 
 def mask_to_set(mask: int) -> frozenset[int]:
     out = []

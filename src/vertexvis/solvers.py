@@ -33,6 +33,7 @@ import time
 from collections import deque
 from dataclasses import dataclass, replace
 from functools import partial
+from itertools import combinations
 
 from .errors import (
     DisconnectedError,
@@ -41,7 +42,7 @@ from .errors import (
     TooLargeError,
 )
 from .graph import Graph, RootView, bfs_root_view, is_connected, mask_to_set
-from .visibility import _clear_mask
+from .visibility import _members_all_visible, _pairwise_visible
 
 __all__ = [
     "SolverConfig",
@@ -57,15 +58,19 @@ __all__ = [
 ]
 
 
+# largest n each exhaustive solver accepts; above it, TooLargeError
+BRUTE_CAP = 22
+MU_CAP = 16
+ALPHA_CAP = 30
+MCDS_CAP = 32
+
+
 @dataclass(frozen=True)
 class SolverConfig:
-    """Caps and budgets for the exponential solvers; hard errors, never
-    silent truncation."""
+    """The wall-clock budget of one request; a solve past it raises
+    SolveTimeoutError, never a truncated answer.  The size caps of the
+    exhaustive solvers are the fixed constants above, not settings."""
 
-    brute_cap: int = 22
-    mu_cap: int = 16
-    alpha_cap: int = 30
-    mcds_cap: int = 32
     timeout_s: float | None = None
     # absolute time.monotonic() deadline, so that every solve of one
     # request shares it
@@ -321,8 +326,8 @@ def vx_brute(g: Graph, x: int, config: SolverConfig = DEFAULT_CONFIG) -> SolveRe
     largest visibility set."""
     g.check_vertex(x)
     _require_solvable(g)
-    if g.n > config.brute_cap:
-        raise TooLargeError(f"brute force capped at n={config.brute_cap}")
+    if g.n > BRUTE_CAP:
+        raise TooLargeError(f"brute force capped at n={BRUTE_CAP}")
     rv = bfs_root_view(g, x)
     others = [v for v in range(g.n) if v != x]
     k = len(others)
@@ -338,18 +343,7 @@ def vx_brute(g: Graph, x: int, config: SolverConfig = DEFAULT_CONFIG) -> SolveRe
             s_mask |= 1 << others[low.bit_length() - 1]
             rest ^= low
         size = s_mask.bit_count()
-        if size <= best_size:
-            continue
-        reach = _clear_mask(rv, s_mask)
-        ok = True
-        rest = s_mask
-        while rest:
-            low = rest & -rest
-            if not rv.dag_in_mask[low.bit_length() - 1] & reach:
-                ok = False
-                break
-            rest ^= low
-        if ok:
+        if size > best_size and _members_all_visible(rv, s_mask):
             best_size, best_set = size, s_mask
     return SolveResult(
         value=best_size,
@@ -520,8 +514,8 @@ def max_leaf_spanning_tree(
         return MaxLeafResult(
             value=2, root=0, tree={1: 0}, leaves=frozenset({0, 1})
         )
-    if g.n > config.mcds_cap:
-        raise TooLargeError(f"exact max-leaf capped at n={config.mcds_cap}")
+    if g.n > MCDS_CAP:
+        raise TooLargeError(f"exact max-leaf capped at n={MCDS_CAP}")
     cds = _min_cds(g, config.deadline())
     members = sorted(mask_to_set(cds))
     root = members[0]
@@ -555,13 +549,10 @@ def max_leaf_spanning_tree(
 def mu_brute(g: Graph, config: SolverConfig = DEFAULT_CONFIG) -> int:
     """Largest mutual-visibility set size by descending-size enumeration;
     valid because subsets of mutual-visibility sets stay mutually visible."""
-    from itertools import combinations
-
     _require_solvable(g, min_n=1)
     n = g.n
-    if n > config.mu_cap:
-        raise TooLargeError(f"mutual-visibility brute force capped at n={config.mu_cap}")
-    views = [bfs_root_view(g, v) for v in range(n)]
+    if n > MU_CAP:
+        raise TooLargeError(f"mutual-visibility brute force capped at n={MU_CAP}")
     deadline = config.deadline()
     checked = 0
     for k in range(n, 0, -1):
@@ -569,19 +560,7 @@ def mu_brute(g: Graph, config: SolverConfig = DEFAULT_CONFIG) -> int:
             checked += 1
             if checked & 0xFF == 0:
                 _check_deadline(deadline, "mutual-visibility brute force")
-            s_mask = 0
-            for v in combo:
-                s_mask |= 1 << v
-            ok = True
-            for i, u in enumerate(combo[:-1]):
-                rv = views[u]
-                reach = _clear_mask(rv, s_mask & ~(1 << u))
-                if any(
-                    not rv.dag_in_mask[v] & reach for v in combo[i + 1:]
-                ):
-                    ok = False
-                    break
-            if ok:
+            if _pairwise_visible(g, combo):
                 return k
     return 0
 
@@ -589,8 +568,8 @@ def mu_brute(g: Graph, config: SolverConfig = DEFAULT_CONFIG) -> int:
 def alpha_brute(g: Graph, config: SolverConfig = DEFAULT_CONFIG) -> int:
     """Maximum independent set size by branching on a highest-degree vertex.
     Not exported: it is the independence-number reference of the tests."""
-    if g.n > config.alpha_cap:
-        raise TooLargeError(f"independence brute force capped at n={config.alpha_cap}")
+    if g.n > ALPHA_CAP:
+        raise TooLargeError(f"independence brute force capped at n={ALPHA_CAP}")
     adj_mask = g.adj_mask
     deadline = config.deadline()
     best = 0

@@ -110,14 +110,10 @@ def is_x_visibility_set(g: Graph, x: int, s) -> bool:
     return _members_all_visible(bfs_root_view(g, x), s_mask)
 
 
-def is_mutual_visibility_set(g: Graph, s) -> bool:
-    """Decide whether every pair of members sees each other around s.
-
-    Visibility between u and v is symmetric, so each unordered pair is
-    checked once, from the smaller endpoint.
-    """
-    require_connected(g)
-    members = sorted(set(s))
+def _pairwise_visible(g: Graph, members) -> bool:
+    """Every pair of the ascending, distinct members sees each other around
+    them all.  Visibility between u and v is symmetric, so each unordered
+    pair is checked once, from the smaller endpoint."""
     s_mask = _checked_mask(g, members)
     for i, u in enumerate(members[:-1]):
         rv = bfs_root_view(g, u)
@@ -126,6 +122,12 @@ def is_mutual_visibility_set(g: Graph, s) -> bool:
             if not rv.dag_in_mask[v] & reach:
                 return False
     return True
+
+
+def is_mutual_visibility_set(g: Graph, s) -> bool:
+    """Decide whether every pair of members sees each other around s."""
+    require_connected(g)
+    return _pairwise_visible(g, sorted(set(s)))
 
 
 def maximally_distant(g: Graph, x: int) -> frozenset[int]:

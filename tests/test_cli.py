@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from vertexvis.cli import main
 from vertexvis.graph import parse_graph, read_graph_file
 from vertexvis.generators import generate, parse_family_spec
@@ -153,8 +155,11 @@ def test_error_exit_codes(tmp_path, capsys):
     bad.write_text("p 4 2\ne 1 2\ne 3 4\n")
     code, _, err = run(capsys, "vv", str(bad))
     assert code == 1 and "error" in err
-    code, _, err = run(capsys, "mu", "grid:5")
-    assert code == 1  # exceeds the exhaustive cap
+    # over a fixed exhaustive cap, and over the request's time budget
+    for argv in (("mu", "grid:5"), ("vx", "grid:5", "--root", "1", "--method", "brute"),
+                 ("maxleaf", "grid:6"), ("vv", "torus:16", "--timeout", "0.05")):
+        code, _, err = run(capsys, *argv)
+        assert code == 1 and "error:" in err, argv
     code, _, err = run(capsys, "witness", "cycle:6")
     assert code == 1
     for spec in ("random:abc,0.3", "rtree:x", "rblock:2.5", "random:8,zz", "random:5,7",
@@ -180,3 +185,10 @@ def test_usage_error_exit_code(capsys):
         assert exc.code == 2
     else:
         raise AssertionError("argparse should exit with usage error")
+    # the caps are constants, not flags
+    for verb in (["vx", "grid:4", "--root", "1"], ["vv", "grid:4"], ["bounds", "grid:4"],
+                 ["table", "grid", "--range", "4..5"], ["maxleaf", "grid:4"], ["mu", "path:4"]):
+        for flag in ("--brute-cap", "--mu-cap", "--maxleaf-cap"):
+            with pytest.raises(SystemExit) as exc:
+                main([*verb, flag, "40"])
+            assert exc.value.code == 2, (verb, flag)

@@ -19,6 +19,8 @@ from vertexvis.generators import (
 )
 from vertexvis.graph import Graph, bfs_root_view
 from vertexvis.solvers import (
+    BRUTE_CAP,
+    MCDS_CAP,
     SolverConfig,
     alpha_brute,
     max_leaf_spanning_tree,
@@ -67,8 +69,9 @@ def test_vx_brute_examples():
 
 
 def test_vx_brute_cap():
+    assert grid_graph(5).n > BRUTE_CAP
     with pytest.raises(TooLargeError):
-        vx_brute(grid_graph(5), 0, SolverConfig(brute_cap=20))
+        vx_brute(grid_graph(5), 0)
 
 
 def test_exact_matches_brute_and_paths_tiny():
@@ -155,8 +158,9 @@ def test_max_leaf_certificate():
 
 
 def test_max_leaf_cap():
+    assert grid_graph(6).n > MCDS_CAP
     with pytest.raises(TooLargeError):
-        max_leaf_spanning_tree(grid_graph(6), SolverConfig(mcds_cap=32))
+        max_leaf_spanning_tree(grid_graph(6))
 
 
 def test_max_leaf_dominates_vv(small_graphs):
