@@ -52,27 +52,38 @@ class Graph:
     __slots__ = ("n", "m", "adj", "adj_mask", "_root_views", "_connected")
 
     def __init__(self, n: int, edges):
+        """Build from 0-based edge pairs in one pass.
+
+        A duplicate is caught when bit v of u's mask is already set, so
+        ``adj_mask`` is built as the edges arrive and no set of pairs is kept.
+        """
         if n < 1:
             raise IdOutOfRangeError(f"graph needs at least one vertex, got n={n}")
-        seen = set()
         neighbors = [[] for _ in range(n)]
+        masks = [0] * n
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise IdOutOfRangeError(f"edge ({u},{v}) outside 0..{n - 1}")
             if u == v:
                 raise SelfLoopError(f"self-loop at vertex {u}")
-            key = (u, v) if u < v else (v, u)
-            if key in seen:
-                raise DuplicateEdgeError(f"duplicate edge ({key[0]},{key[1]})")
-            seen.add(key)
+            bit = 1 << v
+            mu = masks[u]
+            if mu & bit:
+                raise DuplicateEdgeError(f"duplicate edge ({min(u, v)},{max(u, v)})")
+            masks[u] = mu | bit
+            masks[v] |= 1 << u
             neighbors[u].append(v)
             neighbors[v].append(u)
-        self.n = n
-        self.m = len(seen)
-        self.adj = tuple(tuple(sorted(nb)) for nb in neighbors)
-        self.adj_mask = tuple(
-            sum(1 << u for u in nb) for nb in self.adj
-        )
+        self._set_adjacency(neighbors, masks)
+
+    def _set_adjacency(self, neighbors: list[list[int]], masks: list[int]) -> None:
+        """Take over checked neighbor lists and their masks (sorts the lists)."""
+        for nb in neighbors:
+            nb.sort()
+        self.n = len(neighbors)
+        self.m = sum(map(len, neighbors)) // 2
+        self.adj = tuple(map(tuple, neighbors))
+        self.adj_mask = tuple(masks)
         self._root_views: dict[int, RootView] = {}
         self._connected: bool | None = None
 
@@ -171,8 +182,22 @@ def bfs_root_view(g: Graph, x: int) -> RootView:
 
 
 def is_connected(g: Graph) -> bool:
+    """Whether every vertex is reachable from vertex 0.
+
+    Expands a frontier bitmask over ``adj_mask``; no root view is built.
+    """
     if g._connected is None:
-        g._connected = len(bfs_root_view(g, 0).order) == g.n
+        adj_mask = g.adj_mask
+        seen = frontier = 1
+        while frontier:
+            reached = 0
+            while frontier:
+                low = frontier & -frontier
+                reached |= adj_mask[low.bit_length() - 1]
+                frontier ^= low
+            frontier = reached & ~seen
+            seen |= frontier
+        g._connected = seen == (1 << g.n) - 1
     return g._connected
 
 
@@ -312,47 +337,104 @@ def from_external_ids(ids, n: int) -> frozenset[int]:
 
 # ---------------------------------------------------------------------------
 # graph file format: `p <n> <m>` header, `e <u> <v>` lines, 1-based ids,
-# `c ...` comments and blank lines ignored.
+# comment records (first token starting with `c`) and blank lines ignored.
+
+# largest n a `p <n> <m>` header may declare; a larger one is refused before
+# anything of size n is allocated (adj_mask of a sparse graph takes about
+# n**2 / 16 bytes, so a short file must not be able to ask for gigabytes)
+MAX_FILE_VERTICES = 20_000
+
 
 def parse_graph(text: str) -> Graph:
+    """Parse the `p`/`e` file format in one pass over the lines.
+
+    Each edge is checked and added to the neighbor lists and ``adj_mask`` as
+    its line arrives; a duplicate is caught because bit v of u's mask is
+    already set.  Id tokens are looked up in a table of the canonical
+    spellings ``"1"``..``"n"``; any other token goes through ``int()`` and
+    the range check, so ``01`` or ``+2`` read as before.  Every rejected line
+    raises :class:`GraphFormatError` as ``line N: ...`` with 1-based ids.
+    """
     n = None
-    declared_m = None
-    edges = []
+    declared_m = 0
+    ids: dict[str, int] = {}
+    neighbors: list[list[int]] = []
+    masks: list[int] = []
+    m = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        parts = line.split()
-        if parts[0] == "p":
-            if n is not None:
-                raise GraphFormatError(f"line {lineno}: second 'p' header")
-            if len(parts) != 3:
-                raise GraphFormatError(f"line {lineno}: expected 'p <n> <m>'")
-            try:
-                n, declared_m = int(parts[1]), int(parts[2])
-            except ValueError as exc:
-                raise GraphFormatError(f"line {lineno}: bad header numbers") from exc
-        elif parts[0] == "e":
+        parts = raw.split()
+        if parts and parts[0] == "e":
             if n is None:
                 raise GraphFormatError(f"line {lineno}: edge before 'p' header")
             if len(parts) != 3:
                 raise GraphFormatError(f"line {lineno}: expected 'e <u> <v>'")
-            try:
-                u, v = int(parts[1]), int(parts[2])
-            except ValueError as exc:
-                raise GraphFormatError(f"line {lineno}: bad edge ids") from exc
-            if not (1 <= u <= n and 1 <= v <= n):
-                raise GraphFormatError(f"line {lineno}: edge id outside 1..{n}")
-            edges.append((u - 1, v - 1))
+            u = ids.get(parts[1])
+            if u is None:
+                u = _file_id(parts[1], n, lineno)
+            v = ids.get(parts[2])
+            if v is None:
+                v = _file_id(parts[2], n, lineno)
+            if u == v:
+                raise GraphFormatError(f"line {lineno}: self-loop at vertex {u + 1}")
+            bit = 1 << v
+            mu = masks[u]
+            if mu & bit:
+                raise GraphFormatError(
+                    f"line {lineno}: duplicate edge ({min(u, v) + 1},{max(u, v) + 1})"
+                )
+            masks[u] = mu | bit
+            masks[v] |= 1 << u
+            neighbors[u].append(v)
+            neighbors[v].append(u)
+            m += 1
+        elif not parts or parts[0][0] == "c":
+            continue
+        elif parts[0] == "p":
+            if n is not None:
+                raise GraphFormatError(f"line {lineno}: second 'p' header")
+            n, declared_m = _file_header(parts, lineno)
+            ids = {str(i + 1): i for i in range(n)}
+            neighbors = [[] for _ in range(n)]
+            masks = [0] * n
         else:
             raise GraphFormatError(f"line {lineno}: unknown record {parts[0]!r}")
     if n is None:
         raise GraphFormatError("missing 'p <n> <m>' header")
-    if declared_m != len(edges):
+    if declared_m != m:
+        raise GraphFormatError(f"header declares {declared_m} edges, file has {m}")
+    g = Graph.__new__(Graph)
+    g._set_adjacency(neighbors, masks)
+    return g
+
+
+def _file_header(parts: list[str], lineno: int) -> tuple[int, int]:
+    """Checked (n, m) of a `p` record, refused before any allocation."""
+    if len(parts) != 3:
+        raise GraphFormatError(f"line {lineno}: expected 'p <n> <m>'")
+    try:
+        n, m = int(parts[1]), int(parts[2])
+    except ValueError as exc:
+        raise GraphFormatError(f"line {lineno}: bad header numbers") from exc
+    if not 1 <= n <= MAX_FILE_VERTICES:
         raise GraphFormatError(
-            f"header declares {declared_m} edges, file has {len(edges)}"
+            f"line {lineno}: n={n} outside 1..{MAX_FILE_VERTICES}"
         )
-    return Graph(n, edges)
+    if not 0 <= m <= n * (n - 1) // 2:
+        raise GraphFormatError(
+            f"line {lineno}: m={m} outside 0..{n * (n - 1) // 2} for n={n}"
+        )
+    return n, m
+
+
+def _file_id(token: str, n: int, lineno: int) -> int:
+    """0-based id of a 1-based id token that is not in canonical form."""
+    try:
+        i = int(token)
+    except ValueError as exc:
+        raise GraphFormatError(f"line {lineno}: bad edge id {token!r}") from exc
+    if not 1 <= i <= n:
+        raise GraphFormatError(f"line {lineno}: edge id {i} outside 1..{n}")
+    return i - 1
 
 
 def format_graph(g: Graph, comment: str | None = None) -> str:
@@ -368,7 +450,11 @@ def format_graph(g: Graph, comment: str | None = None) -> str:
 
 def read_graph_file(path) -> Graph:
     with open(path, "r", encoding="utf-8") as handle:
-        return parse_graph(handle.read())
+        try:
+            text = handle.read()
+        except UnicodeDecodeError as exc:
+            raise GraphFormatError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+    return parse_graph(text)
 
 
 def write_graph_file(path, g: Graph, comment: str | None = None) -> None:

@@ -8,6 +8,7 @@ meaningful evidence.
 from collections import deque
 from itertools import combinations
 
+from vertexvis.errors import DuplicateEdgeError, IdOutOfRangeError, SelfLoopError
 from vertexvis.graph import Graph
 
 
@@ -118,3 +119,26 @@ def connected_graphs_upto(nmax: int = 5):
 
 def diameter(g: Graph) -> int:
     return max(max(bfs_dist(g, x).values()) for x in range(g.n))
+
+
+def adjacency_by_pair_set(n: int, edges):
+    """(adj, adj_mask, m) of a simple graph, checked with a set of sorted
+    pairs and masks summed from the finished lists.  Raises the library's
+    error type and message for the first bad edge in the given order."""
+    if n < 1:
+        raise IdOutOfRangeError(f"graph needs at least one vertex, got n={n}")
+    seen = set()
+    neighbors = [[] for _ in range(n)]
+    for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            raise IdOutOfRangeError(f"edge ({u},{v}) outside 0..{n - 1}")
+        if u == v:
+            raise SelfLoopError(f"self-loop at vertex {u}")
+        key = (min(u, v), max(u, v))
+        if key in seen:
+            raise DuplicateEdgeError(f"duplicate edge ({key[0]},{key[1]})")
+        seen.add(key)
+        neighbors[u].append(v)
+        neighbors[v].append(u)
+    adj = tuple(tuple(sorted(nb)) for nb in neighbors)
+    return adj, tuple(sum(1 << u for u in nb) for nb in adj), len(seen)

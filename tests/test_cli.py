@@ -155,6 +155,14 @@ def test_error_exit_codes(tmp_path, capsys):
     bad.write_text("p 4 2\ne 1 2\ne 3 4\n")
     code, _, err = run(capsys, "vv", str(bad))
     assert code == 1 and "error" in err
+    # a rejected file names its line and the 1-based ids
+    for text, message in ((b"p 3 2\ne 1 2\ne 2 1\n", "line 3: duplicate edge (1,2)"),
+                          (b"p 3 1\ne 3 3\n", "line 2: self-loop at vertex 3"),
+                          (b"p 0 0\n", "line 1: n=0 outside 1..20000"),
+                          (b"p 2 1\n\xff\n", "not UTF-8 text")):
+        bad.write_bytes(text)
+        code, _, err = run(capsys, "vx", str(bad), "--root", "1")
+        assert code == 1 and err.startswith("error: ") and message in err, text
     # over a fixed exhaustive cap, and over the request's time budget
     for argv in (("mu", "grid:5"), ("vx", "grid:5", "--root", "1", "--method", "brute"),
                  ("maxleaf", "grid:6"), ("vv", "torus:16", "--timeout", "0.05")):

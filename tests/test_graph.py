@@ -1,6 +1,9 @@
 import random
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vertexvis.errors import (
     DisconnectedError,
@@ -8,6 +11,7 @@ from vertexvis.errors import (
     GraphFormatError,
     IdOutOfRangeError,
     SelfLoopError,
+    VertexVisError,
 )
 from vertexvis.generators import (
     cartesian_product,
@@ -18,6 +22,7 @@ from vertexvis.generators import (
     random_tree,
 )
 from vertexvis.graph import (
+    MAX_FILE_VERTICES,
     Graph,
     bfs_root_view,
     format_graph,
@@ -27,10 +32,16 @@ from vertexvis.graph import (
     is_connected,
     is_geodetic,
     parse_graph,
+    read_graph_file,
     to_external_ids,
 )
 
-from oracles import all_shortest_paths, unique_geodesics_by_paths
+from oracles import (
+    adjacency_by_pair_set,
+    all_shortest_paths,
+    bfs_dist,
+    unique_geodesics_by_paths,
+)
 
 BOWTIE = Graph(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)])
 
@@ -49,6 +60,45 @@ def test_build_path():
 def test_build_cocktail_counts():
     g = cocktail_party(3)
     assert g.m == 12 and g.max_degree() == 4
+
+
+@st.composite
+def edge_lists(draw):
+    """(n, edges): a simple graph's edges in random order and orientation,
+    sometimes with one bad edge inserted (a repeat in either orientation, a
+    self-loop, or an id out of range)."""
+    n = draw(st.integers(1, 9))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = [
+        (v, u) if draw(st.booleans()) else (u, v)
+        for u, v in draw(st.lists(st.sampled_from(pairs), unique=True))
+    ] if pairs else []
+    kind = draw(st.sampled_from(("none", "repeat", "flipped", "loop", "range")))
+    if kind in ("repeat", "flipped") and edges:
+        u, v = draw(st.sampled_from(edges))
+        bad = (u, v) if kind == "repeat" else (v, u)
+    elif kind == "loop":
+        bad = (draw(st.integers(0, n - 1)),) * 2
+    elif kind == "range":
+        bad = (draw(st.integers(0, n - 1)), draw(st.sampled_from((-1, n))))
+    else:
+        return n, edges
+    edges.insert(draw(st.integers(0, len(edges))), bad)
+    return n, edges
+
+
+@given(edge_lists())
+@settings(max_examples=500, deadline=None)
+def test_build_matches_pair_set_reference(case):
+    n, edges = case
+    try:
+        expected = adjacency_by_pair_set(n, edges)
+    except VertexVisError as exc:
+        with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+            Graph(n, edges)
+        return
+    g = Graph(n, edges)
+    assert (g.adj, g.adj_mask, g.m) == expected
 
 
 def test_build_rejects_bad_input():
@@ -147,6 +197,21 @@ def test_is_connected():
     assert is_connected(cycle_graph(5))
 
 
+def test_is_connected_matches_bfs_and_builds_no_root_view():
+    rng = random.Random(20261018)
+    outcomes = {True: 0, False: 0}
+    for _ in range(300):
+        n = rng.randint(1, 150)
+        p = rng.choice((0.5, 1.0, 2.0, 4.0, 8.0)) / n
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+        g = Graph(n, edges)
+        connected = is_connected(g)
+        assert connected == (len(bfs_dist(g, 0)) == n), (n, edges)
+        assert g._root_views == {}
+        outcomes[connected] += 1
+    assert min(outcomes.values()) >= 50, outcomes
+
+
 def test_geodetic_examples():
     assert is_geodetic(random_tree(9, seed=3))
     assert not is_geodetic(cycle_graph(4))
@@ -191,3 +256,124 @@ def test_graph_file_parsing_details():
         parse_graph("p 2 1\ne 1 5\n")
     with pytest.raises(GraphFormatError):
         parse_graph("p 2 1\nq 1 2\n")
+
+
+@st.composite
+def graphs(draw, max_n=12):
+    n = draw(st.integers(1, max_n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    return Graph(n, draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else [])
+
+
+GAPS = st.text(alphabet=" \t", min_size=1, max_size=3)
+FILLER = st.sampled_from(("", "  ", "\t", "c", "c a comment", "  c indented", "comment"))
+
+
+@given(graphs(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_parse_round_trip_through_noise(g, data):
+    text = format_graph(g, comment="written by format_graph")
+    again = parse_graph(text)
+    assert again == g and again.adj_mask == g.adj_mask and again.m == g.m
+    draw = data.draw
+    lines = text.splitlines()
+    head = [line for line in lines if not line.startswith("e")]
+    out = []
+    for line in head + draw(st.permutations(lines[len(head):])):
+        out.extend(draw(st.lists(FILLER, max_size=2)))
+        tokens = line.split()
+        if tokens[0] == "e" and draw(st.booleans()):
+            tokens[1], tokens[2] = tokens[2], tokens[1]
+        lead = draw(st.sampled_from(("", " ", "\t ")))
+        out.append(lead + "".join(t + draw(GAPS) for t in tokens))
+    eol = draw(st.sampled_from(("\n", "\r\n")))
+    noisy = eol.join(out) + draw(st.sampled_from(("", eol, eol + eol)))
+    again = parse_graph(noisy)
+    assert again == g and again.adj_mask == g.adj_mask and again.m == g.m
+
+
+MUTATION_PIECES = [*"0123456789 \t\r\n\x0b\x1cepcq-+_x.\u0661", "1", "2", "01", "-1", "20001", "e", "p"]
+
+
+@given(
+    graphs(max_n=6),
+    st.lists(
+        st.tuples(
+            st.sampled_from(("insert", "delete", "replace", "token", "repeat line")),
+            st.integers(0, 10**6),
+            st.sampled_from(MUTATION_PIECES),
+        ),
+        min_size=1,
+        max_size=6,
+    ),
+)
+@settings(max_examples=500, deadline=None)
+def test_parse_mutated_files_parse_or_raise_format_error(g, mutations):
+    text = format_graph(g)
+    for op, pos, piece in mutations:
+        i = pos % (len(text) + 1)
+        if op == "insert":
+            text = text[:i] + piece + text[i:]
+        elif op == "delete":
+            text = text[:i] + text[i + 1:]
+        elif op == "replace":
+            text = text[:i] + piece + text[i + 1:]
+        elif op == "token":
+            parts = re.split(r"(\s+)", text)
+            parts[2 * (pos % ((len(parts) + 1) // 2))] = piece
+            text = "".join(parts)
+        else:
+            lines = text.splitlines(keepends=True)
+            if lines:
+                j = pos % len(lines)
+                lines.insert(j, lines[j])
+                text = "".join(lines)
+    try:
+        h = parse_graph(text)
+    except GraphFormatError:
+        return
+    assert h.m == sum(map(len, h.adj)) // 2
+    for v, nb in enumerate(h.adj):
+        assert list(nb) == sorted(set(nb)) and v not in nb
+        assert all(v in h.adj[u] for u in nb)
+        assert h.adj_mask[v] == sum(1 << u for u in nb)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("e 1 2\n", "line 1: edge before 'p' header"),
+    ("c x\np 3 1\np 3 1\n", "line 3: second 'p' header"),
+    ("p 3\n", "line 1: expected 'p <n> <m>'"),
+    ("p 3 x\n", "line 1: bad header numbers"),
+    ("p 0 0\n", f"line 1: n=0 outside 1..{MAX_FILE_VERTICES}"),
+    (f"p {MAX_FILE_VERTICES + 1} 0\n",
+     f"line 1: n={MAX_FILE_VERTICES + 1} outside 1..{MAX_FILE_VERTICES}"),
+    ("p 10000000000 1\n", f"line 1: n=10000000000 outside 1..{MAX_FILE_VERTICES}"),
+    ("p 3 -1\n", "line 1: m=-1 outside 0..3 for n=3"),
+    ("p 3 4\n", "line 1: m=4 outside 0..3 for n=3"),
+    ("p 3 1\ne 1\n", "line 2: expected 'e <u> <v>'"),
+    ("p 3 1\ne 1 2 3\n", "line 2: expected 'e <u> <v>'"),
+    ("p 3 1\ne 1 x\n", "line 2: bad edge id 'x'"),
+    ("p 3 1\ne 1 4\n", "line 2: edge id 4 outside 1..3"),
+    ("p 3 1\ne 0 1\n", "line 2: edge id 0 outside 1..3"),
+    ("p 3 1\n\ne 3 3\n", "line 3: self-loop at vertex 3"),
+    ("p 3 2\ne 1 2\ne 2 1\n", "line 3: duplicate edge (1,2)"),
+    ("p 3 3\ne 2 3\nc x\ne 1 2\ne 03 +2\n", "line 5: duplicate edge (2,3)"),
+    ("p 3 1\nq 1 2\n", "line 2: unknown record 'q'"),
+    ("c only a comment\n", "missing 'p <n> <m>' header"),
+    ("p 3 2\ne 1 2\n", "header declares 2 edges, file has 1"),
+])
+def test_parse_errors_name_line_and_one_based_ids(text, message):
+    with pytest.raises(GraphFormatError, match=f"^{re.escape(message)}$"):
+        parse_graph(text)
+
+
+def test_parse_reads_noncanonical_ids_like_int():
+    g = parse_graph("p 3 2\ne 01 +2\ne 0_3 2\n")
+    assert g == Graph(3, [(0, 1), (1, 2)]) and g.adj_mask == (2, 5, 2)
+
+
+def test_read_graph_file_rejects_non_utf8(tmp_path):
+    path = tmp_path / "binary.gr"
+    path.write_bytes(b"p 2 1\n\xff\xfe\n")
+    with pytest.raises(GraphFormatError, match="not UTF-8"):
+        read_graph_file(path)
