@@ -61,18 +61,22 @@ def _load_graph(where: str, seed: int) -> Graph:
 
 
 def _read_set_file(path: str, n: int):
-    ids = []
     with open(path, "r", encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line or line.startswith("c") or line.startswith("#"):
-                continue
-            try:
-                ids.append(int(line))
-            except ValueError as exc:
-                raise GraphFormatError(
-                    f"{path}:{lineno}: expected one 1-based id per line"
-                ) from exc
+        try:
+            text = handle.read()
+        except UnicodeDecodeError as exc:
+            raise GraphFormatError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+    ids = []
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        line = raw.strip()
+        if not line or line.startswith("c") or line.startswith("#"):
+            continue
+        try:
+            ids.append(int(line))
+        except ValueError as exc:
+            raise GraphFormatError(
+                f"{path}:{lineno}: expected one 1-based id per line"
+            ) from exc
     return from_external_ids(ids, n)
 
 

@@ -20,7 +20,8 @@ class DisconnectedError(VertexVisError):
 
 
 class TooLargeError(VertexVisError):
-    """The instance exceeds the fixed size cap of an exponential solver."""
+    """The instance exceeds a fixed size cap: MAX_FILE_VERTICES for any
+    graph, or the cap of an exhaustive solver."""
 
 
 class InvalidParameterError(VertexVisError): ...

@@ -15,9 +15,10 @@ from typing import Callable, NamedTuple
 from .errors import (
     InvalidParameterError,
     IsolatedVertexError,
+    TooLargeError,
     UnsupportedFamilyError,
 )
-from .graph import Graph, is_connected
+from .graph import MAX_FILE_VERTICES, Graph, is_connected
 
 __all__ = [
     "FAMILIES",
@@ -350,37 +351,44 @@ def random_block_graph(n: int, seed: int) -> Graph:
 # the family table behind specs such as grid:5, kxk:3,2 or random:8,0.4
 
 class Family(NamedTuple):
-    """A spec family: its parameter types, in spec order, and its builder,
-    which takes the seed as one more argument when seeded is set."""
+    """A spec family: its parameter types, in spec order, its builder, which
+    takes the seed as one more argument when seeded is set, and the vertex
+    count of the graph it builds from the same parameters."""
 
     params: tuple[type, ...]
     build: Callable[..., Graph]
+    vertices: Callable[..., int]
     seeded: bool = False
 
 
 FAMILIES: dict[str, Family] = {
-    "path": Family((int,), path_graph),
-    "cycle": Family((int,), cycle_graph),
-    "complete": Family((int,), complete_graph),
-    "star": Family((int,), star_graph),
-    "double_star": Family((int, int), double_star),
-    "cocktail": Family((int,), cocktail_party),
-    "grid": Family((int,), grid_graph),
-    "prism": Family((int,), prism_graph),
-    "torus": Family((int,), torus_graph),
-    "kxk": Family((int, int), complete_product),
-    "figure1": Family((int,), lambda copies: figure_family(copies)[0]),
-    "random": Family((int, float), random_connected_graph, seeded=True),
-    "rtree": Family((int,), random_tree, seeded=True),
-    "rblock": Family((int,), random_block_graph, seeded=True),
+    "path": Family((int,), path_graph, lambda n: n),
+    "cycle": Family((int,), cycle_graph, lambda n: n),
+    "complete": Family((int,), complete_graph, lambda n: n),
+    "star": Family((int,), star_graph, lambda k: k + 1),
+    "double_star": Family((int, int), double_star, lambda a, b: a + b + 2),
+    "cocktail": Family((int,), cocktail_party, lambda k: 2 * k),
+    "grid": Family((int,), grid_graph, lambda n: n * n),
+    "prism": Family((int,), prism_graph, lambda n: n * n),
+    "torus": Family((int,), torus_graph, lambda n: n * n),
+    "kxk": Family((int, int), complete_product, lambda m, n: m * n),
+    "figure1": Family((int,), lambda copies: figure_family(copies)[0],
+                      lambda copies: 15 * copies + 1),
+    "random": Family((int, float), random_connected_graph, lambda n, p: n, seeded=True),
+    "rtree": Family((int,), random_tree, lambda n: n, seeded=True),
+    "rblock": Family((int,), random_block_graph, lambda n: n, seeded=True),
 }
 
 
 def generate(spec: FamilySpec, seed: int = 0) -> Graph:
     """Materialize a family spec; seed drives the random families and is
     ignored by the others.  figure1 returns the graph only (see
-    figure_family for the labeled vertices)."""
+    figure_family for the labeled vertices).  A spec of more than
+    MAX_FILE_VERTICES vertices raises TooLargeError before it is built."""
     family = FAMILIES[spec.family]
+    n = family.vertices(*spec.args)
+    if n > MAX_FILE_VERTICES:
+        raise TooLargeError(f"{spec} has n={n}, above the limit of {MAX_FILE_VERTICES} vertices")
     if family.seeded:
         return family.build(*spec.args, seed)
     return family.build(*spec.args)

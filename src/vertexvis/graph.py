@@ -20,6 +20,7 @@ from .errors import (
     IdOutOfRangeError,
     InvalidParameterError,
     SelfLoopError,
+    TooLargeError,
 )
 
 __all__ = [
@@ -41,6 +42,13 @@ __all__ = [
 ]
 
 
+# largest n of any graph: a `p <n> <m>` header, a family spec or Graph()
+# asking for more is refused before anything of size n is allocated
+# (adj_mask of a sparse graph takes about n**2 / 16 bytes, so a short file
+# or spec must not be able to ask for gigabytes)
+MAX_FILE_VERTICES = 20_000
+
+
 class Graph:
     """Simple undirected graph with sorted adjacency lists.
 
@@ -59,6 +67,8 @@ class Graph:
         """
         if n < 1:
             raise IdOutOfRangeError(f"graph needs at least one vertex, got n={n}")
+        if n > MAX_FILE_VERTICES:
+            raise TooLargeError(f"n={n} above the limit of {MAX_FILE_VERTICES} vertices")
         neighbors = [[] for _ in range(n)]
         masks = [0] * n
         for u, v in edges:
@@ -338,12 +348,6 @@ def from_external_ids(ids, n: int) -> frozenset[int]:
 # ---------------------------------------------------------------------------
 # graph file format: `p <n> <m>` header, `e <u> <v>` lines, 1-based ids,
 # comment records (first token starting with `c`) and blank lines ignored.
-
-# largest n a `p <n> <m>` header may declare; a larger one is refused before
-# anything of size n is allocated (adj_mask of a sparse graph takes about
-# n**2 / 16 bytes, so a short file must not be able to ask for gigabytes)
-MAX_FILE_VERTICES = 20_000
-
 
 def parse_graph(text: str) -> Graph:
     """Parse the `p`/`e` file format in one pass over the lines.

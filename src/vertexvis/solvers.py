@@ -21,6 +21,17 @@ Every solver returns a certificate, never a bare number: a witness set that
 re-verifies through the visibility module, and a parent map realizing the
 matching shortest-path tree.
 
+The vertex visibility number solves one root per symmetry class.  An
+automorphism carries shortest paths to shortest paths, so it maps each root
+to a root of the same value.  Twins are joined at once; any other root x is
+joined to the smallest root r of its colour-refinement cell only through an
+automorphism sigma with sigma(r) = x that an individualization-refinement
+search with a node budget found and that maps every edge to an edge,
+checked edge by edge against adj_mask.  Every class minimum is solved, and
+the smallest root of maximum value is a class minimum, so the same
+vx_exact call as in a loop over all roots gives the value, root, witness
+and tree.
+
 The maximum leaf count over all spanning trees (not just shortest-path
 trees) is computed through the classical duality with minimum connected
 dominating sets: for connected graphs on at least three vertices the two
@@ -363,21 +374,244 @@ def vx_greedy(g: Graph, x: int, config: SolverConfig = DEFAULT_CONFIG) -> SolveR
 
 
 def vv_exact(g: Graph, config: SolverConfig = DEFAULT_CONFIG) -> SolveResult:
-    """Maximum visibility number over all roots; leaves are skipped as roots
-    once n >= 3 because their support vertex always does strictly better.
-    Ties resolve to the smallest root id.  One deadline bounds all roots."""
+    """Maximum visibility number over all roots, ties to the smallest root.
+
+    Leaves are skipped as roots once n >= 3 because their support vertex
+    always does strictly better.  So is every root that an automorphism,
+    checked edge by edge, maps onto a smaller root (see _root_classes): an
+    automorphism carries shortest paths to shortest paths, so both roots
+    have the same value.  Each class minimum is solved, and the smallest
+    root of maximum value is the minimum of its class, so the answer is the
+    vx_exact result of the same root as over all roots: same value, root,
+    witness and tree.  One deadline bounds the search and all roots, and
+    each root's BFS view is dropped once the root is solved."""
     _require_solvable(g)
     config = config.started()
     if g.n == 2:
         roots = [0]
     else:
         roots = [v for v in range(g.n) if g.degree(v) > 1]
+    rep = _root_classes(g, roots, config.deadline())
     best = None
     for x in roots:
+        if rep[x] < x:
+            continue
         res = vx_exact(g, x, config)
+        g._root_views.pop(x, None)
         if best is None or res.value > best.value:
             best = res
     return best
+
+
+# ---------------------------------------------------------------------------
+# root classes: joined only along automorphisms checked edge by edge
+
+# search nodes that the failed automorphism searches of one request may
+# expand in all, a failure that expands none counting as one; a search may
+# expand what is left, so a graph without useful symmetry pays little
+SEARCH_NODES = 16
+
+
+def _root_classes(g: Graph, roots: list[int], deadline) -> list[int]:
+    """For every vertex, the smallest id of its class, where classes are
+    joined only along automorphisms of g, so every class lies inside one
+    orbit.
+
+    Twins (equal open or equal closed neighborhood masks) are swapped by a
+    transposition and are joined without a search.  Colour refinement of the
+    whole graph puts the vertices that might be equivalent in one cell, and
+    every automorphism maps each cell onto itself.  Roots are walked in
+    ascending order: a root x that is still the minimum of its class asks
+    _automorphism for a sigma with sigma(r) = x, where r is the smallest root
+    of x's cell (always the minimum of its own class), and joins v with
+    sigma(v) for every v.  Searching ends once failed searches have spent
+    SEARCH_NODES nodes.  Which roots stay minima depends on the graph only:
+    the search counts nodes, not seconds."""
+    link = list(range(g.n))
+
+    def find(a: int) -> int:
+        while link[a] != a:
+            link[a] = a = link[link[a]]
+        return a
+
+    def join(a: int, b: int) -> None:
+        a, b = find(a), find(b)
+        if a != b:
+            link[max(a, b)] = min(a, b)
+
+    for masks in (g.adj_mask, [mask | 1 << v for v, mask in enumerate(g.adj_mask)]):
+        twin: dict[int, int] = {}
+        for v, mask in enumerate(masks):
+            join(twin.setdefault(mask, v), v)
+    cells = _refine(g, [[len(nb) for nb in g.adj]], deadline)[0]
+    first: dict[int, int] = {}
+    budget = SEARCH_NODES
+    for x in roots:
+        r = first.setdefault(cells[x], x)
+        if budget > 0 and r < x == find(x):
+            sigma, nodes = _automorphism(g, cells, r, x, budget, deadline)
+            if sigma is None:
+                budget -= max(nodes, 1)
+            else:
+                for v, w in enumerate(sigma):
+                    join(v, w)
+    return [find(v) for v in range(g.n)]
+
+
+def _refine(g: Graph, colourings: list[list[int]], deadline) -> list[list[int]] | None:
+    """Colour refinement of one or more colourings of g at once, until
+    stable: a vertex's next colour names its colour and the multiset of its
+    neighbours' colours.  One table names the colours of all colourings, so
+    equal ids mean the same thing in each; None as soon as two colourings
+    stop having the same number of vertices of each colour."""
+    size = len(set().union(*colourings))
+    while True:
+        _check_deadline(deadline, "symmetry search")
+        table: dict = {}
+        colourings = [
+            [table.setdefault((c[v], tuple(sorted([c[w] for w in nb]))), len(table))
+             for v, nb in enumerate(g.adj)]
+            for c in colourings
+        ]
+        counts = sorted(colourings[0])
+        if any(sorted(c) != counts for c in colourings[1:]):
+            return None
+        if len(table) == size:
+            return colourings
+        size = len(table)
+
+
+def _distances(g: Graph, x: int) -> list[int]:
+    """Hop distances from x in a connected graph; no root view is cached."""
+    dist = [-1] * g.n
+    dist[x] = 0
+    frontier = [x]
+    d = 0
+    while frontier:
+        d += 1
+        reached = []
+        for u in frontier:
+            for w in g.adj[u]:
+                if dist[w] < 0:
+                    dist[w] = d
+                    reached.append(w)
+        frontier = reached
+    return dist
+
+
+def _individualize(ca: list[int], cb: list[int], da: list[int], db: list[int]):
+    """Both colourings split by the distances from their individualized
+    vertex, under one table; None when the colour counts differ."""
+    table: dict = {}
+    ca = [table.setdefault(key, len(table)) for key in zip(ca, da)]
+    cb = [table.setdefault(key, len(table)) for key in zip(cb, db)]
+    return (ca, cb) if sorted(ca) == sorted(cb) else None
+
+
+def _extend(g: Graph, ca: list[int], cb: list[int], order: list[int]) -> list[int] | None:
+    """Greedy map sending each colour class of ca into the same class of cb,
+    vertex by vertex in order (each vertex after some neighbour).  v goes to
+    an unused vertex w of its class whose neighbours among the images so far
+    are exactly the images of v's neighbours so far: v itself when it
+    qualifies, else the smallest such w.  None at a vertex with no such w."""
+    adj_mask = g.adj_mask
+    free: dict[int, int] = {}
+    for w, c in enumerate(cb):
+        free[c] = free.get(c, 0) | 1 << w
+    sigma = [-1] * len(ca)
+    images = 0
+    for v in order:
+        cand = free.get(ca[v], 0)
+        need = 0
+        for u in g.adj[v]:
+            s = sigma[u]
+            if s >= 0:
+                need |= 1 << s
+                cand &= adj_mask[s]
+        w = v if (cand >> v) & 1 and adj_mask[v] & images == need else -1
+        while w < 0 and cand:
+            low = cand & -cand
+            cand ^= low
+            if adj_mask[low.bit_length() - 1] & images == need:
+                w = low.bit_length() - 1
+        if w < 0:
+            return None
+        sigma[v] = w
+        images |= 1 << w
+        free[ca[v]] ^= 1 << w
+    return sigma
+
+
+def _is_automorphism(g: Graph, sigma: list[int]) -> bool:
+    """Whether the bijection sigma maps every edge of g to an edge, checked
+    edge by edge against adj_mask."""
+    adj_mask = g.adj_mask
+    for u, nb in enumerate(g.adj):
+        image = adj_mask[sigma[u]]
+        for w in nb:
+            if not (image >> sigma[w]) & 1:
+                return False
+    return True
+
+
+def _automorphism(g: Graph, cells: list[int], r: int, x: int, budget: int, deadline):
+    """(sigma, nodes): an automorphism sigma of g with sigma(r) = x, as a
+    list, or None when there is none or budget nodes did not find one, and
+    the number of nodes expanded.
+
+    Individualization-refinement (McKay and Piperno, "Practical graph
+    isomorphism, II", 2014) on two colourings at once: the cells seen from r
+    and from x.  An individualized vertex is seeded with its BFS distances.
+    A node first tries the identity branch in one step, the map _extend
+    builds from its colourings in BFS order from r, then refines them and
+    tries again, and then branches on its largest non-singleton class (the
+    first met on ties): the smallest vertex v of that class goes to v itself
+    first, then to the other members in ascending order.  A map is returned
+    only once _is_automorphism holds."""
+    nodes = 0
+    dr = _distances(g, r)
+    order = sorted(range(g.n), key=dr.__getitem__)
+
+    def search(ca: list[int], cb: list[int]) -> list[int] | None:
+        nonlocal nodes
+        nodes += 1
+        _check_deadline(deadline, "symmetry search")
+        sigma = _extend(g, ca, cb, order)
+        if sigma is not None and _is_automorphism(g, sigma):
+            return sigma
+        classes = len(set(ca))
+        refined = _refine(g, [ca, cb], deadline)
+        if refined is None:
+            return None
+        ca, cb = refined
+        sizes: dict[int, int] = {}
+        for c in ca:
+            sizes[c] = sizes.get(c, 0) + 1
+        if len(sizes) > classes:
+            sigma = _extend(g, ca, cb, order)
+            if sigma is not None and _is_automorphism(g, sigma):
+                return sigma
+        colour = max(sizes, key=sizes.__getitem__)
+        if sizes[colour] == 1:
+            return None
+        v = ca.index(colour)
+        targets = [w for w, c in enumerate(cb) if c == colour]
+        if cb[v] == colour:
+            targets.remove(v)
+            targets.insert(0, v)
+        dv = _distances(g, v)
+        for t in targets:
+            if nodes >= budget:
+                return None
+            split = _individualize(ca, cb, dv, _distances(g, t))
+            if split is not None:
+                sigma = search(*split)
+                if sigma is not None:
+                    return sigma
+        return None
+
+    seeded = _individualize(cells, cells, dr, _distances(g, x))
+    return (None if seeded is None else search(*seeded)), nodes
 
 
 # ---------------------------------------------------------------------------

@@ -142,3 +142,17 @@ def adjacency_by_pair_set(n: int, edges):
         neighbors[v].append(u)
     adj = tuple(tuple(sorted(nb)) for nb in neighbors)
     return adj, tuple(sum(1 << u for u in nb) for nb in adj), len(seen)
+
+
+def vv_all_roots(g: Graph):
+    """vv the way it was computed before symmetry pruning: vx_exact at every
+    non-leaf root (every root when n = 2), the first maximum kept."""
+    from vertexvis.solvers import vx_exact
+
+    roots = [0] if g.n == 2 else [v for v in range(g.n) if g.degree(v) > 1]
+    best = None
+    for x in roots:
+        res = vx_exact(g, x)
+        if best is None or res.value > best.value:
+            best = res
+    return best

@@ -165,11 +165,20 @@ def test_error_exit_codes(tmp_path, capsys):
         assert code == 1 and err.startswith("error: ") and message in err, text
     # over a fixed exhaustive cap, and over the request's time budget
     for argv in (("mu", "grid:5"), ("vx", "grid:5", "--root", "1", "--method", "brute"),
-                 ("maxleaf", "grid:6"), ("vv", "torus:16", "--timeout", "0.05")):
+                 ("maxleaf", "grid:6"),
+                 ("vv", "random:200,0.03", "--seed", "3", "--timeout", "0.05")):
         code, _, err = run(capsys, *argv)
         assert code == 1 and "error:" in err, argv
     code, _, err = run(capsys, "witness", "cycle:6")
     assert code == 1
+    # a set file that is not UTF-8, and a spec one vertex over the cap
+    setfile = tmp_path / "set.txt"
+    setfile.write_bytes(b"1\n\xff\n")
+    code, _, err = run(capsys, "verify", "path:4", "--root", "1", "--set", str(setfile))
+    assert code == 1 and err.startswith("error: ") and "not UTF-8 text" in err
+    code, _, err = run(capsys, "gen", "path:20001", "-o", str(tmp_path / "big.gr"))
+    assert code == 1 and err.startswith("error: ") and "above the limit" in err
+    assert not (tmp_path / "big.gr").exists()
     for spec in ("random:abc,0.3", "rtree:x", "rblock:2.5", "random:8,zz", "random:5,7",
                  "random:5,inf"):
         code, _, err = run(capsys, "gen", spec)

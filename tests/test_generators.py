@@ -5,6 +5,7 @@ import pytest
 from vertexvis.errors import (
     InvalidParameterError,
     IsolatedVertexError,
+    TooLargeError,
     UnsupportedFamilyError,
 )
 from vertexvis.generators import (
@@ -28,6 +29,7 @@ from vertexvis.generators import (
     second_factor_layer,
     star_graph,
 )
+from vertexvis.graph import MAX_FILE_VERTICES
 from vertexvis.graph import Graph, is_connected
 
 from oracles import diameter
@@ -60,6 +62,19 @@ def test_family_spec_parsing():
             wrong = 4.5 if kind is int else True
             with pytest.raises(InvalidParameterError):
                 FamilySpec(name, spec.args[:at] + (wrong,) + spec.args[at + 1:])
+
+
+def test_family_vertex_counts_and_cap(monkeypatch):
+    for name, family in FAMILIES.items():
+        args = tuple(0.5 if kind is float else 3 + i for i, kind in enumerate(family.params))
+        assert family.vertices(*args) == generate(FamilySpec(name, args)).n, name
+    # refused from the parameters alone: no builder runs
+    for name, family in FAMILIES.items():
+        monkeypatch.setitem(FAMILIES, name, family._replace(build=None))
+    for text in (f"path:{MAX_FILE_VERTICES + 1}", "grid:142", "kxk:200,101", "figure1:1334",
+                 f"random:{MAX_FILE_VERTICES + 1},0.5", "cocktail:10001", "star:20000"):
+        with pytest.raises(TooLargeError, match="above the limit"):
+            generate(parse_family_spec(text))
 
 
 def test_generate_named_families():

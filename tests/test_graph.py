@@ -11,6 +11,7 @@ from vertexvis.errors import (
     GraphFormatError,
     IdOutOfRangeError,
     SelfLoopError,
+    TooLargeError,
     VertexVisError,
 )
 from vertexvis.generators import (
@@ -110,6 +111,12 @@ def test_build_rejects_bad_input():
         Graph(3, [(0, 3)])
     with pytest.raises(IdOutOfRangeError):
         Graph(0, [])
+
+
+def test_build_caps_the_vertex_count():
+    assert Graph(MAX_FILE_VERTICES, []).n == MAX_FILE_VERTICES
+    with pytest.raises(TooLargeError, match="above the limit of 20000 vertices"):
+        Graph(MAX_FILE_VERTICES + 1, iter(()))
 
 
 def test_bfs_path_end():

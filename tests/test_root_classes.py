@@ -1,0 +1,199 @@
+"""vv_exact solves one root per symmetry class: the same answer as the
+all-roots loop, classes joined only along real automorphisms."""
+
+import random
+
+import networkx as nx
+import pytest
+from networkx.algorithms.isomorphism import GraphMatcher
+
+from vertexvis import solvers
+from vertexvis.generators import (
+    cocktail_party,
+    generate,
+    parse_family_spec,
+    random_connected_graph,
+)
+from vertexvis.graph import Graph
+from vertexvis.solvers import (
+    SEARCH_NODES,
+    _automorphism,
+    _is_automorphism,
+    _refine,
+    _root_classes,
+    vv_exact,
+)
+
+from oracles import vv_all_roots
+
+# the graphs of the families-vv benchmark workload
+FAMILIES_VV = (
+    [f"grid:{n}" for n in range(4, 13)]
+    + [f"prism:{n}" for n in range(4, 10)]
+    + [f"torus:{n}" for n in range(4, 10)]
+    + [f"figure1:{k}" for k in range(1, 5)]
+    + ["cocktail:6", "kxk:5,4"]
+)
+
+
+def spec_graph(spec: str, seed: int = 0) -> Graph:
+    return generate(parse_family_spec(spec), seed)
+
+
+def from_nx(h) -> Graph:
+    h = nx.convert_node_labels_to_integers(h)
+    return Graph(h.number_of_nodes(), list(h.edges()))
+
+
+def relabelled(g: Graph, seed: int) -> Graph:
+    perm = list(range(g.n))
+    random.Random(seed).shuffle(perm)
+    return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def shrikhande() -> Graph:
+    """Cayley graph of Z4 x Z4 with connection set +-(1,0), +-(0,1), +-(1,1)."""
+    return Graph(16, [(4 * a + b, 4 * ((a + da) % 4) + (b + db) % 4)
+                      for a in range(4) for b in range(4)
+                      for da, db in ((1, 0), (0, 1), (1, 1))])
+
+
+def roots_of(g: Graph) -> list[int]:
+    return [0] if g.n == 2 else [v for v in range(g.n) if g.degree(v) > 1]
+
+
+def cells_of(g: Graph) -> list[int]:
+    return _refine(g, [[len(nb) for nb in g.adj]], None)[0]
+
+
+def assert_same_as_all_roots(g: Graph) -> None:
+    got, want = vv_exact(g), vv_all_roots(g)
+    assert (got.value, got.root, got.witness, got.tree) == (
+        want.value, want.root, want.witness, want.tree)
+
+
+@pytest.mark.parametrize("spec", FAMILIES_VV)
+def test_families_vv_match_all_roots(spec):
+    assert_same_as_all_roots(spec_graph(spec))
+
+
+@pytest.mark.parametrize("spec", ["torus:7", "prism:6", "grid:7", "figure1:2", "kxk:3,4"])
+def test_relabelled_families_match_all_roots(spec):
+    for seed in (1, 2):
+        assert_same_as_all_roots(relabelled(spec_graph(spec), seed))
+
+
+def test_refinement_blind_graphs_match_all_roots():
+    # regular graphs: colour refinement leaves one cell, so only the checked
+    # search can tell the symmetric (Petersen, Shrikhande, K4 x K4) from the
+    # asymmetric (Frucht); Shrikhande and K4 x K4 share their parameters
+    blind = {
+        "frucht": from_nx(nx.frucht_graph()),
+        "petersen": from_nx(nx.petersen_graph()),
+        "shrikhande": shrikhande(),
+        "kxk:4,4": spec_graph("kxk:4,4"),
+    }
+    for name, g in blind.items():
+        assert len(set(cells_of(g))) == 1, name
+        assert_same_as_all_roots(g)
+    assert not nx.is_isomorphic(nx.Graph(list(blind["shrikhande"].edges())),
+                                nx.Graph(list(blind["kxk:4,4"].edges())))
+    for h in (nx.heawood_graph(), nx.desargues_graph(), nx.dodecahedral_graph()):
+        assert_same_as_all_roots(from_nx(h))
+
+
+def test_random_graphs_match_all_roots():
+    for seed in (1, 2, 3):
+        assert_same_as_all_roots(spec_graph("rtree:120", seed))
+        assert_same_as_all_roots(spec_graph("rblock:120", seed))
+        assert_same_as_all_roots(random_connected_graph(60, 0.08, seed))
+
+
+def test_search_returns_only_automorphisms():
+    graphs = [spec_graph(s) for s in ("torus:6", "grid:6", "prism:5", "figure1:2",
+                                      "kxk:3,4", "cocktail:5", "rblock:40", "rtree:40")]
+    graphs += [shrikhande(), from_nx(nx.petersen_graph()), from_nx(nx.frucht_graph()),
+               relabelled(spec_graph("torus:5"), 3)]
+    found = 0
+    for g in graphs:
+        edges = set(g.edges())
+        cells = cells_of(g)
+        for x in range(1, g.n):
+            for r in range(x):
+                if cells[r] != cells[x]:
+                    continue
+                sigma, nodes = _automorphism(g, cells, r, x, SEARCH_NODES, None)
+                assert nodes <= SEARCH_NODES
+                if sigma is None:
+                    continue
+                found += 1
+                assert sorted(sigma) == list(range(g.n)) and sigma[r] == x
+                assert {tuple(sorted((sigma[u], sigma[v]))) for u, v in edges} == edges
+    assert found > 100
+
+
+def test_edge_check_rejects_non_automorphisms():
+    g = from_nx(nx.petersen_graph())
+    h = nx.Graph(list(g.edges()))
+    for sigma in list(GraphMatcher(h, h).isomorphisms_iter())[:20]:
+        assert _is_automorphism(g, [sigma[v] for v in range(g.n)])
+    rng = random.Random(5)
+    rejected = 0
+    for _ in range(200):
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        image = {tuple(sorted((perm[u], perm[v]))) for u, v in g.edges()}
+        assert _is_automorphism(g, perm) == (image == set(g.edges()))
+        rejected += image != set(g.edges())
+    assert rejected > 150
+    # a transposition of two vertices that are not twins
+    assert not _is_automorphism(g, [1, 0] + list(range(2, g.n)))
+
+
+def orbits(g: Graph) -> list[int]:
+    """Smallest vertex of each vertex's orbit, from every automorphism."""
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges())
+    low = list(range(g.n))
+    for sigma in GraphMatcher(h, h).isomorphisms_iter():
+        for v, w in sigma.items():
+            low[w] = min(low[w], v)
+    return low
+
+
+def test_classes_lie_inside_orbits(small_graphs):
+    graphs = [spec_graph(s) for s in ("torus:3", "grid:3", "prism:3", "kxk:3,4", "star:5",
+                                      "path:7", "cycle:12", "double_star:2,3")]
+    graphs += [cocktail_party(4), from_nx(nx.petersen_graph()),
+               from_nx(nx.frucht_graph()), relabelled(spec_graph("prism:3"), 4)]
+    graphs += random.Random(71).sample(small_graphs, 120)
+    joined = 0
+    for g in graphs:
+        assert g.n <= 12
+        rep, low = _root_classes(g, roots_of(g), None), orbits(g)
+        for v in range(g.n):
+            assert rep[v] <= v and low[rep[v]] == low[v]
+            joined += rep[v] < v
+    assert joined > 50
+
+
+def test_torus_solves_one_root(monkeypatch):
+    solved = []
+    real = solvers.vx_exact
+
+    def counting(g, x, config=solvers.DEFAULT_CONFIG):
+        solved.append(x)
+        return real(g, x, config)
+
+    monkeypatch.setattr(solvers, "vx_exact", counting)
+    for n in (4, 7, 12):
+        solved.clear()
+        assert vv_exact(spec_graph(f"torus:{n}")).root == 0
+        assert solved == [0]
+
+
+def test_vv_keeps_at_most_one_root_view():
+    g = random_connected_graph(80, 0.06, 5)
+    vv_exact(g)
+    assert len(g._root_views) <= 1

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -17,6 +18,7 @@ from vertexvis.generators import (
     random_connected_graph,
     star_graph,
 )
+from vertexvis import solvers
 from vertexvis.graph import Graph, bfs_root_view
 from vertexvis.solvers import (
     BRUTE_CAP,
@@ -219,11 +221,34 @@ def test_timeout_fires():
 
 
 def test_timeout_bounds_the_whole_root_loop():
-    # every root alone finishes far inside the budget; only a deadline
-    # shared by the whole vv request can fire
-    g = generate(parse_family_spec("torus:16"))
+    # every root alone finishes far inside the budget (about 2 ms of about
+    # 0.35 s for all of them), and no root is skipped by symmetry; only a
+    # deadline shared by the whole vv request can fire
+    g = generate(parse_family_spec("random:200,0.03"), 3)
+    roots = [v for v in range(g.n) if g.degree(v) > 1]
+    rep = solvers._root_classes(g, roots, None)
+    assert all(rep[x] == x for x in roots)
     with pytest.raises(SolveTimeoutError):
         vv_exact(g, SolverConfig(timeout_s=0.05))
+
+
+def test_timeout_fires_inside_the_symmetry_search(monkeypatch):
+    # the first BFS of the automorphism search outlives the request's
+    # deadline; the search itself must notice, before any root is solved
+    config = SolverConfig(timeout_s=0.2).started()
+    real = solvers._distances
+    searched, solved = [], []
+
+    def late(g, x):
+        searched.append(x)
+        time.sleep(max(0.0, config.deadline_at - time.monotonic()) + 0.01)
+        return real(g, x)
+
+    monkeypatch.setattr(solvers, "_distances", late)
+    monkeypatch.setattr(solvers, "vx_exact", lambda g, x, config: solved.append(x))
+    with pytest.raises(SolveTimeoutError, match="symmetry search"):
+        vv_exact(generate(parse_family_spec("torus:8")), config)
+    assert searched == [0, 1] and not solved
 
 
 def test_sparse_random_roots_solve_inside_the_budget():
