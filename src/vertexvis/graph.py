@@ -159,7 +159,7 @@ def bfs_root_view(g: Graph, x: int) -> RootView:
     dist[x] = 0
     order = [x]
     queue = deque([x])
-    while queue:
+    while queue and len(order) < n:  # no scan once every vertex is reached
         u = queue.popleft()
         du = dist[u]
         for w in g.adj[u]:
@@ -244,6 +244,7 @@ def is_geodetic(g: Graph) -> bool:
     require_connected(g)
     for x in range(g.n):
         rv = bfs_root_view(g, x)
+        g._root_views.pop(x)  # all n views at once would take O(n^2) memory
         count = [0] * g.n
         count[x] = 1
         for v in rv.order[1:]:
@@ -349,16 +350,65 @@ def from_external_ids(ids, n: int) -> frozenset[int]:
 # graph file format: `p <n> <m>` header, `e <u> <v>` lines, 1-based ids,
 # comment records (first token starting with `c`) and blank lines ignored.
 
-def parse_graph(text: str) -> Graph:
-    """Parse the `p`/`e` file format in one pass over the lines.
+# line ends of str.splitlines(), besides "\n", that str.split() takes as spaces
+_LINE_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+_SLICE_CHARS = 1 << 16  # body split at a time: a few thousand lines
 
-    Each edge is checked and added to the neighbor lists and ``adj_mask`` as
-    its line arrives; a duplicate is caught because bit v of u's mask is
-    already set.  Id tokens are looked up in a table of the canonical
-    spellings ``"1"``..``"n"``; any other token goes through ``int()`` and
-    the range check, so ``01`` or ``+2`` read as before.  Every rejected line
-    raises :class:`GraphFormatError` as ``line N: ...`` with 1-based ids.
+
+def parse_graph(text: str) -> Graph:
+    """Parse the `p`/`e` file format.
+
+    A file in the layout format_graph writes (``c`` lines, the ``p`` line,
+    then m >= 2n lines starting ``e `` and ending "\\n") is split a slice at
+    a time.  With three tokens per line, the second and third of them ids
+    spelled "1".."n", the ``e`` starting each line falls on every third
+    token, so each line is one edge.  Masks are summed per vertex from a
+    table of bits; a repeated edge or self-loop leaves fewer bits than list
+    entries.  Sparser files (where that per-vertex work costs more than the
+    split saves), other layouts and files failing a check go to the line
+    loop, the only one to word errors; both routes build the same graphs.
     """
+    pos = 0
+    while text.startswith("c", pos):
+        pos = text.find("\n", pos) + 1 or len(text)
+    end = text.find("\n", pos)
+    if end < 0 or not text.startswith("p ", pos) or any(c in text for c in _LINE_BREAKS):
+        return _parse_lines(text)
+    try:
+        n, m = _file_header(text[pos:end].split(), 0)
+    except GraphFormatError:  # worded by the line loop, with its line number
+        return _parse_lines(text)
+    pos = end + 1
+    lines_ok = text.startswith("e ", pos) and text.count("\ne ", pos) == m - 1
+    if m < 2 * n or text.count("\n", pos) != m or not (lines_ok and text.endswith("\n")):
+        return _parse_lines(text)
+    vertex = {str(i + 1): i for i in range(n)}.__getitem__
+    neighbors = [[] for _ in range(n)]
+    try:
+        while pos < len(text):
+            end = text.find("\n", pos + _SLICE_CHARS) + 1 or len(text)
+            tokens = text[pos:end].split()
+            if len(tokens) != 3 * text.count("\n", pos, end):
+                return _parse_lines(text)
+            pos = end
+            for u, v in zip(map(vertex, tokens[1::3]), map(vertex, tokens[2::3])):
+                neighbors[u].append(v)
+                neighbors[v].append(u)
+    except KeyError:
+        return _parse_lines(text)
+    bits = [1 << i for i in range(n)]
+    masks = [sum(map(bits.__getitem__, nb)) for nb in neighbors]
+    if any(mask.bit_count() != len(nb) for mask, nb in zip(masks, neighbors)):
+        return _parse_lines(text)
+    g = Graph.__new__(Graph)
+    g._set_adjacency(neighbors, masks)
+    return g
+
+
+def _parse_lines(text: str) -> Graph:
+    """The line loop: each edge is checked and set in the lists and masks as
+    its line arrives.  Ids not spelled "1".."n" go through ``int()`` (``01``,
+    ``+2``).  Every rejected line raises ``line N: ...`` with 1-based ids."""
     n = None
     declared_m = 0
     ids: dict[str, int] = {}

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vertexvis import graph
 from vertexvis.errors import (
     DisconnectedError,
     DuplicateEdgeError,
@@ -20,11 +21,13 @@ from vertexvis.generators import (
     complete_graph,
     cycle_graph,
     path_graph,
+    random_connected_graph,
     random_tree,
 )
 from vertexvis.graph import (
     MAX_FILE_VERTICES,
     Graph,
+    _parse_lines,
     bfs_root_view,
     format_graph,
     from_external_ids,
@@ -230,6 +233,15 @@ def test_geodetic_matches_path_enumeration(small_graphs):
         assert is_geodetic(g) == unique_geodesics_by_paths(g)
 
 
+def test_geodetic_adds_no_root_view():
+    g = random_tree(300, seed=5)
+    bfs_root_view(g, 7)
+    assert is_geodetic(g)
+    assert set(g._root_views) <= {7}
+    h = cycle_graph(6)
+    assert not is_geodetic(h) and h._root_views == {}
+
+
 def test_block_graph_examples():
     assert is_block_graph(BOWTIE)
     assert not is_block_graph(cycle_graph(4))
@@ -300,13 +312,51 @@ def test_parse_round_trip_through_noise(g, data):
 
 
 MUTATION_PIECES = [*"0123456789 \t\r\n\x0b\x1cepcq-+_x.\u0661", "1", "2", "01", "-1", "20001", "e", "p"]
+MUTATIONS = ("insert", "delete", "replace", "token", "repeat line")
+# characters that end a line for str.splitlines() but not for a "\n" count
+LINE_BREAK_PIECES = ["\x0c", "\x1d", "\x1e", "\x85", "\u2028"]
+
+
+def mutate(text: str, op: str, pos: int, piece: str) -> str:
+    """text with one edit at a position taken modulo its length."""
+    i = pos % (len(text) + 1)
+    if op == "insert":
+        return text[:i] + piece + text[i:]
+    if op == "delete":
+        return text[:i] + text[i + 1:]
+    if op == "replace":
+        return text[:i] + piece + text[i + 1:]
+    if op == "token":
+        parts = re.split(r"(\s+)", text)
+        parts[2 * (pos % ((len(parts) + 1) // 2))] = piece
+        return "".join(parts)
+    if op == "drop final newline":
+        return text[:-1]
+    lines = text.splitlines(keepends=True)
+    if not lines:
+        return text
+    j = pos % len(lines)
+    if op == "repeat line":
+        lines.insert(j, lines[j])
+    elif op == "blank line":
+        lines.insert(j, "\n")
+    elif op == "indent":
+        lines[j] = " \t"[pos % 2] + lines[j]
+    else:  # "e as id": the first or second id of an edge line becomes "e"
+        edges = [k for k, line in enumerate(lines) if line.startswith("e ")]
+        if edges:
+            k = edges[pos % len(edges)]
+            tokens = lines[k].split()
+            tokens[1 + pos % 2] = "e"
+            lines[k] = " ".join(tokens) + "\n"
+    return "".join(lines)
 
 
 @given(
     graphs(max_n=6),
     st.lists(
         st.tuples(
-            st.sampled_from(("insert", "delete", "replace", "token", "repeat line")),
+            st.sampled_from(MUTATIONS),
             st.integers(0, 10**6),
             st.sampled_from(MUTATION_PIECES),
         ),
@@ -318,23 +368,7 @@ MUTATION_PIECES = [*"0123456789 \t\r\n\x0b\x1cepcq-+_x.\u0661", "1", "2", "01", 
 def test_parse_mutated_files_parse_or_raise_format_error(g, mutations):
     text = format_graph(g)
     for op, pos, piece in mutations:
-        i = pos % (len(text) + 1)
-        if op == "insert":
-            text = text[:i] + piece + text[i:]
-        elif op == "delete":
-            text = text[:i] + text[i + 1:]
-        elif op == "replace":
-            text = text[:i] + piece + text[i + 1:]
-        elif op == "token":
-            parts = re.split(r"(\s+)", text)
-            parts[2 * (pos % ((len(parts) + 1) // 2))] = piece
-            text = "".join(parts)
-        else:
-            lines = text.splitlines(keepends=True)
-            if lines:
-                j = pos % len(lines)
-                lines.insert(j, lines[j])
-                text = "".join(lines)
+        text = mutate(text, op, pos, piece)
     try:
         h = parse_graph(text)
     except GraphFormatError:
@@ -344,6 +378,39 @@ def test_parse_mutated_files_parse_or_raise_format_error(g, mutations):
         assert list(nb) == sorted(set(nb)) and v not in nb
         assert all(v in h.adj[u] for u in nb)
         assert h.adj_mask[v] == sum(1 << u for u in nb)
+
+
+def parse_outcome(parse, text):
+    """(adj, adj_mask, m) of the parsed graph, or the error message."""
+    try:
+        g = parse(text)
+    except GraphFormatError as exc:
+        return str(exc)
+    return g.adj, g.adj_mask, g.m
+
+
+@st.composite
+def dense_graphs(draw):
+    """Graphs with m >= 2n, which parse_graph reads as one token stream."""
+    n = draw(st.integers(5, 9))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    dropped = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs) - 2 * n))
+    return Graph(n, [pair for pair in pairs if pair not in dropped])
+
+
+@given(
+    st.one_of(graphs(max_n=8), dense_graphs()),
+    st.sampled_from((None, "written by format_graph")),
+    st.sampled_from(MUTATIONS + ("drop final newline", "blank line", "indent", "e as id")),
+    st.integers(0, 10**6),
+    st.sampled_from(MUTATION_PIECES + LINE_BREAK_PIECES),
+)
+@settings(max_examples=1000, deadline=None)
+def test_parse_matches_the_line_loop_on_single_mutations(g, comment, op, pos, piece):
+    """parse_graph reads dense canonical files as one token stream; on every
+    file one edit away from canonical it must agree with the line loop."""
+    text = mutate(format_graph(g, comment), op, pos, piece)
+    assert parse_outcome(parse_graph, text) == parse_outcome(_parse_lines, text)
 
 
 @pytest.mark.parametrize("text, message", [
@@ -372,6 +439,59 @@ def test_parse_mutated_files_parse_or_raise_format_error(g, mutations):
 def test_parse_errors_name_line_and_one_based_ids(text, message):
     with pytest.raises(GraphFormatError, match=f"^{re.escape(message)}$"):
         parse_graph(text)
+
+
+# a canonical file of 360 edges; line 1 is the header, line 181 an edge
+MID_FILE = format_graph(Graph(120, [(i, (i + d) % 120) for d in (1, 2, 5) for i in range(120)]))
+
+
+def test_parse_reads_dense_format_graph_output_without_the_line_loop(monkeypatch):
+    monkeypatch.setattr(graph, "_parse_lines", None)
+    dense = (complete_graph(300), cocktail_party(5), parse_graph(MID_FILE))
+    for g in (*dense, random_connected_graph(60, 0.2, seed=1)):
+        for comment in (None, "two\ncomment lines"):
+            h = parse_graph(format_graph(g, comment))
+            assert h == g and h.adj_mask == g.adj_mask and h.m == g.m
+
+
+@pytest.mark.parametrize("line, fault, message", [
+    (181, "e 1", "line 181: expected 'e <u> <v>'"),
+    (181, "e 1 2 3", "line 181: expected 'e <u> <v>'"),
+    (181, "e 1\x0c60", "line 181: expected 'e <u> <v>'"),
+    (181, "e 1 60\u20283", "line 182: unknown record '3'"),
+    (181, "e 1 x", "line 181: bad edge id 'x'"),
+    (181, "e 1 e", "line 181: bad edge id 'e'"),
+    (181, "e 1 121", "line 181: edge id 121 outside 1..120"),
+    (181, "e 0 1", "line 181: edge id 0 outside 1..120"),
+    (181, "e 3 3", "line 181: self-loop at vertex 3"),
+    (181, "e 2 1", "line 181: duplicate edge (1,2)"),
+    (181, "e 03 +2", "line 181: duplicate edge (2,3)"),
+    (181, "q 1 2", "line 181: unknown record 'q'"),
+    (181, "p 120 360", "line 181: second 'p' header"),
+    (181, None, "header declares 360 edges, file has 359"),
+    (1, "p 120", "line 1: expected 'p <n> <m>'"),
+    (1, "p 120 x", "line 1: bad header numbers"),
+    (1, "p 0 0", f"line 1: n=0 outside 1..{MAX_FILE_VERTICES}"),
+    (1, "p 120 7141", "line 1: m=7141 outside 0..7140 for n=120"),
+])
+def test_parse_errors_name_their_line_in_the_middle_of_a_canonical_file(line, fault, message):
+    lines = MID_FILE.splitlines()
+    lines[line - 1:line] = [] if fault is None else [fault]
+    with pytest.raises(GraphFormatError, match=f"^{re.escape(message)}$"):
+        parse_graph("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("last, message", [
+    ("e 1 60\ne 1\n61", "line 361: expected 'e <u> <v>'"),
+    ("e 1 60 e 2 61\ne 3 62\n", "line 360: expected 'e <u> <v>'"),
+    ("e 1 60 e\n2 61\n", "line 360: expected 'e <u> <v>'"),
+    ("e 1 60\n3 4 60\ne 5 70\n", "line 361: unknown record '3'"),
+])
+def test_parse_errors_in_the_last_lines_of_a_canonical_file(last, message):
+    """Faults that keep some of the counts the token stream checks."""
+    head = "".join(MID_FILE.splitlines(keepends=True)[:359])
+    with pytest.raises(GraphFormatError, match=f"^{re.escape(message)}$"):
+        parse_graph(head + last)
 
 
 def test_parse_reads_noncanonical_ids_like_int():

@@ -22,6 +22,8 @@ from vertexvis.solvers import (
     _refine,
     _root_classes,
     vv_exact,
+    vx_brute,
+    vx_exact,
 )
 
 from oracles import vv_all_roots
@@ -197,3 +199,24 @@ def test_vv_keeps_at_most_one_root_view():
     g = random_connected_graph(80, 0.06, 5)
     vv_exact(g)
     assert len(g._root_views) <= 1
+
+
+def test_a_pendant_root_is_below_its_support_vertex():
+    """vv_exact skips leaf roots: from a pendant vertex every shortest-path
+    tree runs through its support vertex, which does strictly better."""
+    checked = 0
+    for seed in range(60):
+        rng = random.Random(seed)
+        core = rng.randint(2, 7 if seed % 2 else 20)
+        base = random_connected_graph(core, rng.uniform(0.3, 0.7), seed)
+        hung = rng.randint(1, 3)
+        edges = [*base.edges(), *((rng.randrange(core + i), core + i) for i in range(hung))]
+        g = Graph(core + hung, edges)
+        for leaf in (v for v in range(g.n) if g.degree(v) == 1):
+            (support,) = g.adj[leaf]
+            low, high = vx_exact(g, leaf).value, vx_exact(g, support).value
+            assert low < high, (seed, leaf)
+            if g.n <= 10:
+                assert (low, high) == (vx_brute(g, leaf).value, vx_brute(g, support).value)
+                checked += 1
+    assert checked >= 30
