@@ -74,10 +74,8 @@ from .graph import (
     write_graph_file,
 )
 from .solvers import (
-    DEFAULT_CONFIG,
     MaxLeafResult,
     SolveResult,
-    SolverConfig,
     max_leaf_spanning_tree,
     mu_brute,
     vv_exact,

@@ -24,7 +24,7 @@ from .errors import (
 )
 from .generators import FamilySpec
 from .graph import Graph, bfs_root_view, is_block_graph, require_connected
-from .solvers import DEFAULT_CONFIG, SolverConfig, mu_brute, vv_exact, vx_exact
+from .solvers import mu_brute, vv_exact, vx_exact
 from .visibility import (
     has_spanning_double_star,
     has_universal_vertex,
@@ -112,12 +112,12 @@ def bounds_report(
     x: int | None = None,
     compute_mu: bool = False,
     compute_exact: bool = False,
-    config: SolverConfig = DEFAULT_CONFIG,
+    deadline: float | None = None,
 ) -> BoundsReport:
     """Assemble every applicable bound; per-root entries appear only when a
     root is given.  The mutual-visibility entry is exponential to evaluate
     and therefore opt-in; when skipped it is reported as not applicable
-    rather than estimated."""
+    rather than estimated.  Its mu and exact solves share the one deadline."""
     require_connected(g)
     if g.n < 2:
         raise InvalidParameterError("bounds need at least two vertices")
@@ -159,7 +159,7 @@ def bounds_report(
     )
     mu_value: int | None = None
     if compute_mu:
-        mu_value = mu_brute(g, config)
+        mu_value = mu_brute(g, deadline)
     entries.append(
         BoundEntry(
             "mutual_visibility_lower",
@@ -221,9 +221,9 @@ def bounds_report(
     exact_value = exact_root = None
     if compute_exact:
         if x is not None:
-            res = vx_exact(g, x, config)
+            res = vx_exact(g, x, deadline)
         else:
-            res = vv_exact(g, config)
+            res = vv_exact(g, deadline)
         exact_value, exact_root = res.value, res.root
     return BoundsReport(
         n=n,

@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
+import time
 
 from .bounds import (
     bounds_report,
@@ -21,6 +23,7 @@ from .bounds import (
 )
 from .errors import (
     GraphFormatError,
+    IdOutOfRangeError,
     InvalidParameterError,
     VertexVisError,
     WitnessRejectedError,
@@ -41,7 +44,6 @@ from .graph import (
     write_graph_file,
 )
 from .solvers import (
-    SolverConfig,
     max_leaf_spanning_tree,
     mu_brute,
     vv_exact,
@@ -88,8 +90,15 @@ def _emit(args, payload: dict, text_lines: list[str]) -> None:
             print(line)
 
 
-def _config(args) -> SolverConfig:
-    return SolverConfig(timeout_s=args.timeout).started()
+def _deadline(args) -> float | None:
+    return None if args.timeout is None else time.monotonic() + args.timeout
+
+
+def _root(args, g: Graph) -> int:
+    """The 0-based id of the 1-based --root, checked against g."""
+    if not 1 <= args.root <= g.n:
+        raise IdOutOfRangeError(f"root {args.root} outside 1..{g.n}")
+    return args.root - 1
 
 
 def _cmd_gen(args) -> int:
@@ -104,10 +113,10 @@ def _cmd_gen(args) -> int:
 
 def _cmd_vx(args) -> int:
     g = _load_graph(args.input, args.seed)
-    root = args.root - 1
-    cfg = _config(args)
+    root = _root(args, g)
+    deadline = _deadline(args)
     solver = {"exact": vx_exact, "brute": vx_brute, "greedy": vx_greedy}[args.method]
-    res = solver(g, root, cfg)
+    res = solver(g, root, deadline)
     payload = res.to_json_dict()
     lines = [
         f"root {args.root}: visibility number {res.value} ({res.method})",
@@ -121,7 +130,7 @@ def _cmd_vx(args) -> int:
 
 def _cmd_vv(args) -> int:
     g = _load_graph(args.input, args.seed)
-    res = vv_exact(g, _config(args))
+    res = vv_exact(g, _deadline(args))
     _emit(
         args,
         res.to_json_dict(),
@@ -135,7 +144,7 @@ def _cmd_vv(args) -> int:
 
 def _cmd_verify(args) -> int:
     g = _load_graph(args.input, args.seed)
-    root = args.root - 1
+    root = _root(args, g)
     members = _read_set_file(args.set, g.n)
     ok = is_x_visibility_set(g, root, members)
     _emit(
@@ -152,13 +161,13 @@ def _cmd_verify(args) -> int:
 
 def _cmd_bounds(args) -> int:
     g = _load_graph(args.input, args.seed)
-    x = args.root - 1 if args.root is not None else None
+    x = _root(args, g) if args.root is not None else None
     report = bounds_report(
         g,
         x=x,
         compute_mu=args.mu,
         compute_exact=args.exact,
-        config=_config(args),
+        deadline=_deadline(args),
     )
     lines = [f"n={report.n} m={report.m} delta={report.delta}"]
     for e in report.entries:
@@ -229,7 +238,7 @@ def _cmd_table(args) -> int:
         lo_n, hi_n = int(lo), int(hi)
     except ValueError as exc:
         raise InvalidParameterError("range must look like 4..8") from exc
-    cfg = _config(args)
+    deadline = _deadline(args)
     rows = []
     notes: set[str] = set()
     for n in range(lo_n, hi_n + 1):
@@ -239,7 +248,7 @@ def _cmd_table(args) -> int:
         w = witness_for(args.family, n)
         exact = None
         if args.exact_max is not None and n <= args.exact_max:
-            exact = vv_exact(generate(spec), cfg).value
+            exact = vv_exact(generate(spec), deadline).value
         rows.append({"n": n, "closed_form": value, "witness": len(w.members), "exact": exact})
     lines = [f"{args.family}: n, closed form, witness size, exact"]
     for r in rows:
@@ -253,7 +262,7 @@ def _cmd_table(args) -> int:
 
 def _cmd_maxleaf(args) -> int:
     g = _load_graph(args.input, args.seed)
-    res = max_leaf_spanning_tree(g, _config(args))
+    res = max_leaf_spanning_tree(g, _deadline(args))
     _emit(
         args,
         res.to_json_dict(),
@@ -267,7 +276,7 @@ def _cmd_maxleaf(args) -> int:
 
 def _cmd_mu(args) -> int:
     g = _load_graph(args.input, args.seed)
-    value = mu_brute(g, _config(args))
+    value = mu_brute(g, _deadline(args))
     _emit(args, {"mu": value}, [f"mutual visibility number: {value}"])
     return 0
 
@@ -279,8 +288,15 @@ def _add_common(p, root=False, required_root=False):
         p.add_argument("--root", type=int, required=required_root, help="1-based root id")
 
 
+def _seconds(text: str) -> float:
+    value = float(text)
+    if not 0 <= value < math.inf:  # false for NaN as well
+        raise argparse.ArgumentTypeError(f"expected finite seconds >= 0, got {text!r}")
+    return value
+
+
 def _add_timeout(p):
-    p.add_argument("--timeout", type=float, default=None, help="seconds for the whole request")
+    p.add_argument("--timeout", type=_seconds, default=None, help="seconds for the whole request")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -48,6 +48,15 @@ __all__ = [
     "random_block_graph",
 ]
 
+# largest edge list complete, cocktail and kxk build before Graph() sees it;
+# they refuse more up front (complete:20000 would build 2e8 edge tuples)
+MAX_DENSE_EDGES = 1_000_000
+
+
+def _check_dense(what: str, m: int) -> None:
+    if m > MAX_DENSE_EDGES:
+        raise TooLargeError(f"{what} has {m} edges, above the limit of {MAX_DENSE_EDGES}")
+
 
 @dataclass(frozen=True)
 class FamilySpec:
@@ -112,6 +121,7 @@ def cycle_graph(n: int) -> Graph:
 
 
 def complete_graph(n: int) -> Graph:
+    _check_dense(f"K_{n}", n * (n - 1) // 2)
     return Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
 
 
@@ -133,6 +143,7 @@ def cocktail_party(k: int) -> Graph:
     if k < 2:
         raise InvalidParameterError("cocktail party graph needs k >= 2")
     n = 2 * k
+    _check_dense(f"cocktail party graph on {n} vertices", 2 * k * (k - 1))
     edges = [
         (u, v)
         for u in range(n)
@@ -181,6 +192,7 @@ def torus_graph(n: int) -> Graph:
 
 
 def complete_product(m: int, n: int) -> Graph:
+    _check_dense(f"K_{m} box K_{n}", m * n * (m + n - 2) // 2)
     return cartesian_product(complete_graph(m), complete_graph(n))
 
 

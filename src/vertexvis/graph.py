@@ -54,10 +54,11 @@ class Graph:
 
     Instances are immutable after construction.  ``adj_mask[v]`` is the
     neighborhood of v as a bitmask; the exponential solvers work on these
-    masks directly.
+    masks directly.  ``_view`` caches the latest root view that
+    bfs_root_view built, so a graph holds at most one.
     """
 
-    __slots__ = ("n", "m", "adj", "adj_mask", "_root_views", "_connected")
+    __slots__ = ("n", "m", "adj", "adj_mask", "_view", "_connected")
 
     def __init__(self, n: int, edges):
         """Build from 0-based edge pairs in one pass.
@@ -94,7 +95,7 @@ class Graph:
         self.m = sum(map(len, neighbors)) // 2
         self.adj = tuple(map(tuple, neighbors))
         self.adj_mask = tuple(masks)
-        self._root_views: dict[int, RootView] = {}
+        self._view: RootView | None = None
         self._connected: bool | None = None
 
     def degree(self, v: int) -> int:
@@ -149,10 +150,12 @@ class RootView:
 
 
 def bfs_root_view(g: Graph, x: int) -> RootView:
-    """BFS artifact rooted at x; cached per graph and root."""
+    """BFS artifact rooted at x.  The graph caches only the latest view:
+    asking again for its root returns it, and any other root replaces it.
+    A caller needing several views at once keeps them itself."""
     g.check_vertex(x)
-    cached = g._root_views.get(x)
-    if cached is not None:
+    cached = g._view
+    if cached is not None and cached.root == x:
         return cached
     n = g.n
     dist = [-1] * n
@@ -187,7 +190,7 @@ def bfs_root_view(g: Graph, x: int) -> RootView:
         dag_in=tuple(tuple(p) for p in dag_in),
         dag_in_mask=tuple(dag_in_mask),
     )
-    g._root_views[x] = view
+    g._view = view
     return view
 
 
@@ -244,7 +247,6 @@ def is_geodetic(g: Graph) -> bool:
     require_connected(g)
     for x in range(g.n):
         rv = bfs_root_view(g, x)
-        g._root_views.pop(x)  # all n views at once would take O(n^2) memory
         count = [0] * g.n
         count[x] = 1
         for v in rv.order[1:]:

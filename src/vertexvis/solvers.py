@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from itertools import combinations
 
@@ -56,8 +56,6 @@ from .graph import Graph, RootView, bfs_root_view, is_connected, mask_to_set
 from .visibility import _members_all_visible, _pairwise_visible
 
 __all__ = [
-    "SolverConfig",
-    "DEFAULT_CONFIG",
     "SolveResult",
     "MaxLeafResult",
     "vx_exact",
@@ -74,30 +72,6 @@ BRUTE_CAP = 22
 MU_CAP = 16
 ALPHA_CAP = 30
 MCDS_CAP = 32
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    """The wall-clock budget of one request; a solve past it raises
-    SolveTimeoutError, never a truncated answer.  The size caps of the
-    exhaustive solvers are the fixed constants above, not settings."""
-
-    timeout_s: float | None = None
-    # absolute time.monotonic() deadline, so that every solve of one
-    # request shares it
-    deadline_at: float | None = None
-
-    def deadline(self) -> float | None:
-        if self.deadline_at is not None or self.timeout_s is None:
-            return self.deadline_at
-        return time.monotonic() + self.timeout_s
-
-    def started(self) -> SolverConfig:
-        """This config with its deadline fixed from now on."""
-        return replace(self, deadline_at=self.deadline())
-
-
-DEFAULT_CONFIG = SolverConfig()
 
 
 @dataclass(frozen=True)
@@ -146,6 +120,8 @@ class MaxLeafResult:
 
 
 def _check_deadline(deadline, what: str):
+    """Every solver takes deadline, one time.monotonic() value per request or
+    None; a solve past it raises SolveTimeoutError, never a truncated answer."""
     if deadline is not None and time.monotonic() > deadline:
         raise SolveTimeoutError(f"{what} exceeded its time budget")
 
@@ -322,17 +298,16 @@ def _solve_root(g: Graph, x: int, solve_group, method: str) -> SolveResult:
     return SolveResult(value=len(leaves), root=x, witness=leaves, tree=tree, method=method)
 
 
-def vx_exact(g: Graph, x: int, config: SolverConfig = DEFAULT_CONFIG) -> SolveResult:
+def vx_exact(g: Graph, x: int, deadline: float | None = None) -> SolveResult:
     """Exact visibility number of root x with a maximum-leaf shortest-path
     tree certificate."""
     g.check_vertex(x)
     _require_solvable(g)
-    deadline = config.deadline()
     _check_deadline(deadline, "exact visibility solve")
     return _solve_root(g, x, partial(_min_group_cover, deadline=deadline), "cover_bnb")
 
 
-def vx_brute(g: Graph, x: int, config: SolverConfig = DEFAULT_CONFIG) -> SolveResult:
+def vx_brute(g: Graph, x: int, deadline: float | None = None) -> SolveResult:
     """Independent oracle: enumerate every subset of V minus x and keep the
     largest visibility set."""
     g.check_vertex(x)
@@ -342,7 +317,6 @@ def vx_brute(g: Graph, x: int, config: SolverConfig = DEFAULT_CONFIG) -> SolveRe
     rv = bfs_root_view(g, x)
     others = [v for v in range(g.n) if v != x]
     k = len(others)
-    deadline = config.deadline()
     best_size, best_set = 0, 0
     for picks in range(1 << k):
         if picks & 0x3FF == 0:
@@ -365,15 +339,15 @@ def vx_brute(g: Graph, x: int, config: SolverConfig = DEFAULT_CONFIG) -> SolveRe
     )
 
 
-def vx_greedy(g: Graph, x: int, config: SolverConfig = DEFAULT_CONFIG) -> SolveResult:
+def vx_greedy(g: Graph, x: int, deadline: float | None = None) -> SolveResult:
     """Greedy parent cover on the BFS DAG: always a valid visibility set,
-    never exceeding the exact value."""
+    never exceeding the exact value; polynomial, so deadline is unused."""
     g.check_vertex(x)
     _require_solvable(g)
     return _solve_root(g, x, _greedy_group, "greedy")
 
 
-def vv_exact(g: Graph, config: SolverConfig = DEFAULT_CONFIG) -> SolveResult:
+def vv_exact(g: Graph, deadline: float | None = None) -> SolveResult:
     """Maximum visibility number over all roots, ties to the smallest root.
 
     Leaves are skipped as roots once n >= 3 because their support vertex
@@ -383,21 +357,19 @@ def vv_exact(g: Graph, config: SolverConfig = DEFAULT_CONFIG) -> SolveResult:
     have the same value.  Each class minimum is solved, and the smallest
     root of maximum value is the minimum of its class, so the answer is the
     vx_exact result of the same root as over all roots: same value, root,
-    witness and tree.  One deadline bounds the search and all roots, and
-    each root's BFS view is dropped once the root is solved."""
+    witness and tree.  The one deadline bounds the search and all roots;
+    the graph caches only the root view of the root being solved."""
     _require_solvable(g)
-    config = config.started()
     if g.n == 2:
         roots = [0]
     else:
         roots = [v for v in range(g.n) if g.degree(v) > 1]
-    rep = _root_classes(g, roots, config.deadline())
+    rep = _root_classes(g, roots, deadline)
     best = None
     for x in roots:
         if rep[x] < x:
             continue
-        res = vx_exact(g, x, config)
-        g._root_views.pop(x, None)
+        res = vx_exact(g, x, deadline)
         if best is None or res.value > best.value:
             best = res
     return best
@@ -734,9 +706,7 @@ def _min_cds(g: Graph, deadline) -> int:
     return best_mask
 
 
-def max_leaf_spanning_tree(
-    g: Graph, config: SolverConfig = DEFAULT_CONFIG
-) -> MaxLeafResult:
+def max_leaf_spanning_tree(g: Graph, deadline: float | None = None) -> MaxLeafResult:
     """Maximum number of leaves over all spanning trees, with a tree
     realizing it.  Computed as n minus the minimum connected dominating set
     size for n >= 3; the one- and two-vertex graphs are direct."""
@@ -750,7 +720,7 @@ def max_leaf_spanning_tree(
         )
     if g.n > MCDS_CAP:
         raise TooLargeError(f"exact max-leaf capped at n={MCDS_CAP}")
-    cds = _min_cds(g, config.deadline())
+    cds = _min_cds(g, deadline)
     members = sorted(mask_to_set(cds))
     root = members[0]
     # spanning tree of the induced connected dominator set, then every
@@ -780,32 +750,31 @@ def max_leaf_spanning_tree(
 # ---------------------------------------------------------------------------
 # brute-force mutual visibility and independence numbers
 
-def mu_brute(g: Graph, config: SolverConfig = DEFAULT_CONFIG) -> int:
+def mu_brute(g: Graph, deadline: float | None = None) -> int:
     """Largest mutual-visibility set size by descending-size enumeration;
     valid because subsets of mutual-visibility sets stay mutually visible."""
     _require_solvable(g, min_n=1)
     n = g.n
     if n > MU_CAP:
         raise TooLargeError(f"mutual-visibility brute force capped at n={MU_CAP}")
-    deadline = config.deadline()
+    views = [bfs_root_view(g, v) for v in range(n)]
     checked = 0
     for k in range(n, 0, -1):
         for combo in combinations(range(n), k):
             checked += 1
             if checked & 0xFF == 0:
                 _check_deadline(deadline, "mutual-visibility brute force")
-            if _pairwise_visible(g, combo):
+            if _pairwise_visible(views, combo):
                 return k
     return 0
 
 
-def alpha_brute(g: Graph, config: SolverConfig = DEFAULT_CONFIG) -> int:
+def alpha_brute(g: Graph, deadline: float | None = None) -> int:
     """Maximum independent set size by branching on a highest-degree vertex.
     Not exported: it is the independence-number reference of the tests."""
     if g.n > ALPHA_CAP:
         raise TooLargeError(f"independence brute force capped at n={ALPHA_CAP}")
     adj_mask = g.adj_mask
-    deadline = config.deadline()
     best = 0
     calls = 0
 

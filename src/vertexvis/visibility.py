@@ -110,13 +110,13 @@ def is_x_visibility_set(g: Graph, x: int, s) -> bool:
     return _members_all_visible(bfs_root_view(g, x), s_mask)
 
 
-def _pairwise_visible(g: Graph, members) -> bool:
+def _pairwise_visible(views, members) -> bool:
     """Every pair of the ascending, distinct members sees each other around
-    them all.  Visibility between u and v is symmetric, so each unordered
-    pair is checked once, from the smaller endpoint."""
-    s_mask = _checked_mask(g, members)
+    them all, views[u] being u's root view.  Visibility is symmetric, so
+    each unordered pair is checked once, from the smaller endpoint."""
+    s_mask = sum(1 << v for v in members)
     for i, u in enumerate(members[:-1]):
-        rv = bfs_root_view(g, u)
+        rv = views[u]
         reach = _clear_mask(rv, s_mask & ~(1 << u))
         for v in members[i + 1:]:
             if not rv.dag_in_mask[v] & reach:
@@ -127,7 +127,8 @@ def _pairwise_visible(g: Graph, members) -> bool:
 def is_mutual_visibility_set(g: Graph, s) -> bool:
     """Decide whether every pair of members sees each other around s."""
     require_connected(g)
-    return _pairwise_visible(g, sorted(set(s)))
+    members = sorted(set(s))
+    return _pairwise_visible({u: bfs_root_view(g, u) for u in members}, members)
 
 
 def maximally_distant(g: Graph, x: int) -> frozenset[int]:

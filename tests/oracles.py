@@ -5,11 +5,12 @@ shared with the library's sweep machinery, so agreement between the two is
 meaningful evidence.
 """
 
+import gc
 from collections import deque
 from itertools import combinations
 
 from vertexvis.errors import DuplicateEdgeError, IdOutOfRangeError, SelfLoopError
-from vertexvis.graph import Graph
+from vertexvis.graph import Graph, RootView
 
 
 def bfs_dist(g: Graph, x: int) -> dict[int, int]:
@@ -156,3 +157,8 @@ def vv_all_roots(g: Graph):
         if best is None or res.value > best.value:
             best = res
     return best
+
+
+def live_root_views() -> int:
+    """Number of RootView objects alive in this process."""
+    return sum(isinstance(o, RootView) for o in gc.get_objects())

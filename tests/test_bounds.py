@@ -1,8 +1,10 @@
 import math
 import random
+import time
 
 import pytest
 
+from vertexvis import bounds
 from vertexvis.bounds import (
     COMPLETE_PRODUCT_NOTE,
     TORUS_EVEN_NOTE,
@@ -26,6 +28,7 @@ from vertexvis.generators import (
     cycle_graph,
     path_graph,
     random_block_graph,
+    random_connected_graph,
     random_tree,
     star_graph,
 )
@@ -90,6 +93,22 @@ def test_report_json_schema():
     for b in payload["bounds"]:
         assert set(b) == {"name", "kind", "value", "applicable", "provenance", "scope"}
     assert payload["exact"] == {"value": 2, "root": 2}
+
+
+def test_report_solves_share_one_deadline(monkeypatch):
+    g = random_connected_graph(16, 0.25, 3)
+    seen = []
+    for name in ("mu_brute", "vv_exact", "vx_exact"):
+        real = getattr(bounds, name)
+        monkeypatch.setattr(bounds, name, lambda g, *rest, real=real: (
+            seen.append((real.__name__, rest[-1])) or real(g, *rest)))
+    deadline = time.monotonic() + 60
+    rep = bounds_report(g, compute_mu=True, compute_exact=True, deadline=deadline)
+    assert seen == [("mu_brute", deadline), ("vv_exact", deadline)]
+    assert rep.mu is not None and rep.exact_value == vv_exact(g).value
+    seen.clear()
+    bounds_report(g, x=2, compute_mu=True, compute_exact=True, deadline=deadline)
+    assert seen == [("mu_brute", deadline), ("vx_exact", deadline)]
 
 
 def test_characterize_examples():

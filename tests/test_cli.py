@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -183,6 +184,39 @@ def test_error_exit_codes(tmp_path, capsys):
                  "random:5,inf"):
         code, _, err = run(capsys, "gen", spec)
         assert code == 1 and "error:" in err, spec
+
+
+def test_root_out_of_range_is_reported_1_based(tmp_path, capsys):
+    setfile = tmp_path / "set.txt"
+    setfile.write_text("1\n")
+    for root in ("10", "0", "-3"):
+        for argv in (("vx", "grid:3"), ("bounds", "grid:3"),
+                     ("verify", "grid:3", "--set", str(setfile))):
+            code, out, err = run(capsys, *argv, "--root", root)
+            assert (code, out) == (1, "") and err == f"error: root {root} outside 1..9\n", argv
+    code, out, _ = run(capsys, "vx", "grid:3", "--root", "9", "--format", "json")
+    assert code == 0 and json.loads(out)["root"] == 9
+
+
+@pytest.mark.parametrize("seconds", ["nan", "inf", "-inf", "-1", "-0.5"])
+def test_timeout_must_be_finite_and_not_negative(seconds, capsys):
+    for argv in (("vv", "random:200,0.03", "--seed", "3"), ("mu", "path:4"),
+                 ("table", "grid", "--range", "4..5")):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--timeout", seconds])
+        assert exc.value.code == 2, argv
+        assert "--timeout" in capsys.readouterr().err
+    code, out, _ = run(capsys, "mu", "path:4", "--timeout", "0.0", "--format", "json")
+    assert code == 0 and json.loads(out) == {"mu": 2}  # zero seconds is a budget
+
+
+def test_dense_spec_over_the_edge_cap_fails_fast(tmp_path, capsys):
+    for spec in ("complete:20000", "cocktail:10000", "kxk:141,141"):
+        start = time.monotonic()
+        code, out, err = run(capsys, "gen", spec, "-o", str(tmp_path / "big.gr"))
+        assert time.monotonic() - start < 1.0, spec
+        assert code == 1 and out == "" and "above the limit of 1000000" in err, spec
+    assert not (tmp_path / "big.gr").exists()
 
 
 def test_random_specs_seeded(capsys):

@@ -8,12 +8,15 @@ from vertexvis.errors import (
     TooLargeError,
     UnsupportedFamilyError,
 )
+from vertexvis import generators
 from vertexvis.generators import (
     FAMILIES,
+    MAX_DENSE_EDGES,
     FamilySpec,
     cartesian_product,
     cocktail_party,
     complete_graph,
+    complete_product,
     cycle_graph,
     figure_family,
     first_factor_layer,
@@ -75,6 +78,23 @@ def test_family_vertex_counts_and_cap(monkeypatch):
                  f"random:{MAX_FILE_VERTICES + 1},0.5", "cocktail:10001", "star:20000"):
         with pytest.raises(TooLargeError, match="above the limit"):
             generate(parse_family_spec(text))
+
+
+def test_dense_builders_refuse_before_building_edges(monkeypatch):
+    monkeypatch.setattr(generators, "Graph", None)  # any edge list built would reach it
+    for build, args in ((complete_graph, (MAX_FILE_VERTICES,)), (complete_graph, (1415,)),
+                        (cocktail_party, (708,)), (complete_product, (141, 141))):
+        with pytest.raises(TooLargeError, match=f"above the limit of {MAX_DENSE_EDGES}"):
+            build(*args)
+    monkeypatch.undo()
+    # the cap is on the exact edge count: a graph of exactly the cap is built
+    for build, args, m in ((complete_graph, (7,), 21), (cocktail_party, (4,), 24),
+                           (complete_product, (4, 3), 30)):
+        monkeypatch.setattr(generators, "MAX_DENSE_EDGES", m)
+        assert build(*args).m == m
+        monkeypatch.setattr(generators, "MAX_DENSE_EDGES", m - 1)
+        with pytest.raises(TooLargeError, match="above the limit"):
+            build(*args)
 
 
 def test_generate_named_families():

@@ -44,6 +44,7 @@ from oracles import (
     adjacency_by_pair_set,
     all_shortest_paths,
     bfs_dist,
+    live_root_views,
     unique_geodesics_by_paths,
 )
 
@@ -217,7 +218,7 @@ def test_is_connected_matches_bfs_and_builds_no_root_view():
         g = Graph(n, edges)
         connected = is_connected(g)
         assert connected == (len(bfs_dist(g, 0)) == n), (n, edges)
-        assert g._root_views == {}
+        assert g._view is None
         outcomes[connected] += 1
     assert min(outcomes.values()) >= 50, outcomes
 
@@ -236,10 +237,21 @@ def test_geodetic_matches_path_enumeration(small_graphs):
 def test_geodetic_adds_no_root_view():
     g = random_tree(300, seed=5)
     bfs_root_view(g, 7)
+    before = live_root_views()
     assert is_geodetic(g)
-    assert set(g._root_views) <= {7}
+    assert live_root_views() <= before
     h = cycle_graph(6)
-    assert not is_geodetic(h) and h._root_views == {}
+    assert not is_geodetic(h) and live_root_views() <= before + 1
+
+
+def test_interval_keeps_one_root_view():
+    g = random_tree(300, seed=0)
+    before = live_root_views()
+    for v in range(g.n - 1):
+        assert interval(g, v, v + 1) == interval(g, v + 1, v)
+    assert live_root_views() <= before + 1
+    assert g._view.root == v
+    assert bfs_root_view(g, v) is g._view
 
 
 def test_block_graph_examples():

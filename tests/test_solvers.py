@@ -23,7 +23,6 @@ from vertexvis.graph import Graph, bfs_root_view
 from vertexvis.solvers import (
     BRUTE_CAP,
     MCDS_CAP,
-    SolverConfig,
     alpha_brute,
     max_leaf_spanning_tree,
     mu_brute,
@@ -217,7 +216,7 @@ def test_timeout_fires():
     g = grid_graph(6)
     with pytest.raises(SolveTimeoutError):
         for x in range(g.n):
-            vx_exact(g, x, SolverConfig(timeout_s=1e-7))
+            vx_exact(g, x, time.monotonic() + 1e-7)
 
 
 def test_timeout_bounds_the_whole_root_loop():
@@ -229,25 +228,25 @@ def test_timeout_bounds_the_whole_root_loop():
     rep = solvers._root_classes(g, roots, None)
     assert all(rep[x] == x for x in roots)
     with pytest.raises(SolveTimeoutError):
-        vv_exact(g, SolverConfig(timeout_s=0.05))
+        vv_exact(g, time.monotonic() + 0.05)
 
 
 def test_timeout_fires_inside_the_symmetry_search(monkeypatch):
     # the first BFS of the automorphism search outlives the request's
     # deadline; the search itself must notice, before any root is solved
-    config = SolverConfig(timeout_s=0.2).started()
+    deadline = time.monotonic() + 0.2
     real = solvers._distances
     searched, solved = [], []
 
     def late(g, x):
         searched.append(x)
-        time.sleep(max(0.0, config.deadline_at - time.monotonic()) + 0.01)
+        time.sleep(max(0.0, deadline - time.monotonic()) + 0.01)
         return real(g, x)
 
     monkeypatch.setattr(solvers, "_distances", late)
-    monkeypatch.setattr(solvers, "vx_exact", lambda g, x, config: solved.append(x))
+    monkeypatch.setattr(solvers, "vx_exact", lambda g, x, deadline: solved.append(x))
     with pytest.raises(SolveTimeoutError, match="symmetry search"):
-        vv_exact(generate(parse_family_spec("torus:8")), config)
+        vv_exact(generate(parse_family_spec("torus:8")), deadline)
     assert searched == [0, 1] and not solved
 
 
@@ -256,6 +255,6 @@ def test_sparse_random_roots_solve_inside_the_budget():
     # constraint with the fewest candidates
     g = random_connected_graph(400, 0.015, 2)
     for x in (0, 3):
-        res = vx_exact(g, x, SolverConfig(timeout_s=5))
+        res = vx_exact(g, x, time.monotonic() + 5)
         assert len(res.witness) == res.value >= vx_greedy(g, x).value
         assert is_x_visibility_set(g, x, res.witness)
