@@ -38,7 +38,6 @@ from .generators import (
 from .graph import (
     Graph,
     format_graph,
-    from_external_ids,
     read_graph_file,
     to_external_ids,
     write_graph_file,
@@ -68,18 +67,23 @@ def _read_set_file(path: str, n: int):
             text = handle.read()
         except UnicodeDecodeError as exc:
             raise GraphFormatError(f"{path}: not UTF-8 text ({exc.reason})") from exc
-    ids = []
+    members: set[int] = set()
     for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("c") or line.startswith("#"):
             continue
         try:
-            ids.append(int(line))
+            i = int(line)
         except ValueError as exc:
             raise GraphFormatError(
                 f"{path}:{lineno}: expected one 1-based id per line"
             ) from exc
-    return from_external_ids(ids, n)
+        if not 1 <= i <= n:
+            raise IdOutOfRangeError(f"{path}:{lineno}: id {i} outside 1..{n}")
+        if i - 1 in members:
+            raise GraphFormatError(f"{path}:{lineno}: repeated id {i}")
+        members.add(i - 1)
+    return frozenset(members)
 
 
 def _emit(args, payload: dict, text_lines: list[str]) -> None:

@@ -48,8 +48,9 @@ __all__ = [
     "random_block_graph",
 ]
 
-# largest edge list complete, cocktail and kxk build before Graph() sees it;
-# they refuse more up front (complete:20000 would build 2e8 edge tuples)
+# largest edge list complete, cocktail and kxk build before Graph() sees it,
+# and largest expected edge count of a G(n, p) sample; more is refused up
+# front (complete:20000 would build 2e8 edge tuples)
 MAX_DENSE_EDGES = 1_000_000
 
 
@@ -298,9 +299,15 @@ def np_gadget(g: Graph) -> ReductionResult:
 
 def _sample_gnp(n: int, p: float, seed: int, accept, what: str) -> Graph:
     """Erdos-Renyi G(n, p), resampled until accept(graph) holds, at most
-    1000 times."""
+    1000 times.  Refused before any draw when the expected edge count
+    p n (n - 1) / 2 is above MAX_DENSE_EDGES."""
     if not 0 < p <= 1:
         raise InvalidParameterError(f"edge probability must lie in (0, 1], got {p}")
+    expected = p * n * (n - 1) / 2
+    if expected > MAX_DENSE_EDGES:
+        raise TooLargeError(
+            f"G({n}, {p}) expects {expected:.0f} edges, above the limit of {MAX_DENSE_EDGES}"
+        )
     rng = random.Random(seed)
     for _ in range(1000):
         edges = [

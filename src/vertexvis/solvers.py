@@ -198,41 +198,39 @@ def _min_group_cover(sets: list[int], covers: list[int], deadline) -> int:
     one uncovered constraint j when another candidate of j covers two or
     more, or only j with a smaller id (swapping keeps the cover's size).
     Then it takes, or else excludes, the candidate covering the most
-    uncovered constraints, smallest id on ties."""
+    uncovered constraints, smallest id on ties.
+
+    Only an exclusion can leave a constraint one allowed candidate or none,
+    so propagation reads the constraints in touched: those of the
+    candidates excluded since the last pass, and every one at the root.
+    One scan over the last pass's live candidates (not chosen, not
+    excluded, covering something uncovered) gives this pass's, the ones
+    covering two or more, and the pick.  Each uncovered constraint then has
+    two or more live candidates, so the bound is at most live // 2, and its
+    constraint scan is skipped when that could not prune."""
+    _check_deadline(deadline, "exact visibility solve")
     full = (1 << len(sets)) - 1
     best_mask = _greedy_group(sets, covers)
     best_size = best_mask.bit_count()
     node_budget = 0
 
-    def search(chosen: int, size: int, excluded: int, covered: int):
+    def search(chosen: int, size: int, excluded: int, covered: int, live: int, touched: int):
         nonlocal best_mask, best_size, node_budget
         node_budget += 1
         if node_budget & 0xFF == 0:
             _check_deadline(deadline, "exact visibility solve")
         while True:
             uncovered = full & ~covered
-            if not uncovered:
-                if size < best_size:
-                    best_size, best_mask = size, chosen
-                return
-            # units, uncovered constraints with pairwise disjoint candidates,
-            # and the live candidates (a candidate covering nothing
-            # uncovered is not live), in twice if they cover two or more
-            forced = used = lb = live = twice = 0
-            rest = uncovered
+            forced = 0
+            rest = touched & uncovered
             while rest:
                 low = rest & -rest
                 rest ^= low
                 allowed = sets[low.bit_length() - 1] & ~excluded
-                if allowed == 0:
-                    return
                 if allowed & (allowed - 1) == 0:
+                    if not allowed:
+                        return
                     forced |= allowed
-                if not allowed & used:
-                    lb += 1
-                    used |= allowed
-                twice |= live & allowed
-                live |= allowed
             if forced:
                 # a chosen candidate's constraints are covered, so none is forced
                 size += forced.bit_count()
@@ -243,35 +241,57 @@ def _min_group_cover(sets: list[int], covers: list[int], deadline) -> int:
                     low = forced & -forced
                     covered |= covers[low.bit_length() - 1]
                     forced ^= low
-                continue
-            if size + lb >= best_size:
+                uncovered = full & ~covered
+            if not uncovered:
+                if size < best_size:
+                    best_size, best_mask = size, chosen
                 return
-            drop = 0
-            rest = live & ~twice
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                j = (covers[low.bit_length() - 1] & uncovered).bit_length() - 1
-                if sets[j] & live & (twice | (low - 1)):
-                    drop |= low
-            if drop:
-                excluded |= drop
-                continue
-            # without a drop some live candidate covers two or more
+            # live only shrinks, so the last pass's live holds this pass's
             pick, pick_gain = -1, 1
-            rest = twice
+            rest = live & ~excluded
+            live = twice = 0
             while rest:
                 low = rest & -rest
                 rest ^= low
                 gain = (covers[low.bit_length() - 1] & uncovered).bit_count()
-                if gain > pick_gain:
-                    pick, pick_gain = low.bit_length() - 1, gain
-            search(chosen | 1 << pick, size + 1, excluded, covered | covers[pick])
+                if gain:
+                    live |= low
+                    if gain > 1:
+                        twice |= low
+                        if gain > pick_gain:
+                            pick, pick_gain = low.bit_length() - 1, gain
+            # uncovered constraints with pairwise disjoint candidates
+            if size + live.bit_count() // 2 >= best_size:
+                used = lb = 0
+                rest = uncovered
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    allowed = sets[low.bit_length() - 1] & live
+                    if not allowed & used:
+                        lb += 1
+                        used |= allowed
+                if size + lb >= best_size:
+                    return
+            touched = 0
+            rest = live & ~twice
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                one = covers[low.bit_length() - 1] & uncovered
+                if sets[one.bit_length() - 1] & live & (twice | (low - 1)):
+                    excluded |= low
+                    touched |= one
+            if touched:
+                continue
+            # without a drop some live candidate covers two or more
+            search(chosen | 1 << pick, size + 1, excluded, covered | covers[pick], live, 0)
             if size + 1 >= best_size:
                 return
             excluded |= 1 << pick
+            touched = covers[pick]
 
-    search(0, 0, 0, 0)
+    search(0, 0, 0, 0, (1 << len(covers)) - 1, full)
     return best_mask
 
 

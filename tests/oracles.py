@@ -11,6 +11,7 @@ from itertools import combinations
 
 from vertexvis.errors import DuplicateEdgeError, IdOutOfRangeError, SelfLoopError
 from vertexvis.graph import Graph, RootView
+from vertexvis.solvers import _greedy_group
 
 
 def bfs_dist(g: Graph, x: int) -> dict[int, int]:
@@ -162,3 +163,75 @@ def vv_all_roots(g: Graph):
 def live_root_views() -> int:
     """Number of RootView objects alive in this process."""
     return sum(isinstance(o, RootView) for o in gc.get_objects())
+
+
+def min_group_cover_reference(sets: list[int], covers: list[int]) -> int:
+    """The parent-cover kernel as it was before unit propagation looked only
+    at the constraints of new exclusions: every pass of a node rescans every
+    uncovered constraint for units, the lower bound and the live candidates.
+    The kernel must make the same decisions, so it returns the same mask."""
+    full = (1 << len(sets)) - 1
+    best_mask = _greedy_group(sets, covers)
+    best_size = best_mask.bit_count()
+
+    def search(chosen: int, size: int, excluded: int, covered: int):
+        nonlocal best_mask, best_size
+        while True:
+            uncovered = full & ~covered
+            if not uncovered:
+                if size < best_size:
+                    best_size, best_mask = size, chosen
+                return
+            forced = used = lb = live = twice = 0
+            rest = uncovered
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                allowed = sets[low.bit_length() - 1] & ~excluded
+                if allowed == 0:
+                    return
+                if allowed & (allowed - 1) == 0:
+                    forced |= allowed
+                if not allowed & used:
+                    lb += 1
+                    used |= allowed
+                twice |= live & allowed
+                live |= allowed
+            if forced:
+                size += forced.bit_count()
+                if size >= best_size:
+                    return
+                chosen |= forced
+                while forced:
+                    low = forced & -forced
+                    covered |= covers[low.bit_length() - 1]
+                    forced ^= low
+                continue
+            if size + lb >= best_size:
+                return
+            drop = 0
+            rest = live & ~twice
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                j = (covers[low.bit_length() - 1] & uncovered).bit_length() - 1
+                if sets[j] & live & (twice | (low - 1)):
+                    drop |= low
+            if drop:
+                excluded |= drop
+                continue
+            pick, pick_gain = -1, 1
+            rest = twice
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                gain = (covers[low.bit_length() - 1] & uncovered).bit_count()
+                if gain > pick_gain:
+                    pick, pick_gain = low.bit_length() - 1, gain
+            search(chosen | 1 << pick, size + 1, excluded, covered | covers[pick])
+            if size + 1 >= best_size:
+                return
+            excluded |= 1 << pick
+
+    search(0, 0, 0, 0)
+    return best_mask

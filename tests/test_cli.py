@@ -88,6 +88,17 @@ def test_verify_rejects_bad_set(tmp_path, capsys):
     assert "NOT" in stdout
 
 
+def test_set_file_rejections_name_path_and_line(tmp_path, capsys):
+    setfile = tmp_path / "set.txt"
+    for text, message in (("1\n12\n", "2: id 12 outside 1..9"),
+                          ("# ids\n0\n", "2: id 0 outside 1..9"),
+                          ("1\n\n1\n3\n", "3: repeated id 1"),
+                          ("2\n3 4\n", "2: expected one 1-based id per line")):
+        setfile.write_text(text)
+        code, out, err = run(capsys, "verify", "grid:3", "--root", "5", "--set", str(setfile))
+        assert (code, out, err) == (1, "", f"error: {setfile}:{message}\n"), text
+
+
 def test_table_rows(capsys):
     code, stdout, _ = run(
         capsys, "table", "torus", "--range", "4..8", "--exact-max", "5",
@@ -211,7 +222,7 @@ def test_timeout_must_be_finite_and_not_negative(seconds, capsys):
 
 
 def test_dense_spec_over_the_edge_cap_fails_fast(tmp_path, capsys):
-    for spec in ("complete:20000", "cocktail:10000", "kxk:141,141"):
+    for spec in ("complete:20000", "cocktail:10000", "kxk:141,141", "random:20000,0.5"):
         start = time.monotonic()
         code, out, err = run(capsys, "gen", spec, "-o", str(tmp_path / "big.gr"))
         assert time.monotonic() - start < 1.0, spec

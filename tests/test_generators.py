@@ -83,10 +83,17 @@ def test_family_vertex_counts_and_cap(monkeypatch):
 def test_dense_builders_refuse_before_building_edges(monkeypatch):
     monkeypatch.setattr(generators, "Graph", None)  # any edge list built would reach it
     for build, args in ((complete_graph, (MAX_FILE_VERTICES,)), (complete_graph, (1415,)),
-                        (cocktail_party, (708,)), (complete_product, (141, 141))):
+                        (cocktail_party, (708,)), (complete_product, (141, 141)),
+                        (random_connected_graph, (1415, 1.0, 0))):
         with pytest.raises(TooLargeError, match=f"above the limit of {MAX_DENSE_EDGES}"):
             build(*args)
     monkeypatch.undo()
+    # a G(n, p) sample is capped on its expected edge count, p n (n - 1) / 2
+    monkeypatch.setattr(generators, "MAX_DENSE_EDGES", 14)
+    assert random_connected_graph(8, 0.5, 0).n == 8
+    monkeypatch.setattr(generators, "MAX_DENSE_EDGES", 13)
+    with pytest.raises(TooLargeError, match="expects 14 edges, above the limit of 13"):
+        random_connected_graph(8, 0.5, 0)
     # the cap is on the exact edge count: a graph of exactly the cap is built
     for build, args, m in ((complete_graph, (7,), 21), (cocktail_party, (4,), 24),
                            (complete_product, (4, 3), 30)):

@@ -9,6 +9,7 @@ from itertools import combinations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vertexvis.generators import generate, np_gadget, parse_family_spec, random_connected_graph
 from vertexvis.graph import Graph, bfs_root_view
 from vertexvis.solvers import (
     _cover_groups,
@@ -18,6 +19,8 @@ from vertexvis.solvers import (
     vx_greedy,
 )
 from vertexvis.visibility import is_x_visibility_set
+
+from oracles import min_group_cover_reference
 
 
 @st.composite
@@ -85,6 +88,29 @@ def test_kernel_is_a_minimum_hitting_set(group):
     mask = _min_group_cover(sets, covers, None)
     assert all(s & mask for s in sets)
     assert mask.bit_count() == _min_hitting_set_size(sets, len(covers))
+    # the same search as the reference, so the same cover, not just its size
+    assert mask == min_group_cover_reference(sets, covers)
+
+
+def test_kernel_matches_the_reference_on_graph_groups():
+    # every root of three families (layer-1 ties, vertex-cover-like groups,
+    # interchangeable gadget copies), and the apex group of gadgets over
+    # seeded random bases, a vertex-cover group of one component
+    graphs = [generate(parse_family_spec(spec)) for spec in ("grid:8", "torus:6", "figure1:2")]
+    roots = [range(g.n) for g in graphs]
+    for seed in range(12):
+        n = 12 + seed % 9
+        red = np_gadget(random_connected_graph(n, (3 + seed % 4) / (n - 1), seed))
+        graphs.append(red.gprime)
+        roots.append([red.apex])
+    groups = 0
+    for g, xs in zip(graphs, roots):
+        for x in xs:
+            for _, sets, covers in _cover_groups(bfs_root_view(g, x)):
+                groups += 1
+                assert _min_group_cover(sets, covers, None) == \
+                    min_group_cover_reference(sets, covers), (g.n, x)
+    assert groups > 1000
 
 
 def _layers_with_several_groups(g: Graph) -> int:

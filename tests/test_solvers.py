@@ -219,6 +219,25 @@ def test_timeout_fires():
             vx_exact(g, x, time.monotonic() + 1e-7)
 
 
+def test_timeout_fires_before_the_group_search(monkeypatch):
+    # the root view outlives the deadline; the exact route checks it again
+    # before each group's search, not only every 256 search nodes, while
+    # vx_greedy stays unchecked
+    real = solvers.bfs_root_view
+
+    def late(g, x):
+        time.sleep(max(0.0, deadline - time.monotonic()) + 0.01)
+        return real(g, x)
+
+    monkeypatch.setattr(solvers, "bfs_root_view", late)
+    g = grid_graph(6)
+    deadline = time.monotonic() + 0.05
+    with pytest.raises(SolveTimeoutError, match="exact visibility solve"):
+        vx_exact(g, 0, deadline)
+    deadline = time.monotonic() + 0.05
+    assert vx_greedy(g, 0, deadline).value == vx_exact(g, 0).value
+
+
 def test_timeout_bounds_the_whole_root_loop():
     # every root alone finishes far inside the budget (about 2 ms of about
     # 0.35 s for all of them), and no root is skipped by symmetry; only a
