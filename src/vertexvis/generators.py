@@ -8,6 +8,7 @@ this means coordinate (row k, column l), 1-based, lands on id
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -52,6 +53,11 @@ __all__ = [
 # and largest expected edge count of a G(n, p) sample; more is refused up
 # front (complete:20000 would build 2e8 edge tuples)
 MAX_DENSE_EDGES = 1_000_000
+
+# a G(n, p) sample expecting this many isolated vertices or more is refused
+# before any draw: far below the connectivity threshold, 1000 tries would
+# all fail (random:200,0.001 expects 164 and took 2.2 s to say so)
+MAX_ISOLATED = 50
 
 
 def _check_dense(what: str, m: int) -> None:
@@ -300,13 +306,22 @@ def np_gadget(g: Graph) -> ReductionResult:
 def _sample_gnp(n: int, p: float, seed: int, accept, what: str) -> Graph:
     """Erdos-Renyi G(n, p), resampled until accept(graph) holds, at most
     1000 times.  Refused before any draw when the expected edge count
-    p n (n - 1) / 2 is above MAX_DENSE_EDGES."""
+    p n (n - 1) / 2 is above MAX_DENSE_EDGES, or when the expected number
+    of isolated vertices n (1 - p)^(n - 1) is MAX_ISOLATED or more: then a
+    sample without one has probability about e^-MAX_ISOLATED."""
     if not 0 < p <= 1:
         raise InvalidParameterError(f"edge probability must lie in (0, 1], got {p}")
     expected = p * n * (n - 1) / 2
     if expected > MAX_DENSE_EDGES:
         raise TooLargeError(
             f"G({n}, {p}) expects {expected:.0f} edges, above the limit of {MAX_DENSE_EDGES}"
+        )
+    isolated = n * (1 - p) ** (n - 1)
+    if isolated >= MAX_ISOLATED:
+        raise InvalidParameterError(
+            f"G({n}, {p}) expects {isolated:.0f} isolated vertices, so no {what} "
+            f"sample is likely; p must be near or above the connectivity "
+            f"threshold ln(n)/n = {math.log(n) / n:.4g}"
         )
     rng = random.Random(seed)
     for _ in range(1000):

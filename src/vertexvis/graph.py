@@ -2,15 +2,15 @@
 
 Vertices are integers 0..n-1 inside the library; graph files and the CLI use
 1-based ids.  A :class:`RootView` bundles everything BFS from one root can
-tell us: hop distances, distance layers, the eccentricity, and the DAG of
-shortest-path predecessors (``dag_in``).  Shortest-path trees rooted at x are
-exactly the ways of assigning each non-root vertex one parent out of its
-``dag_in`` list, which is why the solvers lean on this structure so heavily.
+tell us: hop distances, the BFS order, the eccentricity, and the DAG of
+shortest-path predecessors (``dag_in_mask``).  Shortest-path trees rooted at
+x are exactly the ways of assigning each non-root vertex one parent out of
+its ``dag_in_mask``, which is why the solvers lean on this structure so
+heavily.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from .errors import (
@@ -134,60 +134,68 @@ class RootView:
     """Everything BFS from one root tells us.
 
     dist[v] is the hop distance, -1 when v is unreachable.  ``order`` lists
-    reachable vertices by nondecreasing distance (root first), ``layers[d]``
-    the vertices at distance exactly d, and ``dag_in[v]`` the neighbors of v
-    one step closer to the root, i.e. the penultimate vertices of all
-    shortest root,v-paths.  ``dag_in_mask`` carries the same sets as bitmasks.
+    reachable vertices by nondecreasing distance (root first), so the
+    vertices at distance d are a slice of it.  ``dag_in_mask[v]`` is the
+    bitmask of the neighbors of v one step closer to the root, i.e. the
+    penultimate vertices of all shortest root,v-paths (0 for the root and
+    for unreachable vertices).  ``starts[d]`` is where layer d begins in
+    ``order``, and ``starts[ecc + 1]`` is ``len(order)``.
     """
 
     root: int
     dist: tuple[int, ...]
     ecc: int
     order: tuple[int, ...]
-    layers: tuple[tuple[int, ...], ...]
-    dag_in: tuple[tuple[int, ...], ...]
+    starts: tuple[int, ...]
     dag_in_mask: tuple[int, ...]
+
+    @property
+    def dag_in(self) -> tuple[tuple[int, ...], ...]:
+        """The sets of ``dag_in_mask`` as ascending tuples, built on each call."""
+        return tuple(tuple(sorted(mask_to_set(mask))) for mask in self.dag_in_mask)
 
 
 def bfs_root_view(g: Graph, x: int) -> RootView:
     """BFS artifact rooted at x.  The graph caches only the latest view:
     asking again for its root returns it, and any other root replaces it.
-    A caller needing several views at once keeps them itself."""
+    A caller needing several views at once keeps them itself.
+
+    After the discovery pass, one walk over ``order`` builds each layer's
+    mask and gives v the neighbors inside the layer above it, so no edge is
+    scanned twice."""
     g.check_vertex(x)
     cached = g._view
     if cached is not None and cached.root == x:
         return cached
     n = g.n
+    adj_mask = g.adj_mask
     dist = [-1] * n
     dist[x] = 0
     order = [x]
-    queue = deque([x])
-    while queue and len(order) < n:  # no scan once every vertex is reached
-        u = queue.popleft()
-        du = dist[u]
+    for u in order:  # order is the queue: it grows while it is walked
+        if len(order) == n:  # no scan once every vertex is reached
+            break
+        du = dist[u] + 1
         for w in g.adj[u]:
             if dist[w] < 0:
-                dist[w] = du + 1
+                dist[w] = du
                 order.append(w)
-                queue.append(w)
-    ecc = dist[order[-1]]
-    layers = [[] for _ in range(ecc + 1)]
-    dag_in = [[] for _ in range(n)]
     dag_in_mask = [0] * n
-    for v in order:
-        layers[dist[v]].append(v)
-        dv = dist[v]
-        for u in g.adj[v]:
-            if dist[u] == dv - 1:
-                dag_in[v].append(u)
-                dag_in_mask[v] |= 1 << u
+    starts = [0]
+    above = layer = d = 0
+    for i, v in enumerate(order):
+        if dist[v] != d:
+            above, layer, d = layer, 0, dist[v]
+            starts.append(i)
+        layer |= 1 << v
+        dag_in_mask[v] = adj_mask[v] & above
+    starts.append(len(order))
     view = RootView(
         root=x,
         dist=tuple(dist),
-        ecc=ecc,
+        ecc=d,
         order=tuple(order),
-        layers=tuple(tuple(layer) for layer in layers),
-        dag_in=tuple(tuple(p) for p in dag_in),
+        starts=tuple(starts),
         dag_in_mask=tuple(dag_in_mask),
     )
     g._view = view
@@ -241,23 +249,15 @@ def interval(g: Graph, x: int, y: int) -> frozenset[int]:
 def is_geodetic(g: Graph) -> bool:
     """True when every vertex pair is joined by exactly one shortest path.
 
-    Shortest-path counts per root saturate at 2; only unique-vs-multiple
-    matters here.
+    Every DAG parent of v starts at least one shortest path to v, so v has
+    exactly one shortest path from the root when ``dag_in_mask[v]`` has one
+    bit: one path to each vertex, by induction over the BFS order.
     """
     require_connected(g)
     for x in range(g.n):
         rv = bfs_root_view(g, x)
-        count = [0] * g.n
-        count[x] = 1
-        for v in rv.order[1:]:
-            c = 0
-            for u in rv.dag_in[v]:
-                c += count[u]
-                if c >= 2:
-                    break
-            count[v] = min(c, 2)
-            if count[v] > 1:
-                return False
+        if any(mask.bit_count() != 1 for v, mask in enumerate(rv.dag_in_mask) if v != x):
+            return False
     return True
 
 
@@ -326,11 +326,13 @@ def is_block_graph(g: Graph) -> bool:
 # vertex-set helpers (internal 0-based <-> external 1-based)
 
 def mask_to_set(mask: int) -> frozenset[int]:
+    """The set bits of mask, taken from the top, so each step works on a
+    shorter int."""
     out = []
     while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
+        top = mask.bit_length() - 1
+        out.append(top)
+        mask ^= 1 << top
     return frozenset(out)
 
 

@@ -10,25 +10,31 @@ such P can be realized, so
     vx(g, x) = n - min{ |P| : P hits every dag_in(v), v != x }.
 
 That minimum hitting set splits into independent groups: the root covers
-layer 1, every other dag_in(v) lies inside the layer above v, and
-union-find joins constraints that share a candidate.  Each group is solved
-on its own by branch and bound over bitmasks: take or exclude the candidate
-covering the most uncovered constraints, with unit propagation, a dominance
-rule, a disjoint-candidate-set lower bound, smallest-id tie-breaking, and
-the group's greedy cover (all that vx_greedy keeps) as incumbent.  On a
-vertex-cover group this is the take-a-vertex-or-its-neighbours rule.
+layer 1, every other dag_in(v) lies inside the layer above v, and the
+constraints of a layer that share a candidate are merged by their masks.
+A group whose constraints all share a candidate takes the smallest one.
+Every other group is solved on its own by branch and bound over bitmasks:
+take or exclude the candidate covering the most uncovered constraints,
+with unit propagation, a dominance rule, a disjoint-candidate-set lower
+bound, smallest-id tie-breaking, and the group's greedy cover (all that
+vx_greedy keeps) as incumbent.  On a vertex-cover group this is the
+take-a-vertex-or-its-neighbours rule.
 Every solver returns a certificate, never a bare number: a witness set that
 re-verifies through the visibility module, and a parent map realizing the
 matching shortest-path tree.
 
-The vertex visibility number solves one root per symmetry class.  An
+The vertex visibility number solves only the roots that can win.  An
 automorphism carries shortest paths to shortest paths, so it maps each root
 to a root of the same value.  Twins are joined at once; any other root x is
 joined to the smallest root r of its colour-refinement cell only through an
 automorphism sigma with sigma(r) = x that an individualization-refinement
 search with a node budget found and that maps every edge to an edge,
-checked edge by edge against adj_mask.  Every class minimum is solved, and
-the smallest root of maximum value is a class minimum, so the same
+checked edge by edge against adj_mask.  Each class minimum x then gets an
+upper bound from its BFS: n - 1 minus, per layer, a greedy packing of
+pairwise disjoint constraints.  Class minima are solved in descending
+bound, ties to the smaller id, until the bound falls below the best value,
+or meets it at a larger id.  The smallest root of maximum value is a class
+minimum whose bound is at least its value, so it is solved, and the same
 vx_exact call as in a loop over all roots gives the value, root, witness
 and tree.
 
@@ -43,8 +49,9 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import dataclass
-from functools import partial
+from functools import partial, reduce
 from itertools import combinations
+from operator import and_
 
 from .errors import (
     DisconnectedError,
@@ -137,41 +144,76 @@ def _require_solvable(g: Graph, min_n: int = 2) -> None:
 # minimum parent cover, one independent group of constraints at a time
 
 def _cover_groups(rv: RootView):
-    """Yield the independent groups of parent-cover constraints of rv, none
-    spanning two layers, as (cands, sets, covers): the group's candidate
-    ids ascending, each constraint (vertex-id order) as a bitmask over
-    positions in cands, and each candidate's constraints as a bitmask over
-    positions in sets."""
-    link: dict[int, int] = {}
+    """Yield the independent groups of parent-cover constraints of rv as
+    (cands, sets, covers): the group's candidate ids ascending, each
+    constraint (vertex-id order) as a bitmask over positions in cands, and
+    each candidate's constraints as a bitmask over positions in sets.
 
-    def find(a: int) -> int:
-        while link[a] != a:
-            link[a] = a = link[link[a]]
-        return a
+    The root covers layer 1.  Every later constraint, the dag_in_mask of a
+    vertex, lies inside the layer above it, so groups never span two
+    layers.  A layer's constraints, in vertex-id order, start a new group
+    when they meet no candidate seen so far, and otherwise merge the groups
+    they meet."""
+    masks, order, starts = rv.dag_in_mask, rv.order, rv.starts
+    for d in range(2, rv.ecc + 1):
+        groups: list[tuple[int, list[int]]] = []
+        seen = 0
+        for v in sorted(order[starts[d]:starts[d + 1]]):
+            union, members = masks[v], [v]
+            if union & seen:
+                apart = []
+                for group in groups:
+                    if group[0] & union:
+                        union |= group[0]
+                        members += group[1]
+                    else:
+                        apart.append(group)
+                groups = apart
+            seen |= union
+            groups.append((union, members))
+        for union, members in groups:
+            cands = sorted(mask_to_set(union))
+            pos = {p: i for i, p in enumerate(cands)}
+            sets = []
+            covers = [0] * len(cands)
+            for j, v in enumerate(sorted(members)):
+                mask = 0
+                rest = masks[v]
+                while rest:
+                    top = rest.bit_length() - 1
+                    rest ^= 1 << top
+                    i = pos[top]
+                    mask |= 1 << i
+                    covers[i] |= 1 << j
+                sets.append(mask)
+            yield cands, sets, covers
 
-    # the root covers layer 1
-    constraints = [preds for v, preds in enumerate(rv.dag_in) if rv.dist[v] >= 2]
-    for preds in constraints:
-        for p in preds:
-            link.setdefault(p, p)
-        head = find(preds[0])
-        for p in preds[1:]:
-            link[find(p)] = head
-    groups: dict[int, list] = {}
-    for preds in constraints:
-        groups.setdefault(find(preds[0]), []).append(preds)
-    for members in groups.values():
-        cands = sorted({p for preds in members for p in preds})
-        pos = {p: i for i, p in enumerate(cands)}
-        sets = []
-        covers = [0] * len(cands)
-        for j, preds in enumerate(members):
-            mask = 0
-            for p in preds:
-                mask |= 1 << pos[p]
-                covers[pos[p]] |= 1 << j
-            sets.append(mask)
-        yield cands, sets, covers
+
+def _shared_pick(sets: list[int]) -> int:
+    """The smallest candidate that every constraint of a group holds, as a
+    one-bit mask, or 0 when there is none.  Both _greedy_group and
+    _min_group_cover return it then: it has the largest gain, and no cover
+    is smaller than one candidate."""
+    common = reduce(and_, sets)
+    return common & -common
+
+
+def _root_bound(rv: RootView) -> int:
+    """An upper bound on the visibility number of rv.root: n - 1 minus, per
+    layer from 2 on, a greedy packing of pairwise disjoint constraints,
+    fewest candidates first, ties by vertex id.  Disjoint constraints need
+    distinct internal vertices; constraints of different groups are
+    disjoint, so the packing of a layer is the sum over its groups."""
+    masks, order, starts = rv.dag_in_mask, rv.order, rv.starts
+    packed = 0
+    for d in range(2, rv.ecc + 1):
+        used = 0
+        for _, _, mask in sorted([(masks[v].bit_count(), v, masks[v])
+                                  for v in order[starts[d]:starts[d + 1]]]):
+            if not mask & used:
+                used |= mask
+                packed += 1
+    return len(rv.dist) - 1 - packed
 
 
 def _greedy_group(sets: list[int], covers: list[int]) -> int:
@@ -303,7 +345,7 @@ def _solve_root(g: Graph, x: int, solve_group, method: str) -> SolveResult:
     rv = bfs_root_view(g, x)
     chosen = 1 << x
     for cands, sets, covers in _cover_groups(rv):
-        picked = solve_group(sets, covers)
+        picked = _shared_pick(sets) or solve_group(sets, covers)
         for i, p in enumerate(cands):
             if (picked >> i) & 1:
                 chosen |= 1 << p
@@ -314,7 +356,8 @@ def _solve_root(g: Graph, x: int, solve_group, method: str) -> SolveResult:
         p = (internal & -internal).bit_length() - 1
         tree[v] = p
         used |= 1 << p
-    leaves = frozenset(v for v in range(g.n) if v != x and not (used >> v) & 1)
+    # the root is the parent of layer 1, so it is in used
+    leaves = mask_to_set(((1 << g.n) - 1) ^ used)
     return SolveResult(value=len(leaves), root=x, witness=leaves, tree=tree, method=method)
 
 
@@ -374,23 +417,36 @@ def vv_exact(g: Graph, deadline: float | None = None) -> SolveResult:
     always does strictly better.  So is every root that an automorphism,
     checked edge by edge, maps onto a smaller root (see _root_classes): an
     automorphism carries shortest paths to shortest paths, so both roots
-    have the same value.  Each class minimum is solved, and the smallest
-    root of maximum value is the minimum of its class, so the answer is the
-    vx_exact result of the same root as over all roots: same value, root,
-    witness and tree.  The one deadline bounds the search and all roots;
-    the graph caches only the root view of the root being solved."""
+    have the same value.  Every class minimum x gets the upper bound
+    _root_bound(x) >= vx(g, x), and the class minima are solved in
+    descending bound, ties to the smaller id.  A root is skipped when its
+    bound is below the best value so far, or equal to it and the root is
+    larger than the best root; every later root is then skipped too.  The
+    smallest root of maximum value is a class minimum that no rule skips,
+    so the answer is the vx_exact result of the same root as over all
+    roots: same value, root, witness and tree.  The one deadline bounds the
+    symmetry search, the bound of each class minimum and every solve; the
+    graph caches only the root view of the root last asked for."""
     _require_solvable(g)
     if g.n == 2:
         roots = [0]
     else:
         roots = [v for v in range(g.n) if g.degree(v) > 1]
     rep = _root_classes(g, roots, deadline)
-    best = None
+    bounds = []
     for x in roots:
-        if rep[x] < x:
-            continue
+        if rep[x] == x:
+            _check_deadline(deadline, "vertex visibility solve")
+            bounds.append((-_root_bound(bfs_root_view(g, x)), x))
+    bounds.sort()
+    best = None
+    for neg_bound, x in bounds:
+        # no later root can win either: bounds only fall, and ids only rise
+        # among equal bounds
+        if best is not None and (-neg_bound, -x) < (best.value, -best.root):
+            break
         res = vx_exact(g, x, deadline)
-        if best is None or res.value > best.value:
+        if best is None or (res.value, -res.root) > (best.value, -best.root):
             best = res
     return best
 

@@ -160,6 +160,44 @@ def vv_all_roots(g: Graph):
     return best
 
 
+def cover_groups_reference(rv: RootView) -> list:
+    """The parent-cover groups of rv as they were built before the groups
+    came from masks: one union-find over the predecessor lists of every
+    vertex from layer 2 on.  Each group as _cover_groups yields it,
+    (cands, sets, covers), in the order of its smallest vertex."""
+    link: dict[int, int] = {}
+
+    def find(a: int) -> int:
+        while link[a] != a:
+            link[a] = a = link[link[a]]
+        return a
+
+    constraints = [preds for v, preds in enumerate(rv.dag_in) if rv.dist[v] >= 2]
+    for preds in constraints:
+        for p in preds:
+            link.setdefault(p, p)
+        head = find(preds[0])
+        for p in preds[1:]:
+            link[find(p)] = head
+    groups: dict[int, list] = {}
+    for preds in constraints:
+        groups.setdefault(find(preds[0]), []).append(preds)
+    out = []
+    for members in groups.values():
+        cands = sorted({p for preds in members for p in preds})
+        pos = {p: i for i, p in enumerate(cands)}
+        sets = []
+        covers = [0] * len(cands)
+        for j, preds in enumerate(members):
+            mask = 0
+            for p in preds:
+                mask |= 1 << pos[p]
+                covers[pos[p]] |= 1 << j
+            sets.append(mask)
+        out.append((cands, sets, covers))
+    return out
+
+
 def live_root_views() -> int:
     """Number of RootView objects alive in this process."""
     return sum(isinstance(o, RootView) for o in gc.get_objects())

@@ -3,6 +3,7 @@ import time
 
 import pytest
 
+from vertexvis import generators
 from vertexvis.cli import main
 from vertexvis.graph import parse_graph, read_graph_file
 from vertexvis.generators import generate, parse_family_spec
@@ -178,7 +179,7 @@ def test_error_exit_codes(tmp_path, capsys):
     # over a fixed exhaustive cap, and over the request's time budget
     for argv in (("mu", "grid:5"), ("vx", "grid:5", "--root", "1", "--method", "brute"),
                  ("maxleaf", "grid:6"),
-                 ("vv", "random:200,0.03", "--seed", "3", "--timeout", "0.05")):
+                 ("vv", "random:500,0.012", "--seed", "3", "--timeout", "0.05")):
         code, _, err = run(capsys, *argv)
         assert code == 1 and "error:" in err, argv
     code, _, err = run(capsys, "witness", "cycle:6")
@@ -228,6 +229,18 @@ def test_dense_spec_over_the_edge_cap_fails_fast(tmp_path, capsys):
         assert time.monotonic() - start < 1.0, spec
         assert code == 1 and out == "" and "above the limit of 1000000" in err, spec
     assert not (tmp_path / "big.gr").exists()
+
+
+def test_gnp_far_below_the_connectivity_threshold_fails_at_once(tmp_path, capsys, monkeypatch):
+    # 200 (1 - 0.001)^199 = 164 isolated vertices are expected, so every one
+    # of 1000 samples would fail; the spec is refused before the first draw
+    drawn = []
+    monkeypatch.setattr(generators.random, "Random", lambda seed: drawn.append(seed))
+    code, out, err = run(capsys, "gen", "random:200,0.001", "-o", str(tmp_path / "g.gr"))
+    assert (code, out, drawn) == (1, "", [])
+    assert err.startswith("error: G(200, 0.001) expects 164 isolated vertices")
+    assert "connectivity threshold ln(n)/n = 0.02649" in err
+    assert not (tmp_path / "g.gr").exists()
 
 
 def test_random_specs_seeded(capsys):

@@ -35,6 +35,7 @@ from vertexvis.graph import (
     is_block_graph,
     is_connected,
     is_geodetic,
+    mask_to_set,
     parse_graph,
     read_graph_file,
     to_external_ids,
@@ -127,13 +128,14 @@ def test_bfs_path_end():
     rv = bfs_root_view(path_graph(4), 0)
     assert rv.dist == (0, 1, 2, 3)
     assert rv.ecc == 3
-    assert rv.layers == ((0,), (1,), (2,), (3,))
+    assert rv.order == (0, 1, 2, 3)
+    assert rv.starts == (0, 1, 2, 3, 4)
 
 
 def test_bfs_cycle_antipode():
     rv = bfs_root_view(cycle_graph(6), 2)
     assert rv.ecc == 3
-    assert rv.layers[3] == (5,)
+    assert rv.order[rv.starts[3]:rv.starts[4]] == (5,)
 
 
 def test_bfs_grid_corner():
@@ -145,13 +147,19 @@ def test_root_view_invariants(small_graphs):
     for g in small_graphs:
         for x in range(g.n):
             rv = bfs_root_view(g, x)
-            assert sum(len(layer) for layer in rv.layers) == len(rv.order) == g.n
+            assert sorted(rv.order) == list(range(g.n))
+            assert len(rv.starts) == rv.ecc + 2 and rv.starts[-1] == g.n
+            for d in range(rv.ecc + 1):
+                layer = rv.order[rv.starts[d]:rv.starts[d + 1]]
+                assert layer and all(rv.dist[v] == d for v in layer)
             for v in range(g.n):
+                preds = mask_to_set(rv.dag_in_mask[v])
+                assert rv.dag_in[v] == tuple(sorted(preds))
                 if v == x:
-                    assert rv.dag_in[v] == ()
+                    assert not preds
                     continue
-                assert rv.dag_in[v]
-                for u in rv.dag_in[v]:
+                assert preds
+                for u in preds:
                     assert u in g.adj[v]
                     assert rv.dist[u] == rv.dist[v] - 1
 
@@ -165,7 +173,7 @@ def test_dag_in_is_exactly_penultimate_vertices(small_graphs):
             if y == x:
                 continue
             penultimate = {p[-2] for p in all_shortest_paths(g, x, y)}
-            assert set(rv.dag_in[y]) == penultimate
+            assert mask_to_set(rv.dag_in_mask[y]) == penultimate
 
 
 def test_interval_examples():

@@ -13,14 +13,16 @@ from vertexvis.generators import generate, np_gadget, parse_family_spec, random_
 from vertexvis.graph import Graph, bfs_root_view
 from vertexvis.solvers import (
     _cover_groups,
+    _greedy_group,
     _min_group_cover,
+    _shared_pick,
     vx_brute,
     vx_exact,
     vx_greedy,
 )
 from vertexvis.visibility import is_x_visibility_set
 
-from oracles import min_group_cover_reference
+from oracles import cover_groups_reference, min_group_cover_reference
 
 
 @st.composite
@@ -103,13 +105,35 @@ def test_kernel_matches_the_reference_on_graph_groups():
         red = np_gadget(random_connected_graph(n, (3 + seed % 4) / (n - 1), seed))
         graphs.append(red.gprime)
         roots.append([red.apex])
-    groups = 0
+    groups = shared = 0
     for g, xs in zip(graphs, roots):
         for x in xs:
             for _, sets, covers in _cover_groups(bfs_root_view(g, x)):
                 groups += 1
-                assert _min_group_cover(sets, covers, None) == \
-                    min_group_cover_reference(sets, covers), (g.n, x)
+                mask = _min_group_cover(sets, covers, None)
+                assert mask == min_group_cover_reference(sets, covers), (g.n, x)
+                # a group whose constraints share a candidate is resolved
+                # without greedy or search, to the mask both would return
+                if _shared_pick(sets):
+                    shared += 1
+                    assert _shared_pick(sets) == mask == _greedy_group(sets, covers), (g.n, x)
+    assert groups > 1000 and shared > 100
+
+
+def test_groups_match_the_union_find_reference():
+    # the groups built from per-layer masks are the groups that one
+    # union-find over the predecessor lists builds, with the same
+    # candidate order and the same constraint order inside each
+    graphs = [generate(parse_family_spec(spec), 1) for spec in
+              ("grid:7", "torus:6", "figure1:2", "rtree:80", "rblock:80", "random:60,0.1")]
+    graphs.append(np_gadget(random_connected_graph(14, 0.4, 2)).gprime)
+    groups = 0
+    for g in graphs:
+        for x in range(g.n):
+            rv = bfs_root_view(g, x)
+            got = sorted(_cover_groups(rv))
+            assert got == sorted(cover_groups_reference(rv)), (g.n, x)
+            groups += len(got)
     assert groups > 1000
 
 

@@ -14,12 +14,13 @@ from vertexvis.generators import (
     parse_family_spec,
     random_connected_graph,
 )
-from vertexvis.graph import Graph
+from vertexvis.graph import Graph, bfs_root_view
 from vertexvis.solvers import (
     SEARCH_NODES,
     _automorphism,
     _is_automorphism,
     _refine,
+    _root_bound,
     _root_classes,
     vv_exact,
     vx_brute,
@@ -109,6 +110,46 @@ def test_random_graphs_match_all_roots():
         assert_same_as_all_roots(spec_graph("rtree:120", seed))
         assert_same_as_all_roots(spec_graph("rblock:120", seed))
         assert_same_as_all_roots(random_connected_graph(60, 0.08, seed))
+
+
+def complete_bipartite(a: int, b: int) -> Graph:
+    return Graph(a + b, [(i, a + j) for i in range(a) for j in range(b)])
+
+
+# graphs without symmetry, where only the bound prunes roots, and graphs
+# whose roots tie in value
+PRUNED = {
+    **{f"random:{n},{p}#{seed}": random_connected_graph(n, p, seed)
+       for n, p in ((30, 0.2), (50, 0.1), (80, 0.05), (120, 0.04), (40, 0.3))
+       for seed in (1, 2)},
+    **{f"rtree:{n}#{n}": spec_graph(f"rtree:{n}", n) for n in (60, 200)},
+    **{f"rblock:{n}#{n}": spec_graph(f"rblock:{n}", n) for n in (60, 200)},
+    "path:9": spec_graph("path:9"),
+    "cycle:10": spec_graph("cycle:10"),
+    "cycle:11": spec_graph("cycle:11"),
+    "K2,5": complete_bipartite(2, 5),
+    "K3,3": complete_bipartite(3, 3),
+    "K4,6": complete_bipartite(4, 6),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRUNED))
+def test_bound_pruned_vv_matches_all_roots(name):
+    assert_same_as_all_roots(PRUNED[name])
+
+
+@pytest.mark.parametrize("name", sorted(PRUNED) + ["grid:6", "torus:5", "figure1:2"])
+def test_root_bound_is_at_least_the_value(name):
+    g = PRUNED[name] if name in PRUNED else spec_graph(name)
+    sharp = 0
+    for x in range(g.n):
+        bound, value = _root_bound(bfs_root_view(g, x)), vx_exact(g, x).value
+        assert bound >= value, x
+        sharp += bound == value
+        # on a tree every constraint is one candidate: the packing is exact
+        if g.m == g.n - 1:
+            assert bound == value, x
+    assert sharp > 0
 
 
 def test_search_returns_only_automorphisms():

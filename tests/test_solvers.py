@@ -239,15 +239,40 @@ def test_timeout_fires_before_the_group_search(monkeypatch):
 
 
 def test_timeout_bounds_the_whole_root_loop():
-    # every root alone finishes far inside the budget (about 2 ms of about
-    # 0.35 s for all of them), and no root is skipped by symmetry; only a
-    # deadline shared by the whole vv request can fire
-    g = generate(parse_family_spec("random:200,0.03"), 3)
+    # every root alone finishes far inside the budget (at most 6 ms, and
+    # about 0.3 s for the bounds of all roots and the few solves), and no
+    # root is skipped by symmetry; only a deadline shared by the whole vv
+    # request can fire
+    g = generate(parse_family_spec("random:500,0.012"), 3)
     roots = [v for v in range(g.n) if g.degree(v) > 1]
     rep = solvers._root_classes(g, roots, None)
     assert all(rep[x] == x for x in roots)
     with pytest.raises(SolveTimeoutError):
         vv_exact(g, time.monotonic() + 0.05)
+
+
+def test_timeout_fires_inside_the_bound_pass(monkeypatch):
+    # the first root view of the bound pass outlives the request's deadline;
+    # the pass checks it again before the next class minimum's view, before
+    # any root is solved
+    g = random_connected_graph(40, 0.15, 1)
+    roots = [v for v in range(g.n) if g.degree(v) > 1]
+    rep = solvers._root_classes(g, roots, None)
+    assert all(rep[x] == x for x in roots)
+    deadline = time.monotonic() + 0.5
+    real = solvers.bfs_root_view
+    viewed, solved = [], []
+
+    def late(g, x):
+        viewed.append(x)
+        time.sleep(max(0.0, deadline - time.monotonic()) + 0.01)
+        return real(g, x)
+
+    monkeypatch.setattr(solvers, "bfs_root_view", late)
+    monkeypatch.setattr(solvers, "vx_exact", lambda g, x, deadline: solved.append(x))
+    with pytest.raises(SolveTimeoutError, match="vertex visibility solve"):
+        vv_exact(g, deadline)
+    assert viewed == roots[:1] and not solved
 
 
 def test_timeout_fires_inside_the_symmetry_search(monkeypatch):
