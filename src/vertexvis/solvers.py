@@ -12,12 +12,12 @@ such P can be realized, so
 That minimum hitting set splits into independent groups: the root covers
 layer 1, every other dag_in(v) lies inside the layer above v, and the
 constraints of a layer that share a candidate are merged by their masks.
-A group whose constraints all share a candidate takes the smallest one.
-Every other group is solved on its own by branch and bound over bitmasks:
-take or exclude the candidate covering the most uncovered constraints,
-with unit propagation, a dominance rule, a disjoint-candidate-set lower
-bound, smallest-id tie-breaking, and the group's greedy cover (all that
-vx_greedy keeps) as incumbent.  On a vertex-cover group this is the
+Each group is solved on its own from its greedy cover (all that vx_greedy
+keeps).  A greedy cover of one candidate is a smallest cover; any other is
+the incumbent of a branch and bound over bitmasks: take or exclude the
+candidate covering the most uncovered constraints, with unit propagation,
+a dominance rule, a disjoint-candidate-set lower bound and smallest-id
+tie-breaking.  On a vertex-cover group this is the
 take-a-vertex-or-its-neighbours rule.
 Every solver returns a certificate, never a bare number: a witness set that
 re-verifies through the visibility module, and a parent map realizing the
@@ -49,9 +49,8 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import dataclass
-from functools import partial, reduce
+from functools import partial
 from itertools import combinations
-from operator import and_
 
 from .errors import (
     DisconnectedError,
@@ -189,15 +188,6 @@ def _cover_groups(rv: RootView):
             yield cands, sets, covers
 
 
-def _shared_pick(sets: list[int]) -> int:
-    """The smallest candidate that every constraint of a group holds, as a
-    one-bit mask, or 0 when there is none.  Both _greedy_group and
-    _min_group_cover return it then: it has the largest gain, and no cover
-    is smaller than one candidate."""
-    common = reduce(and_, sets)
-    return common & -common
-
-
 def _root_bound(rv: RootView) -> int:
     """An upper bound on the visibility number of rv.root: n - 1 minus, per
     layer from 2 on, a greedy packing of pairwise disjoint constraints,
@@ -235,7 +225,9 @@ def _greedy_group(sets: list[int], covers: list[int]) -> int:
 
 def _min_group_cover(sets: list[int], covers: list[int], deadline) -> int:
     """Smallest cover of one group, as a mask over its candidates, from the
-    greedy cover as incumbent.  A node propagates units, bounds by the
+    greedy cover as incumbent.  A greedy cover of one candidate, the
+    smallest one every constraint holds, is returned without a search: no
+    cover is smaller.  A node propagates units, bounds by the
     constraints with disjoint candidates, and drops each candidate covering
     one uncovered constraint j when another candidate of j covers two or
     more, or only j with a smaller id (swapping keeps the cover's size).
@@ -254,6 +246,8 @@ def _min_group_cover(sets: list[int], covers: list[int], deadline) -> int:
     full = (1 << len(sets)) - 1
     best_mask = _greedy_group(sets, covers)
     best_size = best_mask.bit_count()
+    if best_size == 1:
+        return best_mask
     node_budget = 0
 
     def search(chosen: int, size: int, excluded: int, covered: int, live: int, touched: int):
@@ -345,7 +339,7 @@ def _solve_root(g: Graph, x: int, solve_group, method: str) -> SolveResult:
     rv = bfs_root_view(g, x)
     chosen = 1 << x
     for cands, sets, covers in _cover_groups(rv):
-        picked = _shared_pick(sets) or solve_group(sets, covers)
+        picked = solve_group(sets, covers)
         for i, p in enumerate(cands):
             if (picked >> i) & 1:
                 chosen |= 1 << p

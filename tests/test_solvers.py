@@ -230,25 +230,47 @@ def test_timeout_fires_before_the_group_search(monkeypatch):
         return real(g, x)
 
     monkeypatch.setattr(solvers, "bfs_root_view", late)
-    g = grid_graph(6)
-    deadline = time.monotonic() + 0.05
-    with pytest.raises(SolveTimeoutError, match="exact visibility solve"):
-        vx_exact(g, 0, deadline)
-    deadline = time.monotonic() + 0.05
-    assert vx_greedy(g, 0, deadline).value == vx_exact(g, 0).value
+    # a grid, and a tree, whose every group's constraints share a candidate
+    for g in (grid_graph(6), generate(parse_family_spec("rtree:60"), 1)):
+        deadline = time.monotonic() + 0.05
+        with pytest.raises(SolveTimeoutError, match="exact visibility solve"):
+            vx_exact(g, 0, deadline)
+        deadline = time.monotonic() + 0.05
+        assert vx_greedy(g, 0, deadline).value == vx_exact(g, 0).value
 
 
 def test_timeout_bounds_the_whole_root_loop():
-    # every root alone finishes far inside the budget (at most 6 ms, and
-    # about 0.3 s for the bounds of all roots and the few solves), and no
+    # every root alone finishes far inside the budget (at most 6 ms), and no
     # root is skipped by symmetry; only a deadline shared by the whole vv
-    # request can fire
+    # request can fire.  The bounds of all roots take about 0.3 s, so it
+    # fires in the bound pass; test_timeout_reaches_the_solve_loop
+    # covers the solves
     g = generate(parse_family_spec("random:500,0.012"), 3)
     roots = [v for v in range(g.n) if g.degree(v) > 1]
     rep = solvers._root_classes(g, roots, None)
     assert all(rep[x] == x for x in roots)
     with pytest.raises(SolveTimeoutError):
         vv_exact(g, time.monotonic() + 0.05)
+
+
+def test_timeout_reaches_the_solve_loop(monkeypatch):
+    # the bound pass runs as it is; the first group search of the first
+    # solved root outlives the deadline, and it was handed the request's
+    # deadline itself, not None or one set again per root
+    g = generate(parse_family_spec("rtree:80"), 1)
+    deadline = time.monotonic() + 0.3
+    real = solvers._min_group_cover
+    seen = []
+
+    def late(sets, covers, deadline):
+        seen.append(deadline)
+        time.sleep(max(0.0, deadline - time.monotonic()) + 0.01)
+        return real(sets, covers, deadline)
+
+    monkeypatch.setattr(solvers, "_min_group_cover", late)
+    with pytest.raises(SolveTimeoutError, match="exact visibility solve"):
+        vv_exact(g, deadline)
+    assert seen == [deadline]
 
 
 def test_timeout_fires_inside_the_bound_pass(monkeypatch):
