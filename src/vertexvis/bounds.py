@@ -23,7 +23,7 @@ from .errors import (
     UnsupportedFamilyError,
 )
 from .generators import FamilySpec
-from .graph import Graph, bfs_root_view, is_block_graph, require_connected
+from .graph import Graph, bfs_distances, is_block_graph, require_connected
 from .solvers import mu_brute, vv_exact, vx_exact
 from .visibility import (
     has_spanning_double_star,
@@ -173,7 +173,8 @@ def bounds_report(
     )
     if x is not None:
         g.check_vertex(x)
-        rv = bfs_root_view(g, x)
+        dist, order = bfs_distances(g, x)
+        ecc = dist[order[-1]]
         md = maximally_distant(g, x)
         stress = stress_vertices(g, x)
         entries.append(
@@ -201,7 +202,7 @@ def bounds_report(
             BoundEntry(
                 "eccentricity_lower",
                 "lower",
-                math.ceil((n - 1) / rv.ecc),
+                math.ceil((n - 1) / ecc),
                 True,
                 "a largest distance layer is a visibility set from the root",
                 "vx",
@@ -211,7 +212,7 @@ def bounds_report(
             BoundEntry(
                 "eccentricity_upper",
                 "upper",
-                n - rv.ecc,
+                n - ecc,
                 True,
                 "a geodesic to an eccentric vertex meets a visibility set at "
                 "most once",

@@ -224,14 +224,15 @@ def _cmd_witness(args) -> int:
     spec = parse_family_spec(args.spec)
     w = witness_for(spec.family, spec.args[0])
     row, col = w.root_coords()
+    notes = closed_form_notes(spec)
     _emit(
         args,
-        w.to_json_dict(),
+        {**w.to_json_dict(), "notes": list(notes)},
         [
             f"{spec}: witness of size {w.claimed_size} at root "
             f"({row},{col}) id {w.root + 1}; verified",
             f"set: {to_external_ids(w.members)}",
-        ],
+        ] + [f"note: {note}" for note in notes],
     )
     return 0
 

@@ -49,9 +49,9 @@ __all__ = [
     "random_block_graph",
 ]
 
-# largest edge list complete, cocktail and kxk build before Graph() sees it,
-# and largest expected edge count of a G(n, p) sample; more is refused up
-# front (complete:20000 would build 2e8 edge tuples)
+# largest edge list complete, cocktail, kxk and np_gadget build before
+# Graph() sees it, and largest expected edge count of a G(n, p) sample; more
+# is refused up front (complete:20000 would build 2e8 edge tuples)
 MAX_DENSE_EDGES = 1_000_000
 
 # a G(n, p) sample expecting this many isolated vertices or more is refused
@@ -272,12 +272,15 @@ def np_gadget(g: Graph) -> ReductionResult:
     to exactly the two endpoints of its edge.  Original edges are kept.
 
     The apex-visibility number of the result equals m(g) plus the maximum
-    independent set size of g.  Rejects graphs with isolated vertices.
+    independent set size of g.  Rejects graphs with isolated vertices, and
+    gadgets over MAX_DENSE_EDGES edges before any edge is built.
     """
     for v in range(g.n):
         if not g.adj[v]:
             raise IsolatedVertexError(f"vertex {v} is isolated")
-    n = g.n
+    n, m = g.n, g.m
+    _check_dense(f"visibility gadget of a graph with {m} edges",
+                 m + n + 2 * m + m * (m - 1) // 2)
     apex = n
     original_edges = list(g.edges())
     edges = list(original_edges)

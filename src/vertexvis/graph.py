@@ -1,8 +1,9 @@
 """Immutable simple graphs and the BFS distance machinery everything else consumes.
 
 Vertices are integers 0..n-1 inside the library; graph files and the CLI use
-1-based ids.  A :class:`RootView` bundles everything BFS from one root can
-tell us: hop distances, the BFS order, the eccentricity, and the DAG of
+1-based ids.  :func:`bfs_distances` is the one BFS discovery loop: hop
+distances and the BFS order from one root.  A :class:`RootView` bundles
+everything that BFS can tell us: those, the eccentricity, and the DAG of
 shortest-path predecessors (``dag_in_mask``).  Shortest-path trees rooted at
 x are exactly the ways of assigning each non-root vertex one parent out of
 its ``dag_in_mask``, which is why the solvers lean on this structure so
@@ -26,6 +27,7 @@ from .errors import (
 __all__ = [
     "Graph",
     "RootView",
+    "bfs_distances",
     "bfs_root_view",
     "interval",
     "is_connected",
@@ -155,20 +157,13 @@ class RootView:
         return tuple(tuple(sorted(mask_to_set(mask))) for mask in self.dag_in_mask)
 
 
-def bfs_root_view(g: Graph, x: int) -> RootView:
-    """BFS artifact rooted at x.  The graph caches only the latest view:
-    asking again for its root returns it, and any other root replaces it.
-    A caller needing several views at once keeps them itself.
-
-    After the discovery pass, one walk over ``order`` builds each layer's
-    mask and gives v the neighbors inside the layer above it, so no edge is
-    scanned twice."""
+def bfs_distances(g: Graph, x: int) -> tuple[list[int], list[int]]:
+    """(dist, order) of a BFS from x: dist[v] is the hop distance, -1 when v
+    is unreachable, and order lists the reachable vertices by nondecreasing
+    distance, x first, each after a neighbor one step closer.  The package's
+    one discovery loop; nothing is cached."""
     g.check_vertex(x)
-    cached = g._view
-    if cached is not None and cached.root == x:
-        return cached
     n = g.n
-    adj_mask = g.adj_mask
     dist = [-1] * n
     dist[x] = 0
     order = [x]
@@ -180,7 +175,24 @@ def bfs_root_view(g: Graph, x: int) -> RootView:
             if dist[w] < 0:
                 dist[w] = du
                 order.append(w)
-    dag_in_mask = [0] * n
+    return dist, order
+
+
+def bfs_root_view(g: Graph, x: int) -> RootView:
+    """BFS artifact rooted at x.  The graph caches only the latest view:
+    asking again for its root returns it, and any other root replaces it.
+    A caller needing several views at once keeps them itself; one needing
+    only distances calls bfs_distances.
+
+    After bfs_distances, one walk over ``order`` builds each layer's mask
+    and gives v the neighbors inside the layer above it, so no edge is
+    scanned twice."""
+    cached = g._view
+    if cached is not None and cached.root == x:
+        return cached
+    dist, order = bfs_distances(g, x)
+    adj_mask = g.adj_mask
+    dag_in_mask = [0] * g.n
     starts = [0]
     above = layer = d = 0
     for i, v in enumerate(order):
@@ -203,22 +215,11 @@ def bfs_root_view(g: Graph, x: int) -> RootView:
 
 
 def is_connected(g: Graph) -> bool:
-    """Whether every vertex is reachable from vertex 0.
-
-    Expands a frontier bitmask over ``adj_mask``; no root view is built.
-    """
+    """Whether every vertex is reachable from vertex 0: whether the BFS
+    order from 0 holds all n vertices.  The answer is cached on the graph;
+    no root view is built."""
     if g._connected is None:
-        adj_mask = g.adj_mask
-        seen = frontier = 1
-        while frontier:
-            reached = 0
-            while frontier:
-                low = frontier & -frontier
-                reached |= adj_mask[low.bit_length() - 1]
-                frontier ^= low
-            frontier = reached & ~seen
-            seen |= frontier
-        g._connected = seen == (1 << g.n) - 1
+        g._connected = len(bfs_distances(g, 0)[1]) == g.n
     return g._connected
 
 
@@ -238,8 +239,8 @@ def interval(g: Graph, x: int, y: int) -> frozenset[int]:
     if x == y:
         raise InvalidParameterError("interval endpoints must differ")
     require_connected(g)
-    dx = bfs_root_view(g, x).dist
-    dy = bfs_root_view(g, y).dist
+    dx = bfs_distances(g, x)[0]
+    dy = bfs_distances(g, y)[0]
     d = dx[y]
     return frozenset(
         v for v in range(g.n) if v != x and v != y and dx[v] + dy[v] == d

@@ -47,7 +47,6 @@ quantities add up to n.
 from __future__ import annotations
 
 import time
-from collections import deque
 from dataclasses import dataclass
 from functools import partial
 from itertools import combinations
@@ -58,7 +57,7 @@ from .errors import (
     SolveTimeoutError,
     TooLargeError,
 )
-from .graph import Graph, RootView, bfs_root_view, is_connected, mask_to_set
+from .graph import Graph, RootView, bfs_distances, bfs_root_view, is_connected, mask_to_set
 from .visibility import _members_all_visible, _pairwise_visible
 
 __all__ = [
@@ -523,24 +522,6 @@ def _refine(g: Graph, colourings: list[list[int]], deadline) -> list[list[int]] 
         size = len(table)
 
 
-def _distances(g: Graph, x: int) -> list[int]:
-    """Hop distances from x in a connected graph; no root view is cached."""
-    dist = [-1] * g.n
-    dist[x] = 0
-    frontier = [x]
-    d = 0
-    while frontier:
-        d += 1
-        reached = []
-        for u in frontier:
-            for w in g.adj[u]:
-                if dist[w] < 0:
-                    dist[w] = d
-                    reached.append(w)
-        frontier = reached
-    return dist
-
-
 def _individualize(ca: list[int], cb: list[int], da: list[int], db: list[int]):
     """Both colourings split by the distances from their individualized
     vertex, under one table; None when the colour counts differ."""
@@ -611,8 +592,7 @@ def _automorphism(g: Graph, cells: list[int], r: int, x: int, budget: int, deadl
     first, then to the other members in ascending order.  A map is returned
     only once _is_automorphism holds."""
     nodes = 0
-    dr = _distances(g, r)
-    order = sorted(range(g.n), key=dr.__getitem__)
+    dr, order = bfs_distances(g, r)
 
     def search(ca: list[int], cb: list[int]) -> list[int] | None:
         nonlocal nodes
@@ -641,18 +621,18 @@ def _automorphism(g: Graph, cells: list[int], r: int, x: int, budget: int, deadl
         if cb[v] == colour:
             targets.remove(v)
             targets.insert(0, v)
-        dv = _distances(g, v)
+        dv = bfs_distances(g, v)[0]
         for t in targets:
             if nodes >= budget:
                 return None
-            split = _individualize(ca, cb, dv, _distances(g, t))
+            split = _individualize(ca, cb, dv, bfs_distances(g, t)[0])
             if split is not None:
                 sigma = search(*split)
                 if sigma is not None:
                     return sigma
         return None
 
-    seeded = _individualize(cells, cells, dr, _distances(g, x))
+    seeded = _individualize(cells, cells, dr, bfs_distances(g, x)[0])
     return (None if seeded is None else search(*seeded)), nodes
 
 
@@ -791,25 +771,18 @@ def max_leaf_spanning_tree(g: Graph, deadline: float | None = None) -> MaxLeafRe
     if g.n > MCDS_CAP:
         raise TooLargeError(f"exact max-leaf capped at n={MCDS_CAP}")
     cds = _min_cds(g, deadline)
-    members = sorted(mask_to_set(cds))
-    root = members[0]
-    # spanning tree of the induced connected dominator set, then every
-    # remaining vertex hangs off its smallest dominator
-    tree: dict[int, int] = {}
-    seen = {root}
-    queue = deque([root])
-    while queue:
-        u = queue.popleft()
-        for w in g.adj[u]:
-            if (cds >> w) & 1 and w not in seen:
-                seen.add(w)
-                tree[w] = u
-                queue.append(w)
+    root = (cds & -cds).bit_length() - 1
+    # a BFS tree of the induced connected dominating set, each member under
+    # the one that discovered it (its first neighbour in BFS order), then
+    # every other vertex hangs off its smallest dominator
+    inside = Graph(g.n, [(u, w) for u, w in g.edges() if (cds >> u) & (cds >> w) & 1])
+    order = bfs_distances(inside, root)[1]
+    rank = {v: i for i, v in enumerate(order)}
+    tree = {w: min(inside.adj[w], key=rank.__getitem__) for w in order[1:]}
     for v in range(g.n):
-        if (cds >> v) & 1 or v == root:
-            continue
-        dom = g.adj_mask[v] & cds
-        tree[v] = (dom & -dom).bit_length() - 1
+        if not (cds >> v) & 1:
+            dom = g.adj_mask[v] & cds
+            tree[v] = (dom & -dom).bit_length() - 1
     internal = {root} | set(tree.values())
     leaves = frozenset(v for v in range(g.n) if v not in internal)
     return MaxLeafResult(

@@ -23,6 +23,7 @@ from .errors import InvalidParameterError
 from .graph import (
     Graph,
     RootView,
+    bfs_distances,
     bfs_root_view,
     mask_to_set,
     require_connected,
@@ -135,7 +136,7 @@ def maximally_distant(g: Graph, x: int) -> frozenset[int]:
     """All vertices with no neighbor farther from x than themselves."""
     g.check_vertex(x)
     require_connected(g)
-    dist = bfs_root_view(g, x).dist
+    dist = bfs_distances(g, x)[0]
     out = []
     for y in range(g.n):
         dy = dist[y]

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from .bounds import closed_form
 from .errors import InvalidParameterError, InvalidRegionError, WitnessRejectedError
 from .generators import FamilySpec, grid_graph, prism_graph, torus_graph
-from .graph import Graph, bfs_root_view
+from .graph import Graph, bfs_distances
 from .visibility import is_x_visibility_set
 
 __all__ = [
@@ -75,7 +75,7 @@ def quadrant_diagonals(g: Graph, n: int, x: int, quadrant: int) -> list[list[int
     if quadrant not in (1, 2, 3, 4):
         raise InvalidRegionError(f"quadrant must be 1..4, got {quadrant}")
     xr, xc = x // n + 1, x % n + 1
-    dist = bfs_root_view(g, x).dist
+    dist = bfs_distances(g, x)[0]
     groups: dict[int, list[int]] = {}
     for k in range(1, n + 1):
         if (quadrant in (1, 2)) != (k < xr):

@@ -4,6 +4,7 @@ import time
 import pytest
 
 from vertexvis import generators
+from vertexvis.bounds import TORUS_EVEN_NOTE
 from vertexvis.cli import main
 from vertexvis.graph import parse_graph, read_graph_file
 from vertexvis.generators import generate, parse_family_spec
@@ -146,6 +147,21 @@ def test_witness_command(capsys):
     )
 
 
+def test_witness_carries_the_closed_form_notes(capsys):
+    # the even torus's tabulated value is below the exact one (35 at n=8)
+    code, stdout, _ = run(capsys, "witness", "torus:8", "--format", "json")
+    assert code == 0
+    payload = json.loads(stdout)
+    assert payload["claimed_size"] == 33 and payload["notes"] == [TORUS_EVEN_NOTE]
+    code, stdout, _ = run(capsys, "witness", "torus:8")
+    assert code == 0 and f"note: {TORUS_EVEN_NOTE}" in stdout.splitlines()
+    for spec in ("torus:7", "grid:6"):
+        code, stdout, _ = run(capsys, "witness", spec, "--format", "json")
+        assert code == 0 and json.loads(stdout)["notes"] == []
+        code, stdout, _ = run(capsys, "witness", spec)
+        assert code == 0 and "note:" not in stdout
+
+
 def test_maxleaf_and_mu(capsys):
     code, stdout, _ = run(capsys, "maxleaf", "figure1:1", "--format", "json")
     assert code == 0
@@ -192,6 +208,10 @@ def test_error_exit_codes(tmp_path, capsys):
     code, _, err = run(capsys, "gen", "path:20001", "-o", str(tmp_path / "big.gr"))
     assert code == 1 and err.startswith("error: ") and "above the limit" in err
     assert not (tmp_path / "big.gr").exists()
+    # a gadget whose edge-vertex clique is over the edge cap
+    code, _, err = run(capsys, "reduce", "grid:60", "-o", str(tmp_path / "gadget.gr"))
+    assert code == 1 and err.startswith("error: ") and "above the limit" in err
+    assert not (tmp_path / "gadget.gr").exists()
     for spec in ("random:abc,0.3", "rtree:x", "rblock:2.5", "random:8,zz", "random:5,7",
                  "random:5,inf"):
         code, _, err = run(capsys, "gen", spec)
@@ -229,6 +249,10 @@ def test_dense_spec_over_the_edge_cap_fails_fast(tmp_path, capsys):
         assert time.monotonic() - start < 1.0, spec
         assert code == 1 and out == "" and "above the limit of 1000000" in err, spec
     assert not (tmp_path / "big.gr").exists()
+    # a gadget whose edge-vertex clique is over the edge cap
+    code, _, err = run(capsys, "reduce", "grid:60", "-o", str(tmp_path / "gadget.gr"))
+    assert code == 1 and err.startswith("error: ") and "above the limit" in err
+    assert not (tmp_path / "gadget.gr").exists()
 
 
 def test_gnp_far_below_the_connectivity_threshold_fails_at_once(tmp_path, capsys, monkeypatch):

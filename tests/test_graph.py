@@ -1,6 +1,7 @@
 import random
 import re
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,6 +29,7 @@ from vertexvis.graph import (
     MAX_FILE_VERTICES,
     Graph,
     _parse_lines,
+    bfs_distances,
     bfs_root_view,
     format_graph,
     from_external_ids,
@@ -231,6 +233,29 @@ def test_is_connected_matches_bfs_and_builds_no_root_view():
     assert min(outcomes.values()) >= 50, outcomes
 
 
+def test_bfs_distances_match_networkx():
+    # seeded G(n, p) graphs, n = 1 and disconnected ones included
+    rng = random.Random(20261018)
+    for n in [1] + [rng.randint(1, 40) for _ in range(150)]:
+        p = rng.choice((0.5, 1.0, 2.0, 4.0)) / n
+        g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+        h = nx.Graph(list(g.edges()))
+        h.add_nodes_from(range(g.n))
+        assert is_connected(g) == nx.is_connected(h)
+        for x in range(0, g.n, 3):
+            reach = nx.single_source_shortest_path_length(h, x)
+            expected = [reach.get(v, -1) for v in range(g.n)]
+            dist, order = bfs_distances(g, x)
+            assert dist == expected
+            assert sorted(order) == sorted(reach) and order[0] == x
+            assert all(dist[u] <= dist[v] for u, v in zip(order, order[1:]))
+            placed = {x}
+            for v in order[1:]:
+                assert any(dist[u] == dist[v] - 1 and u in placed for u in g.adj[v])
+                placed.add(v)
+            assert bfs_root_view(g, x).dist == tuple(expected)
+
+
 def test_geodetic_examples():
     assert is_geodetic(random_tree(9, seed=3))
     assert not is_geodetic(cycle_graph(4))
@@ -253,13 +278,16 @@ def test_geodetic_adds_no_root_view():
 
 
 def test_interval_keeps_one_root_view():
+    # interval reads distances only: it builds no root view and leaves the
+    # graph's one cached view in place
     g = random_tree(300, seed=0)
+    view = bfs_root_view(g, 7)
     before = live_root_views()
     for v in range(g.n - 1):
         assert interval(g, v, v + 1) == interval(g, v + 1, v)
-    assert live_root_views() <= before + 1
-    assert g._view.root == v
-    assert bfs_root_view(g, v) is g._view
+    assert live_root_views() <= before
+    assert g._view is view
+    assert bfs_root_view(g, 7) is view
 
 
 def test_block_graph_examples():

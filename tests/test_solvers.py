@@ -301,7 +301,7 @@ def test_timeout_fires_inside_the_symmetry_search(monkeypatch):
     # the first BFS of the automorphism search outlives the request's
     # deadline; the search itself must notice, before any root is solved
     deadline = time.monotonic() + 0.2
-    real = solvers._distances
+    real = solvers.bfs_distances
     searched, solved = [], []
 
     def late(g, x):
@@ -309,7 +309,7 @@ def test_timeout_fires_inside_the_symmetry_search(monkeypatch):
         time.sleep(max(0.0, deadline - time.monotonic()) + 0.01)
         return real(g, x)
 
-    monkeypatch.setattr(solvers, "_distances", late)
+    monkeypatch.setattr(solvers, "bfs_distances", late)
     monkeypatch.setattr(solvers, "vx_exact", lambda g, x, deadline: solved.append(x))
     with pytest.raises(SolveTimeoutError, match="symmetry search"):
         vv_exact(generate(parse_family_spec("torus:8")), deadline)

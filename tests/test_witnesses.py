@@ -21,6 +21,7 @@ def test_quadrant_diagonal_sizes_grid6():
     g = grid_graph(6)
     diags = quadrant_diagonals(g, 6, coord(6, 2, 2), 3)
     assert [len(d) for d in diags] == [1, 2, 3, 4, 3, 2, 1]
+    assert g._view is None  # distances only: no root view is built
 
 
 def test_quadrant_diagonal_sizes_grid4():
