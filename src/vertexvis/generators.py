@@ -293,13 +293,13 @@ def np_gadget(g: Graph) -> ReductionResult:
         edges.append((v, ev))
     evs = sorted(edge_ids.values())
     edges += [(a, b) for i, a in enumerate(evs) for b in evs[i + 1:]]
-    gprime = Graph(n + 1 + len(original_edges), edges)
+    gprime = Graph(n + 1 + m, edges)
     return ReductionResult(
         gprime=gprime,
         apex=apex,
         original_map=tuple(range(n)),
         edge_vertex_map=edge_ids,
-        k_offset=len(original_edges),
+        k_offset=m,
     )
 
 
