@@ -11,6 +11,7 @@ and output are 1-based.  Exit codes: 0 success, 1 computation error
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -25,6 +26,7 @@ from .errors import (
     GraphFormatError,
     IdOutOfRangeError,
     InvalidParameterError,
+    TooLargeError,
     VertexVisError,
     WitnessRejectedError,
 )
@@ -36,6 +38,7 @@ from .generators import (
     parse_family_spec,
 )
 from .graph import (
+    MAX_FILE_VERTICES,
     Graph,
     format_graph,
     read_graph_file,
@@ -243,6 +246,12 @@ def _cmd_table(args) -> int:
         lo_n, hi_n = int(lo), int(hi)
     except ValueError as exc:
         raise InvalidParameterError("range must look like 4..8") from exc
+    if lo_n > hi_n:
+        raise InvalidParameterError(f"range {args.range} is empty")
+    top = FAMILIES[args.family].vertices(hi_n)
+    if top > MAX_FILE_VERTICES:
+        raise TooLargeError(f"{args.family}:{hi_n} has n={top}, above the limit of "
+                            f"{MAX_FILE_VERTICES} vertices")
     deadline = _deadline(args)
     rows = []
     notes: set[str] = set()
@@ -304,7 +313,10 @@ def _add_timeout(p):
     p.add_argument("--timeout", type=_seconds, default=None, help="seconds for the whole request")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every main() call in this process, built on the first;
+    it is shared, so callers must not mutate it."""
     parser = argparse.ArgumentParser(
         prog="vertexvis",
         description="Exact vertex visibility computations on graphs.",
@@ -379,8 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except WitnessRejectedError as exc:
@@ -392,7 +403,3 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -272,12 +272,13 @@ def np_gadget(g: Graph) -> ReductionResult:
     to exactly the two endpoints of its edge.  Original edges are kept.
 
     The apex-visibility number of the result equals m(g) plus the maximum
-    independent set size of g.  Rejects graphs with isolated vertices, and
-    gadgets over MAX_DENSE_EDGES edges before any edge is built.
+    independent set size of g.  Rejects graphs with isolated vertices, named
+    by 1-based id, and gadgets over MAX_DENSE_EDGES edges before any edge is
+    built.
     """
     for v in range(g.n):
         if not g.adj[v]:
-            raise IsolatedVertexError(f"vertex {v} is isolated")
+            raise IsolatedVertexError(f"vertex {v + 1} is isolated")
     n, m = g.n, g.m
     _check_dense(f"visibility gadget of a graph with {m} edges",
                  m + n + 2 * m + m * (m - 1) // 2)

@@ -1,9 +1,14 @@
+import importlib
 import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
 
-from vertexvis import generators
+import vertexvis
+from vertexvis import cli, generators
 from vertexvis.bounds import TORUS_EVEN_NOTE
 from vertexvis.cli import main
 from vertexvis.graph import parse_graph, read_graph_file
@@ -18,6 +23,14 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_fresh(*argv):
+    """The program as its own process: python -m vertexvis."""
+    src = os.path.dirname(os.path.dirname(vertexvis.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    return subprocess.run([sys.executable, "-m", "vertexvis", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
 
 
 def test_gen_round_trip(tmp_path, capsys):
@@ -116,6 +129,19 @@ def test_table_rows(capsys):
     assert payload["notes"]
 
 
+def test_table_refuses_an_empty_or_oversized_range_before_any_row(capsys):
+    code, out, err = run(capsys, "table", "grid", "--range", "8..4")
+    assert (code, out, err) == (1, "", "error: range 8..4 is empty\n")
+    # grid:142 is the first grid over the vertex cap; the top of the range is
+    # checked before the 138 rows below it are built
+    for top in ("142", "100000"):
+        start = time.monotonic()
+        code, out, err = run(capsys, "table", "grid", "--range", f"4..{top}")
+        assert time.monotonic() - start < 1.0, top
+        assert (code, out) == (1, "") and err.startswith(f"error: grid:{top} has n="), top
+        assert err.endswith("above the limit of 20000 vertices\n"), top
+
+
 def test_reduce_output(tmp_path, capsys):
     out = tmp_path / "gadget.gr"
     code, stdout, _ = run(
@@ -200,6 +226,10 @@ def test_error_exit_codes(tmp_path, capsys):
         assert code == 1 and "error:" in err, argv
     code, _, err = run(capsys, "witness", "cycle:6")
     assert code == 1
+    # the gadget refuses an isolated vertex, named by its 1-based id
+    bad.write_text("p 3 1\ne 1 2\n")
+    code, out, err = run(capsys, "reduce", str(bad))
+    assert (code, out, err) == (1, "", "error: vertex 3 is isolated\n")
     # a set file that is not UTF-8, and a spec one vertex over the cap
     setfile = tmp_path / "set.txt"
     setfile.write_bytes(b"1\n\xff\n")
@@ -291,3 +321,52 @@ def test_usage_error_exit_code(capsys):
             with pytest.raises(SystemExit) as exc:
                 main([*verb, flag, "40"])
             assert exc.value.code == 2, (verb, flag)
+
+
+def test_parser_is_built_once_on_the_first_main(capsys):
+    assert cli.build_parser() is cli.build_parser()
+    importlib.reload(cli)
+    assert cli.build_parser.cache_info().currsize == 0  # not built on import
+    code, out, _ = run(capsys, "vv", "grid:4", "--format", "json")
+    assert code == 0 and json.loads(out)["value"] == 9
+    assert cli.build_parser.cache_info().currsize == 1
+
+
+def test_requests_in_one_process_share_no_state(capsys):
+    code, out, _ = run(capsys, "vx", "grid:4", "--root", "1", "--method", "greedy",
+                       "--format", "json")
+    assert code == 0 and json.loads(out)["method"] == "greedy"
+    code, out, _ = run(capsys, "vx", "grid:4", "--root", "1", "--format", "json")
+    assert code == 0 and json.loads(out)["method"] == "cover_bnb"
+    # a usage error leaves nothing behind for the next request
+    with pytest.raises(SystemExit) as exc:
+        main(["vx", "grid:4", "--method", "nope"])
+    assert exc.value.code == 2 and "invalid choice" in capsys.readouterr().err
+    argv = ["vv", "grid:4", "--format", "json"]
+    assert run(capsys, *argv) == (0, run_fresh(*argv).stdout, "")
+    # nor does a timeout
+    code, out, err = run(capsys, "vv", "grid:4", "--timeout", "0")
+    assert (code, out) == (1, "") and "time budget" in err
+    code, out, _ = run(capsys, "vv", "grid:4")
+    assert code == 0 and out.startswith("vertex visibility number 9")
+
+
+def test_help_is_the_same_on_every_call(capsys):
+    importlib.reload(cli)
+    verbs = ("gen", "vx", "vv", "verify", "bounds", "reduce", "witness", "table", "maxleaf",
+             "mu")
+    texts = []
+    for _ in range(2):
+        for argv in (["--help"], *([verb, "--help"] for verb in verbs)):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(argv)
+            assert exc.value.code == 0, argv
+            texts.append(capsys.readouterr().out)
+    assert texts[:len(verbs) + 1] == texts[len(verbs) + 1:]
+    assert all(text.startswith("usage: vertexvis") for text in texts)
+
+
+def test_python_dash_m_runs_the_cli():
+    done = run_fresh("vv", "grid:4", "--format", "json")
+    assert (done.returncode, done.stderr) == (0, "")
+    assert json.loads(done.stdout)["value"] == 9
