@@ -6,14 +6,16 @@ number of the graph, "vx" entries bound the visibility number of the one
 root the report was asked about.  Per-root lower bounds also bound vv (a
 root's value never exceeds the maximum), but per-root upper bounds do not.
 
-Two tabulated closed forms are known to disagree with exact computation and
-are reported with their discrepancy notes instead of being silently
-corrected or silently repeated; see closed_form_notes.
+CLOSED_FORMS is the one place for a family's tabulated value and the
+smallest parameter it holds from.  Two of its rows are known to disagree with
+exact computation and are reported with their discrepancy notes instead of
+being silently corrected or silently repeated; see closed_form_notes.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -123,7 +125,6 @@ def bounds_report(
         raise InvalidParameterError("bounds need at least two vertices")
     n, delta = g.n, g.max_degree()
     entries: list[BoundEntry] = []
-    notes: list[str] = []
     entries.append(
         BoundEntry(
             "order_upper",
@@ -235,7 +236,6 @@ def bounds_report(
         mu=mu_value,
         exact_value=exact_value,
         exact_root=exact_root,
-        notes=tuple(notes),
     )
 
 
@@ -253,56 +253,38 @@ def characterize_extremal(g: Graph) -> str:
     return "other"
 
 
+# Tabulated maximum visibility numbers: family -> (smallest parameter, value
+# formula).  The formula takes the spec's parameters and holds whenever every
+# one of them is at least the smallest.
+CLOSED_FORMS: dict[str, tuple[int, Callable[..., int]]] = {
+    "path": (2, lambda n: 2 if n >= 3 else 1),
+    "cycle": (3, lambda n: 2),
+    "complete": (2, lambda n: n - 1),
+    "grid": (4, lambda n: (n * n + n - 2) // 2),
+    # prism and torus: the value by n mod 4 = 0, 1, 2, 3
+    "prism": (4, lambda n: ((2 * n * n + n) // 4, (n * n + 3) // 2,
+                            (2 * n * n + n - 2) // 4, (n * n + n - 2) // 2)[n % 4]),
+    "torus": (4, lambda n: ((n * n + 2) // 2, (n * n - 1) // 2,
+                            (n * n + 2) // 2, (n * n + 3) // 2)[n % 4]),
+    "kxk": (2, lambda m, n: m * n - min(m, n)),
+}
+
+
 def closed_form(spec: FamilySpec) -> int:
-    """Tabulated maximum visibility number for the supported families.
+    """Tabulated maximum visibility number of a family spec, from CLOSED_FORMS.
 
     The complete-product and even-torus entries carry discrepancy notes;
     see closed_form_notes.
     """
-    fam, args = spec.family, spec.args
-    if fam == "path":
-        n = args[0]
-        if n < 2:
-            raise InvalidParameterError("path closed form needs n >= 2")
-        return 2 if n >= 3 else 1
-    if fam == "cycle":
-        if args[0] < 3:
-            raise InvalidParameterError("cycle needs n >= 3")
-        return 2
-    if fam == "complete":
-        if args[0] < 2:
-            raise InvalidParameterError("complete closed form needs n >= 2")
-        return args[0] - 1
-    if fam == "grid":
-        n = args[0]
-        if n < 4:
-            raise InvalidParameterError("grid closed form holds for n >= 4")
-        return (n * n + n - 2) // 2
-    if fam == "prism":
-        n = args[0]
-        if n < 4:
-            raise InvalidParameterError("prism closed form holds for n >= 4")
-        return {
-            1: (n * n + 3) // 2,
-            3: (n * n + n - 2) // 2,
-            0: (2 * n * n + n) // 4,
-            2: (2 * n * n + n - 2) // 4,
-        }[n % 4]
-    if fam == "torus":
-        n = args[0]
-        if n < 4:
-            raise InvalidParameterError("torus closed form holds for n >= 4")
-        if n % 4 == 1:
-            return (n * n - 1) // 2
-        if n % 4 == 3:
-            return (n * n + 3) // 2
-        return (n * n + 2) // 2
-    if fam == "kxk":
-        m, n = args
-        if min(m, n) < 2:
-            raise InvalidParameterError("complete product needs m, n >= 2")
-        return m * n - min(m, n)
-    raise UnsupportedFamilyError(f"no closed form for family {fam!r}")
+    try:
+        least, formula = CLOSED_FORMS[spec.family]
+    except KeyError:
+        raise UnsupportedFamilyError(f"no closed form for family {spec.family!r}") from None
+    if min(spec.args) < least:
+        raise InvalidParameterError(
+            f"{spec}: the {spec.family} closed form needs every parameter >= {least}"
+        )
+    return formula(*spec.args)
 
 
 def closed_form_notes(spec: FamilySpec) -> tuple[str, ...]:

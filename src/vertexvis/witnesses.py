@@ -5,7 +5,9 @@ it into equal-distance diagonals, takes ceil(|D|/2) alternating vertices
 from every diagonal D, and appends a residue-dependent handful of axis
 vertices.  The result is verified on the spot: a construction that fails the
 visibility check raises WitnessRejectedError rather than returning quietly,
-and its size is checked against the family's closed-form target.
+and its size is checked against the family's closed-form target.  Each
+builder takes that target before it builds anything, so an n below the
+closed form's range is refused there.
 
 Coordinates are 1-based (row k, column l) with vertex id (k-1)*n + (l-1),
 matching the product id convention from the generators module.
@@ -112,11 +114,11 @@ def _selection(g, n, x, parities: dict[int, bool]) -> set[int]:
     return out
 
 
-def _finish(family: str, n: int, g: Graph, x: int, members: set[int]) -> WitnessResult:
-    claimed = closed_form(FamilySpec(family, (n,)))
-    if len(members) != claimed:
+def _finish(family: str, n: int, target: int, g: Graph, x: int,
+            members: set[int]) -> WitnessResult:
+    if len(members) != target:
         raise WitnessRejectedError(
-            f"{family}({n}) witness has size {len(members)}, wanted {claimed}"
+            f"{family}({n}) witness has size {len(members)}, wanted {target}"
         )
     if not is_x_visibility_set(g, x, members):
         raise WitnessRejectedError(f"{family}({n}) witness failed verification")
@@ -126,7 +128,7 @@ def _finish(family: str, n: int, g: Graph, x: int, members: set[int]) -> Witness
         graph=g,
         root=x,
         members=frozenset(members),
-        claimed_size=claimed,
+        claimed_size=target,
         verified=True,
     )
 
@@ -135,14 +137,13 @@ def grid_witness(n: int) -> WitnessResult:
     """Extremal set for the square grid, rooted at (2,2): the whole first
     column, the first row except (1,2), and alternating diagonal vertices
     of the lower-right quadrant."""
-    if n < 4:
-        raise InvalidParameterError("grid witness needs n >= 4")
+    target = closed_form(FamilySpec("grid", (n,)))
     g = grid_graph(n)
     x = _coord_id(n, 2, 2)
     members = {_coord_id(n, k, 1) for k in range(1, n + 1)}
     members |= {_coord_id(n, 1, l) for l in range(1, n + 1) if l != 2}
     members |= _selection(g, n, x, {3: True})
-    return _finish("grid", n, g, x, members)
+    return _finish("grid", n, target, g, x, members)
 
 
 def prism_witness(n: int) -> WitnessResult:
@@ -150,8 +151,7 @@ def prism_witness(n: int) -> WitnessResult:
     rooted at (2, ceil(n/2)): the first row except the root column,
     alternating diagonals of both lower quadrants, plus the first-row
     center and, when n = 1 mod 4, the last-row center."""
-    if n < 4:
-        raise InvalidParameterError("prism witness needs n >= 4")
+    target = closed_form(FamilySpec("prism", (n,)))
     g = prism_graph(n)
     c = (n + 1) // 2
     x = _coord_id(n, 2, c)
@@ -160,7 +160,7 @@ def prism_witness(n: int) -> WitnessResult:
     members.add(_coord_id(n, 1, c))
     if n % 4 == 1:
         members.add(_coord_id(n, n, c))
-    return _finish("prism", n, g, x, members)
+    return _finish("prism", n, target, g, x, members)
 
 
 # Torus quadrant parities, keyed by n mod 4.  The upper quadrants alternate
@@ -191,15 +191,14 @@ def torus_witness(n: int) -> WitnessResult:
     """Extremal set for the square torus, rooted at the center
     (ceil(n/2), ceil(n/2)): alternating diagonals of all four quadrants
     plus residue-dependent axis vertices."""
-    if n < 4:
-        raise InvalidParameterError("torus witness needs n >= 4")
+    target = closed_form(FamilySpec("torus", (n,)))
     g = torus_graph(n)
     c = (n + 1) // 2
     x = _coord_id(n, c, c)
     members = _selection(g, n, x, _TORUS_PARITIES[n % 4])
     for k, l in _torus_extras(n, c):
         members.add(_coord_id(n, k, l))
-    return _finish("torus", n, g, x, members)
+    return _finish("torus", n, target, g, x, members)
 
 
 WITNESS_BUILDERS = {"grid": grid_witness, "prism": prism_witness, "torus": torus_witness}

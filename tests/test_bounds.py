@@ -26,6 +26,7 @@ from vertexvis.generators import (
     cocktail_party,
     complete_graph,
     cycle_graph,
+    generate,
     path_graph,
     random_block_graph,
     random_connected_graph,
@@ -145,6 +146,34 @@ def test_closed_form_rejects():
         closed_form(FamilySpec("grid", (3,)))
     with pytest.raises(UnsupportedFamilyError):
         closed_form(FamilySpec("figure1", (1,)))
+
+
+# Each closed form's smallest parameter, written out independently of the
+# table so that a changed range in CLOSED_FORMS shows here.
+SMALLEST_SPECS = {
+    "path": (2,),
+    "cycle": (3,),
+    "complete": (2,),
+    "grid": (4,),
+    "prism": (4,),
+    "torus": (4,),
+    "kxk": (2, 2),
+}
+
+
+def test_every_closed_form_row_is_listed():
+    assert set(bounds.CLOSED_FORMS) == set(SMALLEST_SPECS)
+
+
+@pytest.mark.parametrize("family", sorted(SMALLEST_SPECS))
+def test_closed_form_range_starts_at_the_smallest_parameter(family):
+    smallest = SMALLEST_SPECS[family]
+    for i in range(len(smallest)):
+        below = tuple(a - 1 if j == i else a for j, a in enumerate(smallest))
+        with pytest.raises(InvalidParameterError, match=f"needs every parameter >= {smallest[i]}"):
+            closed_form(FamilySpec(family, below))
+    spec = FamilySpec(family, smallest)
+    assert closed_form(spec) == vv_exact(generate(spec)).value
 
 
 def test_closed_form_notes():

@@ -8,8 +8,8 @@ import time
 import pytest
 
 import vertexvis
-from vertexvis import cli, generators
-from vertexvis.bounds import TORUS_EVEN_NOTE
+from vertexvis import cli, generators, witnesses
+from vertexvis.bounds import TORUS_EVEN_NOTE, bounds_report
 from vertexvis.cli import main
 from vertexvis.graph import parse_graph, read_graph_file
 from vertexvis.generators import generate, parse_family_spec
@@ -188,6 +188,26 @@ def test_witness_carries_the_closed_form_notes(capsys):
         assert code == 0 and "note:" not in stdout
 
 
+def test_witness_that_fails_its_own_gate_exits_3(capsys, monkeypatch):
+    monkeypatch.setattr(witnesses, "is_x_visibility_set", lambda g, x, members: False)
+    code, out, err = run(capsys, "witness", "grid:5")
+    assert (code, out) == (3, "")
+    assert err == "verification failure: grid(5) witness failed verification\n"
+
+
+def test_bounds_command(capsys):
+    code, out, err = run(capsys, "bounds", "cocktail:3", "--exact", "--mu", "--format", "json")
+    assert (code, err) == (0, "")
+    g = generate(parse_family_spec("cocktail:3"))
+    assert json.loads(out) == bounds_report(g, compute_mu=True, compute_exact=True).to_json_dict()
+    code, out, err = run(capsys, "bounds", "grid:4", "--root", "6", "--exact")
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert lines[0] == "n=16 m=24 delta=4"
+    assert "  [vv] mutual_visibility_lower: lower 0 (not applicable)" in lines
+    assert "  exact: 9 at root 6" in lines
+
+
 def test_maxleaf_and_mu(capsys):
     code, stdout, _ = run(capsys, "maxleaf", "figure1:1", "--format", "json")
     assert code == 0
@@ -226,6 +246,10 @@ def test_error_exit_codes(tmp_path, capsys):
         assert code == 1 and "error:" in err, argv
     code, _, err = run(capsys, "witness", "cycle:6")
     assert code == 1
+    # a graph file that is missing, or a directory
+    for where in (tmp_path / "missing.gr", tmp_path):
+        code, out, err = run(capsys, "vv", str(where))
+        assert (code, out) == (1, "") and err.startswith("error: ") and str(where) in err
     # the gadget refuses an isolated vertex, named by its 1-based id
     bad.write_text("p 3 1\ne 1 2\n")
     code, out, err = run(capsys, "reduce", str(bad))

@@ -100,6 +100,10 @@ def test_witness_rejects_small_n():
             witness_for(family, 3)
     with pytest.raises(InvalidParameterError):
         witness_for("cycle", 6)
+    # the closed form's range check comes first, not an id out of the tiny graph
+    for builder, n in ((grid_witness, 1), (prism_witness, 2), (torus_witness, 3)):
+        with pytest.raises(InvalidParameterError, match="closed form needs every parameter >= 4"):
+            builder(n)
 
 
 def test_witness_json_shape():
