@@ -63,7 +63,6 @@ from .graph import (
     RootView,
     bfs_root_view,
     format_graph,
-    from_external_ids,
     interval,
     is_block_graph,
     is_connected,

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import (
     CompleteGraphError,
@@ -94,7 +94,6 @@ class BoundsReport:
     mu: int | None = None
     exact_value: int | None = None
     exact_root: int | None = None
-    notes: tuple[str, ...] = field(default_factory=tuple)
 
     def to_json_dict(self) -> dict:
         return {
@@ -105,7 +104,6 @@ class BoundsReport:
             "exact": None
             if self.exact_value is None
             else {"value": self.exact_value, "root": self.exact_root + 1},
-            "notes": list(self.notes),
         }
 
 
@@ -119,7 +117,8 @@ def bounds_report(
     """Assemble every applicable bound; per-root entries appear only when a
     root is given.  The mutual-visibility entry is exponential to evaluate
     and therefore opt-in; when skipped it is reported as not applicable
-    rather than estimated.  Its mu and exact solves share the one deadline."""
+    rather than estimated.  Its mu and exact solves and the stress sweep
+    share the one deadline."""
     require_connected(g)
     if g.n < 2:
         raise InvalidParameterError("bounds need at least two vertices")
@@ -177,7 +176,7 @@ def bounds_report(
         dist, order = bfs_distances(g, x)
         ecc = dist[order[-1]]
         md = maximally_distant(g, x)
-        stress = stress_vertices(g, x)
+        stress = stress_vertices(g, x, deadline)
         entries.append(
             BoundEntry(
                 "max_distant_lower",

@@ -17,11 +17,7 @@ import math
 import sys
 import time
 
-from .bounds import (
-    bounds_report,
-    closed_form,
-    closed_form_notes,
-)
+from .bounds import bounds_report, closed_form_notes
 from .errors import (
     GraphFormatError,
     IdOutOfRangeError,
@@ -29,6 +25,7 @@ from .errors import (
     TooLargeError,
     VertexVisError,
     WitnessRejectedError,
+    check_deadline,
 )
 from .generators import (
     FAMILIES,
@@ -186,8 +183,6 @@ def _cmd_bounds(args) -> int:
         lines.append(
             f"  exact: {report.exact_value} at root {report.exact_root + 1}"
         )
-    for note in report.notes:
-        lines.append(f"  note: {note}")
     _emit(args, report.to_json_dict(), lines)
     return 0
 
@@ -256,14 +251,16 @@ def _cmd_table(args) -> int:
     rows = []
     notes: set[str] = set()
     for n in range(lo_n, hi_n + 1):
+        check_deadline(deadline, "table")
         spec = FamilySpec(args.family, (n,))
-        value = closed_form(spec)
         notes.update(closed_form_notes(spec))
+        # the witness is built to the closed form, and _finish checks its size
         w = witness_for(args.family, n)
         exact = None
         if args.exact_max is not None and n <= args.exact_max:
             exact = vv_exact(generate(spec), deadline).value
-        rows.append({"n": n, "closed_form": value, "witness": len(w.members), "exact": exact})
+        rows.append({"n": n, "closed_form": w.claimed_size, "witness": len(w.members),
+                     "exact": exact})
     lines = [f"{args.family}: n, closed form, witness size, exact"]
     for r in rows:
         exact = "-" if r["exact"] is None else str(r["exact"])
@@ -295,22 +292,11 @@ def _cmd_mu(args) -> int:
     return 0
 
 
-def _add_common(p, root=False, required_root=False):
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--seed", type=int, default=0, help="seed for random:* specs")
-    if root:
-        p.add_argument("--root", type=int, required=required_root, help="1-based root id")
-
-
 def _seconds(text: str) -> float:
     value = float(text)
     if not 0 <= value < math.inf:  # false for NaN as well
         raise argparse.ArgumentTypeError(f"expected finite seconds >= 0, got {text!r}")
     return value
-
-
-def _add_timeout(p):
-    p.add_argument("--timeout", type=_seconds, default=None, help="seconds for the whole request")
 
 
 @functools.cache
@@ -322,69 +308,66 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact vertex visibility computations on graphs.",
     )
     sub = parser.add_subparsers(dest="verb", required=True)
+    # options shared by several verbs; each verb takes as parents only those
+    # its handler reads
+    source = argparse.ArgumentParser(add_help=False)
+    source.add_argument("input", help="family spec (e.g. grid:5) or graph file")
+    source.add_argument("--seed", type=int, default=0, help="seed for random:* specs")
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument("--format", choices=("text", "json"), default="text")
+    timed = argparse.ArgumentParser(add_help=False)
+    timed.add_argument("--timeout", type=_seconds, default=None,
+                       help="seconds for the whole request")
+    root_help = "1-based root id"
 
-    p = sub.add_parser("gen", help="materialize a family spec as a graph file")
-    p.add_argument("input", help="family spec (e.g. grid:5) or graph file")
+    p = sub.add_parser("gen", parents=[source], help="materialize a family spec as a graph file")
     p.add_argument("-o", "--output", default=None)
-    _add_common(p)
     p.set_defaults(func=_cmd_gen)
 
-    p = sub.add_parser("vx", help="visibility number of one root")
-    p.add_argument("input")
-    _add_common(p, root=True, required_root=True)
+    p = sub.add_parser("vx", parents=[source, fmt, timed], help="visibility number of one root")
+    p.add_argument("--root", type=int, required=True, help=root_help)
     p.add_argument("--method", choices=("exact", "brute", "greedy"), default="exact")
-    _add_timeout(p)
     p.set_defaults(func=_cmd_vx)
 
-    p = sub.add_parser("vv", help="vertex visibility number of the graph")
-    p.add_argument("input")
-    _add_common(p)
-    _add_timeout(p)
+    p = sub.add_parser("vv", parents=[source, fmt, timed],
+                       help="vertex visibility number of the graph")
     p.set_defaults(func=_cmd_vv)
 
-    p = sub.add_parser("verify", help="check a vertex set file against a root")
-    p.add_argument("input")
-    _add_common(p, root=True, required_root=True)
+    p = sub.add_parser("verify", parents=[source, fmt],
+                       help="check a vertex set file against a root")
+    p.add_argument("--root", type=int, required=True, help=root_help)
     p.add_argument("--set", required=True, help="file with one 1-based id per line")
     p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("bounds", help="bound report, optionally with exact values")
-    p.add_argument("input")
-    _add_common(p, root=True)
+    p = sub.add_parser("bounds", parents=[source, fmt, timed],
+                       help="bound report, optionally with exact values")
+    p.add_argument("--root", type=int, default=None, help=root_help)
     p.add_argument("--mu", action="store_true", help="compute the mutual-visibility entry")
     p.add_argument("--exact", action="store_true", help="solve exactly as well")
-    _add_timeout(p)
     p.set_defaults(func=_cmd_bounds)
 
-    p = sub.add_parser("reduce", help="build the independent-set hardness gadget")
-    p.add_argument("input")
+    p = sub.add_parser("reduce", parents=[source, fmt],
+                       help="build the independent-set hardness gadget")
     p.add_argument("-o", "--output", default=None)
-    _add_common(p)
     p.set_defaults(func=_cmd_reduce)
 
-    p = sub.add_parser("witness", help="construct and verify an extremal set")
+    p = sub.add_parser("witness", parents=[fmt], help="construct and verify an extremal set")
     p.add_argument("spec", help=", ".join(f"{f}:<n>" for f in WITNESS_BUILDERS))
-    _add_common(p)
     p.set_defaults(func=_cmd_witness)
 
-    p = sub.add_parser("table", help="closed form vs witness vs exact over a range")
+    p = sub.add_parser("table", parents=[fmt, timed],
+                       help="closed form vs witness vs exact over a range")
     p.add_argument("family", choices=tuple(WITNESS_BUILDERS))
     p.add_argument("--range", required=True, help="e.g. 4..8")
     p.add_argument("--exact-max", type=int, default=None)
-    _add_common(p)
-    _add_timeout(p)
     p.set_defaults(func=_cmd_table)
 
-    p = sub.add_parser("maxleaf", help="maximum spanning-tree leaf count")
-    p.add_argument("input")
-    _add_common(p)
-    _add_timeout(p)
+    p = sub.add_parser("maxleaf", parents=[source, fmt, timed],
+                       help="maximum spanning-tree leaf count")
     p.set_defaults(func=_cmd_maxleaf)
 
-    p = sub.add_parser("mu", help="mutual visibility number (exhaustive)")
-    p.add_argument("input")
-    _add_common(p)
-    _add_timeout(p)
+    p = sub.add_parser("mu", parents=[source, fmt, timed],
+                       help="mutual visibility number (exhaustive)")
     p.set_defaults(func=_cmd_mu)
 
     return parser

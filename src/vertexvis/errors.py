@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the deadline check."""
+
+import time
 
 
 class VertexVisError(Exception):
@@ -48,6 +50,14 @@ class CompleteGraphError(VertexVisError): ...
 
 class SolveTimeoutError(VertexVisError):
     """A solver exceeded its configured wall-clock budget."""
+
+
+def check_deadline(deadline, what: str) -> None:
+    """Every timed operation takes deadline, one time.monotonic() value per
+    request or None; work past it raises SolveTimeoutError, never a
+    truncated answer."""
+    if deadline is not None and time.monotonic() > deadline:
+        raise SolveTimeoutError(f"{what} exceeded its time budget")
 
 
 class GraphFormatError(VertexVisError):

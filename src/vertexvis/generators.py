@@ -37,8 +37,6 @@ __all__ = [
     "torus_graph",
     "complete_product",
     "cartesian_product",
-    "first_factor_layer",
-    "second_factor_layer",
     "np_gadget",
     "ReductionResult",
     "figure_family",
@@ -173,16 +171,6 @@ def cartesian_product(g: Graph, h: Graph) -> Graph:
         for b in range(nh):
             edges.append((a * nh + b, a2 * nh + b))
     return Graph(g.n * nh, edges)
-
-
-def first_factor_layer(ng: int, nh: int, b: int) -> tuple[int, ...]:
-    """Ids of the copy of the first factor at second coordinate b."""
-    return tuple(a * nh + b for a in range(ng))
-
-
-def second_factor_layer(ng: int, nh: int, a: int) -> tuple[int, ...]:
-    """Ids of the copy of the second factor at first coordinate a."""
-    return tuple(a * nh + b for b in range(nh))
 
 
 def grid_graph(n: int) -> Graph:

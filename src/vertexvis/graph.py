@@ -39,7 +39,6 @@ __all__ = [
     "read_graph_file",
     "write_graph_file",
     "to_external_ids",
-    "from_external_ids",
     "mask_to_set",
 ]
 
@@ -340,15 +339,6 @@ def mask_to_set(mask: int) -> frozenset[int]:
 def to_external_ids(vertices) -> list[int]:
     """Sorted 1-based ids, the only form that appears in files and reports."""
     return sorted(v + 1 for v in vertices)
-
-
-def from_external_ids(ids, n: int) -> frozenset[int]:
-    out = set()
-    for i in ids:
-        if not (1 <= i <= n):
-            raise IdOutOfRangeError(f"external id {i} outside 1..{n}")
-        out.add(i - 1)
-    return frozenset(out)
 
 
 # ---------------------------------------------------------------------------

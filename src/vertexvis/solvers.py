@@ -46,18 +46,12 @@ quantities add up to n.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from functools import partial
 from itertools import combinations
 
-from .errors import (
-    DisconnectedError,
-    InvalidParameterError,
-    SolveTimeoutError,
-    TooLargeError,
-)
-from .graph import Graph, RootView, bfs_distances, bfs_root_view, is_connected, mask_to_set
+from .errors import InvalidParameterError, TooLargeError, check_deadline
+from .graph import Graph, RootView, bfs_distances, bfs_root_view, mask_to_set, require_connected
 from .visibility import _members_all_visible, _pairwise_visible
 
 __all__ = [
@@ -124,18 +118,10 @@ class MaxLeafResult:
         }
 
 
-def _check_deadline(deadline, what: str):
-    """Every solver takes deadline, one time.monotonic() value per request or
-    None; a solve past it raises SolveTimeoutError, never a truncated answer."""
-    if deadline is not None and time.monotonic() > deadline:
-        raise SolveTimeoutError(f"{what} exceeded its time budget")
-
-
-def _require_solvable(g: Graph, min_n: int = 2) -> None:
-    if g.n < min_n:
-        raise InvalidParameterError(f"need at least {min_n} vertices")
-    if not is_connected(g):
-        raise DisconnectedError("solver requires a connected graph")
+def _require_solvable(g: Graph) -> None:
+    if g.n < 2:
+        raise InvalidParameterError("need at least 2 vertices")
+    require_connected(g)
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +227,7 @@ def _min_group_cover(sets: list[int], covers: list[int], deadline) -> int:
     covering two or more, and the pick.  Each uncovered constraint then has
     two or more live candidates, so the bound is at most live // 2, and its
     constraint scan is skipped when that could not prune."""
-    _check_deadline(deadline, "exact visibility solve")
+    check_deadline(deadline, "exact visibility solve")
     full = (1 << len(sets)) - 1
     best_mask = _greedy_group(sets, covers)
     best_size = best_mask.bit_count()
@@ -253,7 +239,7 @@ def _min_group_cover(sets: list[int], covers: list[int], deadline) -> int:
         nonlocal best_mask, best_size, node_budget
         node_budget += 1
         if node_budget & 0xFF == 0:
-            _check_deadline(deadline, "exact visibility solve")
+            check_deadline(deadline, "exact visibility solve")
         while True:
             uncovered = full & ~covered
             forced = 0
@@ -359,7 +345,7 @@ def vx_exact(g: Graph, x: int, deadline: float | None = None) -> SolveResult:
     tree certificate."""
     g.check_vertex(x)
     _require_solvable(g)
-    _check_deadline(deadline, "exact visibility solve")
+    check_deadline(deadline, "exact visibility solve")
     return _solve_root(g, x, partial(_min_group_cover, deadline=deadline), "cover_bnb")
 
 
@@ -376,7 +362,7 @@ def vx_brute(g: Graph, x: int, deadline: float | None = None) -> SolveResult:
     best_size, best_set = 0, 0
     for picks in range(1 << k):
         if picks & 0x3FF == 0:
-            _check_deadline(deadline, "brute-force visibility solve")
+            check_deadline(deadline, "brute-force visibility solve")
         s_mask = 0
         rest = picks
         while rest:
@@ -429,7 +415,7 @@ def vv_exact(g: Graph, deadline: float | None = None) -> SolveResult:
     bounds = []
     for x in roots:
         if rep[x] == x:
-            _check_deadline(deadline, "vertex visibility solve")
+            check_deadline(deadline, "vertex visibility solve")
             bounds.append((-_root_bound(bfs_root_view(g, x)), x))
     bounds.sort()
     best = None
@@ -507,7 +493,7 @@ def _refine(g: Graph, colourings: list[list[int]], deadline) -> list[list[int]] 
     stop having the same number of vertices of each colour."""
     size = len(set().union(*colourings))
     while True:
-        _check_deadline(deadline, "symmetry search")
+        check_deadline(deadline, "symmetry search")
         table: dict = {}
         colourings = [
             [table.setdefault((c[v], tuple(sorted([c[w] for w in nb]))), len(table))
@@ -597,7 +583,7 @@ def _automorphism(g: Graph, cells: list[int], r: int, x: int, budget: int, deadl
     def search(ca: list[int], cb: list[int]) -> list[int] | None:
         nonlocal nodes
         nodes += 1
-        _check_deadline(deadline, "symmetry search")
+        check_deadline(deadline, "symmetry search")
         sigma = _extend(g, ca, cb, order)
         if sigma is not None and _is_automorphism(g, sigma):
             return sigma
@@ -648,8 +634,6 @@ def _greedy_cds(g: Graph) -> int:
     for v in rv.order[1:]:
         cands = rv.dag_in_mask[v]
         used |= cands & -cands
-    if used == 0:
-        used = 1 << start
     return used
 
 
@@ -660,7 +644,7 @@ def _min_cds(g: Graph, deadline) -> int:
     closed neighborhood of a smallest-degree vertex; degree-1 vertices are
     never needed and are excluded up front.
     """
-    _check_deadline(deadline, "max-leaf spanning tree solve")
+    check_deadline(deadline, "max-leaf spanning tree solve")
     n = g.n
     full = (1 << n) - 1
     closed = [g.adj_mask[v] | (1 << v) for v in range(n)]
@@ -686,7 +670,7 @@ def _min_cds(g: Graph, deadline) -> int:
         nonlocal best_mask, best_size, node_budget
         node_budget += 1
         if node_budget & 0xFF == 0:
-            _check_deadline(deadline, "max-leaf spanning tree solve")
+            check_deadline(deadline, "max-leaf spanning tree solve")
         if dominated == full:
             if size < best_size:
                 best_size, best_mask = size, s_mask
@@ -712,7 +696,8 @@ def _min_cds(g: Graph, deadline) -> int:
             rest ^= low
             if not closed[w] & reach:
                 return
-        # each future pick dominates at most maxcover new vertices
+        # each future pick dominates at most maxcover new vertices, and the
+        # reach check above leaves maxcover >= 1
         maxcover = 0
         rest = reach
         while rest:
@@ -722,8 +707,6 @@ def _min_cds(g: Graph, deadline) -> int:
             k = (closed[c] & undominated).bit_count()
             if k > maxcover:
                 maxcover = k
-        if maxcover == 0:
-            return
         undom_cnt = undominated.bit_count()
         lb = -(-undom_cnt // maxcover)
         if size + lb >= best_size:
@@ -760,8 +743,7 @@ def max_leaf_spanning_tree(g: Graph, deadline: float | None = None) -> MaxLeafRe
     """Maximum number of leaves over all spanning trees, with a tree
     realizing it.  Computed as n minus the minimum connected dominating set
     size for n >= 3; the one- and two-vertex graphs are direct."""
-    if not is_connected(g):
-        raise DisconnectedError("spanning trees need a connected graph")
+    require_connected(g)
     if g.n == 1:
         return MaxLeafResult(value=1, root=0, tree={}, leaves=frozenset({0}))
     if g.n == 2:
@@ -796,20 +778,21 @@ def max_leaf_spanning_tree(g: Graph, deadline: float | None = None) -> MaxLeafRe
 def mu_brute(g: Graph, deadline: float | None = None) -> int:
     """Largest mutual-visibility set size by descending-size enumeration;
     valid because subsets of mutual-visibility sets stay mutually visible."""
-    _require_solvable(g, min_n=1)
+    require_connected(g)
     n = g.n
     if n > MU_CAP:
         raise TooLargeError(f"mutual-visibility brute force capped at n={MU_CAP}")
     views = [bfs_root_view(g, v) for v in range(n)]
     checked = 0
-    for k in range(n, 0, -1):
+    # any two vertices see each other, so for n >= 2 the loop ends by k = 2
+    for k in range(n, 1, -1):
         for combo in combinations(range(n), k):
             checked += 1
             if checked & 0xFF == 0:
-                _check_deadline(deadline, "mutual-visibility brute force")
+                check_deadline(deadline, "mutual-visibility brute force")
             if _pairwise_visible(views, combo):
                 return k
-    return 0
+    return 1
 
 
 def alpha_brute(g: Graph, deadline: float | None = None) -> int:
@@ -825,7 +808,7 @@ def alpha_brute(g: Graph, deadline: float | None = None) -> int:
         nonlocal best, calls
         calls += 1
         if calls & 0x3FF == 0:
-            _check_deadline(deadline, "independence brute force")
+            check_deadline(deadline, "independence brute force")
         total = allowed.bit_count()
         if count + total <= best:
             return

@@ -19,7 +19,7 @@ Terminology used throughout:
 
 from __future__ import annotations
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, check_deadline
 from .graph import (
     Graph,
     RootView,
@@ -145,12 +145,12 @@ def maximally_distant(g: Graph, x: int) -> frozenset[int]:
     return frozenset(out)
 
 
-def stress_vertices(g: Graph, x: int) -> frozenset[int]:
+def stress_vertices(g: Graph, x: int, deadline: float | None = None) -> frozenset[int]:
     """Stress vertices for x.
 
     y qualifies when deleting y disconnects some maximally distant z (z
     distinct from y) from every shortest x,z-path; tested by one clear
-    sweep per y with only y blocked.
+    sweep per y with only y blocked, each after a deadline check.
     """
     g.check_vertex(x)
     require_connected(g)
@@ -162,6 +162,7 @@ def stress_vertices(g: Graph, x: int) -> frozenset[int]:
     for y in range(g.n):
         if y == x:
             continue
+        check_deadline(deadline, "stress sweep")
         reach = _clear_mask(rv, 1 << y)
         if any(z != y and not (reach >> z) & 1 for z in md):
             out.append(y)

@@ -98,19 +98,14 @@ def quadrant_diagonals(g: Graph, n: int, x: int, quadrant: int) -> list[list[int
     return out
 
 
-def _alternate(diag: list[int], from_top: bool) -> list[int]:
-    """ceil(|D|/2) alternating vertices; from_top starts at the smallest
-    row, otherwise at the largest.  Odd-length diagonals keep both ends
-    either way."""
-    picked = diag[0::2] if from_top else diag[::-1][0::2]
-    return picked
-
-
 def _selection(g, n, x, parities: dict[int, bool]) -> set[int]:
     out: set[int] = set()
     for quadrant, from_top in parities.items():
         for diag in quadrant_diagonals(g, n, x, quadrant):
-            out.update(_alternate(diag, from_top))
+            # ceil(|D|/2) alternating vertices, from the smallest row when
+            # from_top, else from the largest; odd-length diagonals keep
+            # both ends either way
+            out.update(diag[0::2] if from_top else diag[::-1][0::2])
     return out
 
 

@@ -119,6 +119,27 @@ def connected_graphs_upto(nmax: int = 5):
             yield Graph(n, edges)
 
 
+def min_cds_size(g: Graph) -> int:
+    """Size of a smallest connected dominating set of the connected graph g
+    (n <= 10): vertex subsets tried by increasing size, each checked for
+    domination and then for connectivity by a BFS inside the subset."""
+    assert g.n <= 10
+    for k in range(1, g.n + 1):
+        for subset in combinations(range(g.n), k):
+            members = set(subset)
+            if len(members.union(*(g.adj[v] for v in subset))) < g.n:
+                continue
+            seen, queue = {subset[0]}, deque([subset[0]])
+            while queue:
+                for w in g.adj[queue.popleft()]:
+                    if w in members and w not in seen:
+                        seen.add(w)
+                        queue.append(w)
+            if seen == members:
+                return k
+    raise AssertionError("a connected graph dominates itself")
+
+
 def diameter(g: Graph) -> int:
     return max(max(bfs_dist(g, x).values()) for x in range(g.n))
 

@@ -89,7 +89,7 @@ def test_report_scopes_and_sandwich(small_graphs):
 def test_report_json_schema():
     rep = bounds_report(path_graph(4), x=1, compute_exact=True)
     payload = rep.to_json_dict()
-    assert set(payload) == {"graph", "root", "bounds", "mu", "exact", "notes"}
+    assert set(payload) == {"graph", "root", "bounds", "mu", "exact"}
     assert set(payload["graph"]) == {"n", "m", "delta"}
     for b in payload["bounds"]:
         assert set(b) == {"name", "kind", "value", "applicable", "provenance", "scope"}

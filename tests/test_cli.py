@@ -132,6 +132,8 @@ def test_table_rows(capsys):
 def test_table_refuses_an_empty_or_oversized_range_before_any_row(capsys):
     code, out, err = run(capsys, "table", "grid", "--range", "8..4")
     assert (code, out, err) == (1, "", "error: range 8..4 is empty\n")
+    code, out, err = run(capsys, "table", "grid", "--range", "4-8")
+    assert (code, out, err) == (1, "", "error: range must look like 4..8\n")
     # grid:142 is the first grid over the vertex cap; the top of the range is
     # checked before the 138 rows below it are built
     for top in ("142", "100000"):
@@ -160,6 +162,15 @@ def test_reduce_output(tmp_path, capsys):
     )
     assert code == 0
     assert json.loads(stdout)["value"] == payload["k_offset"] + 3
+
+
+def test_reduce_prints_the_gadget_without_an_output_file(capsys):
+    code, out, err = run(capsys, "reduce", "path:5")
+    assert (code, err) == (0, "")
+    header, text = out.split("\n", 1)
+    assert header == "gadget: n=10 m=23 apex=6 threshold offset=4"
+    g = parse_graph(text)
+    assert (g.n, g.m) == (10, 23)
 
 
 def test_witness_command(capsys):
@@ -193,6 +204,29 @@ def test_witness_that_fails_its_own_gate_exits_3(capsys, monkeypatch):
     code, out, err = run(capsys, "witness", "grid:5")
     assert (code, out) == (3, "")
     assert err == "verification failure: grid(5) witness failed verification\n"
+
+
+def test_witness_of_the_wrong_size_exits_3(capsys, monkeypatch):
+    monkeypatch.setattr(witnesses, "closed_form", lambda spec: 99)
+    code, out, err = run(capsys, "witness", "grid:5")
+    assert (code, out) == (3, "")
+    assert err == "verification failure: grid(5) witness has size 14, wanted 99\n"
+
+
+def test_timeout_bounds_the_stress_sweep_and_every_table_row(capsys):
+    # a zero budget is spent before the first swept vertex and the first row
+    for argv in (("bounds", "grid:60", "--root", "1"), ("table", "grid", "--range", "4..70")):
+        code, out, err = run(capsys, *argv, "--timeout", "0")
+        assert (code, out) == (1, "") and "time budget" in err, argv
+
+
+def test_removed_options_are_usage_errors(capsys):
+    for argv in (("gen", "path:3", "--format", "json"), ("witness", "grid:5", "--seed", "1"),
+                 ("table", "grid", "--range", "4..5", "--seed", "1")):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2, argv
+        assert "unrecognized arguments" in capsys.readouterr().err, argv
 
 
 def test_bounds_command(capsys):
@@ -250,6 +284,11 @@ def test_error_exit_codes(tmp_path, capsys):
     for where in (tmp_path / "missing.gr", tmp_path):
         code, out, err = run(capsys, "vv", str(where))
         assert (code, out) == (1, "") and err.startswith("error: ") and str(where) in err
+    # a one-vertex graph has no visibility number and no bounds
+    bad.write_text("p 1 0\n")
+    for argv in (("vx", str(bad), "--root", "1"), ("bounds", str(bad))):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "") and err.startswith("error: "), argv
     # the gadget refuses an isolated vertex, named by its 1-based id
     bad.write_text("p 3 1\ne 1 2\n")
     code, out, err = run(capsys, "reduce", str(bad))

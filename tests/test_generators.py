@@ -19,7 +19,6 @@ from vertexvis.generators import (
     complete_product,
     cycle_graph,
     figure_family,
-    first_factor_layer,
     generate,
     grid_graph,
     np_gadget,
@@ -29,7 +28,6 @@ from vertexvis.generators import (
     random_connected_graph,
     random_graph_no_isolated,
     random_tree,
-    second_factor_layer,
     star_graph,
 )
 from vertexvis.graph import MAX_FILE_VERTICES
@@ -138,11 +136,6 @@ def test_product_commutes_up_to_relabel():
 
 def test_grid_equals_product_of_paths():
     assert grid_graph(5) == cartesian_product(path_graph(5), path_graph(5))
-
-
-def test_layer_helpers():
-    assert first_factor_layer(3, 4, 2) == (2, 6, 10)
-    assert second_factor_layer(3, 4, 1) == (4, 5, 6, 7)
 
 
 def test_gadget_path5_counts():

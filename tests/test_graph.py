@@ -32,7 +32,6 @@ from vertexvis.graph import (
     bfs_distances,
     bfs_root_view,
     format_graph,
-    from_external_ids,
     interval,
     is_block_graph,
     is_connected,
@@ -299,9 +298,6 @@ def test_block_graph_examples():
 
 def test_external_id_round_trip():
     assert to_external_ids({0, 2, 5}) == [1, 3, 6]
-    assert from_external_ids([1, 3, 6], 6) == {0, 2, 5}
-    with pytest.raises(IdOutOfRangeError):
-        from_external_ids([7], 6)
 
 
 def test_graph_file_round_trip():

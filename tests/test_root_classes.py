@@ -262,3 +262,25 @@ def test_a_pendant_root_is_below_its_support_vertex():
                 assert (low, high) == (vx_brute(g, leaf).value, vx_brute(g, support).value)
                 checked += 1
     assert checked >= 30
+
+
+# nx.random_regular_graph(4, 10, seed=18): 4-regular, one refinement cell,
+# and no automorphism maps 0 to 2
+REGULAR_10 = Graph(10, [(0, 3), (0, 4), (0, 6), (0, 8), (1, 2), (1, 3), (1, 7), (1, 8),
+                        (2, 5), (2, 7), (2, 9), (3, 4), (3, 5), (4, 7), (4, 9), (5, 6),
+                        (5, 9), (6, 8), (6, 9), (7, 8)])
+
+
+def test_search_stops_when_its_budget_is_spent():
+    g = spec_graph("torus:5")
+    assert _automorphism(g, cells_of(g), 0, 5, 1, None) == (None, 1)
+
+
+def test_search_fails_when_every_branch_fails():
+    g = REGULAR_10
+    h = nx.Graph(list(g.edges()))
+    assert all(sigma[0] != 2 for sigma in GraphMatcher(h, h).isomorphisms_iter())
+    assert _automorphism(g, cells_of(g), 0, 2, SEARCH_NODES, None) == (None, 5)
+    res = vv_exact(g)
+    assert (res.value, res.root) == (7, 3)
+    assert res == vv_all_roots(g)

@@ -33,7 +33,7 @@ from vertexvis.solvers import (
 )
 from vertexvis.visibility import is_x_visibility_set
 
-from oracles import connected_graphs_upto, vx_by_paths
+from oracles import connected_graphs_upto, min_cds_size, vx_by_paths
 
 
 def grid_coord(n, k, l):
@@ -147,15 +147,36 @@ def test_max_leaf_examples():
     assert max_leaf_spanning_tree(Graph(1, [])).value == 1
 
 
-def test_max_leaf_certificate():
-    g, _ = figure_family(1)
-    res = max_leaf_spanning_tree(g)
+def assert_max_leaf_certificate(g, res):
     assert len(res.tree) == g.n - 1
     for v, p in res.tree.items():
         assert p in g.adj[v]
     assert len(res.leaves) == res.value
     internal = {res.root} | set(res.tree.values())
     assert res.leaves == frozenset(set(range(g.n)) - internal)
+
+
+def test_max_leaf_certificate():
+    g, _ = figure_family(1)
+    assert_max_leaf_certificate(g, max_leaf_spanning_tree(g))
+
+
+def test_max_leaf_matches_brute_force_cds(small_graphs, random_corpus):
+    """For n >= 3 the most leaves of a spanning tree is n minus the smallest
+    connected dominating set.  The one graph on two vertices is direct: two
+    leaves, the root among them, which the certificate check (root always
+    internal) does not allow."""
+    extra = [random_connected_graph(n, p, seed) for seed, (n, p) in
+             enumerate((n, p) for n in range(6, 11) for p in (0.2, 0.35, 0.5, 0.8))]
+    checked = 0
+    for g in small_graphs + random_corpus + extra:
+        if g.n == 2:
+            continue
+        res = max_leaf_spanning_tree(g)
+        assert res.value == g.n - min_cds_size(g), list(g.edges())
+        assert_max_leaf_certificate(g, res)
+        checked += 1
+    assert checked == 770 + 200 + 20
 
 
 def test_max_leaf_cap():
