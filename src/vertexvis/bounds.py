@@ -117,7 +117,7 @@ def bounds_report(
     """Assemble every applicable bound; per-root entries appear only when a
     root is given.  The mutual-visibility entry is exponential to evaluate
     and therefore opt-in; when skipped it is reported as not applicable
-    rather than estimated.  Its mu and exact solves and the stress sweep
+    rather than estimated.  Its mu and exact solves and the stress-vertex pass
     share the one deadline."""
     require_connected(g)
     if g.n < 2:

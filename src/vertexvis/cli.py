@@ -87,8 +87,10 @@ def _read_set_file(path: str, n: int):
 
 
 def _emit(args, payload: dict, text_lines: list[str]) -> None:
+    """Print text_lines, or with --format json the payload as one compact
+    line with sorted keys: without indent, json.dumps runs its C encoder."""
     if args.format == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(json.dumps(payload, sort_keys=True))
     else:
         for line in text_lines:
             print(line)

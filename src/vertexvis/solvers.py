@@ -48,6 +48,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from heapq import heapify, heappop, heapreplace
 from itertools import combinations
 
 from .errors import InvalidParameterError, TooLargeError, check_deadline
@@ -95,7 +96,7 @@ class SolveResult:
             "witness": sorted(v + 1 for v in self.witness),
             "tree": None
             if self.tree is None
-            else {str(v + 1): p + 1 for v, p in sorted(self.tree.items())},
+            else {str(v + 1): p + 1 for v, p in self.tree.items()},
             "method": self.method,
         }
 
@@ -114,7 +115,7 @@ class MaxLeafResult:
             "value": self.value,
             "root": self.root + 1,
             "leaves": sorted(v + 1 for v in self.leaves),
-            "tree": {str(v + 1): p + 1 for v, p in sorted(self.tree.items())},
+            "tree": {str(v + 1): p + 1 for v, p in self.tree.items()},
         }
 
 
@@ -193,18 +194,28 @@ def _root_bound(rv: RootView) -> int:
 
 def _greedy_group(sets: list[int], covers: list[int]) -> int:
     """Feasible cover of one group by repeated max-coverage choice, ties to
-    the smallest candidate; returns a mask over the group's candidates."""
+    the smallest candidate; returns a mask over the group's candidates.
+
+    Lazy greedy (Minoux, "Accelerated greedy algorithms for maximizing
+    submodular set functions", 1978): a heap holds (-gain, i) with gains
+    from when they were last computed.  Gains only fall as constraints get
+    covered, so a stale key overestimates; the top's gain is recomputed and
+    the top is taken when it is unchanged, else pushed back under the new
+    key.  A taken top has the largest gain, smallest id on ties, so the
+    picks are those of a full scan per step."""
     full = (1 << len(sets)) - 1
+    heap = [(-cov.bit_count(), i) for i, cov in enumerate(covers)]
+    heapify(heap)
     chosen = covered = 0
     while covered != full:
-        uncovered = full & ~covered
-        best_i, best_gain = -1, 0
-        for i, cov in enumerate(covers):
-            gain = (cov & uncovered).bit_count()
-            if gain > best_gain:
-                best_i, best_gain = i, gain
-        chosen |= 1 << best_i
-        covered |= covers[best_i]
+        key, i = heap[0]
+        gain = (covers[i] & ~covered).bit_count()
+        if gain == -key:
+            heappop(heap)
+            chosen |= 1 << i
+            covered |= covers[i]
+        else:
+            heapreplace(heap, (-gain, i))
     return chosen
 
 

@@ -11,7 +11,6 @@ from itertools import combinations
 
 from vertexvis.errors import DuplicateEdgeError, IdOutOfRangeError, SelfLoopError
 from vertexvis.graph import Graph, RootView
-from vertexvis.solvers import _greedy_group
 
 
 def bfs_dist(g: Graph, x: int) -> dict[int, int]:
@@ -224,13 +223,56 @@ def live_root_views() -> int:
     return sum(isinstance(o, RootView) for o in gc.get_objects())
 
 
+def greedy_group_reference(sets: list[int], covers: list[int]) -> int:
+    """The greedy cover of one group as it was before the lazy heap: each
+    step scans every candidate for the most uncovered constraints and takes
+    the first maximum, so ties go to the smallest candidate."""
+    full = (1 << len(sets)) - 1
+    chosen = covered = 0
+    while covered != full:
+        uncovered = full & ~covered
+        best_i, best_gain = -1, 0
+        for i, cov in enumerate(covers):
+            gain = (cov & uncovered).bit_count()
+            if gain > best_gain:
+                best_i, best_gain = i, gain
+        chosen |= 1 << best_i
+        covered |= covers[best_i]
+    return chosen
+
+
+def stress_vertices_reference(g: Graph, x: int) -> frozenset[int]:
+    """Stress vertices for x the way they were found before the dominator
+    pass: for each y != x, one sweep of the BFS order from x with y
+    blocked; y qualifies when some maximally distant z other than x and y
+    is left unreached.  The sweep starts at y, since the vertices before it
+    in BFS order are reached either way, and skips a y that is no vertex's
+    BFS parent, since no shortest path passes through it."""
+    dist = bfs_dist(g, x)
+    order = sorted(dist, key=dist.__getitem__)
+    parents = [sum(1 << u for u in g.adj[v] if dist[u] == dist[v] - 1) for v in order]
+    far = [z for z in order[1:] if all(dist[w] <= dist[z] for w in g.adj[z])]
+    out = set()
+    before = 1 << x
+    for i, y in enumerate(order[1:], start=1):
+        if any(dist[w] > dist[y] for w in g.adj[y]):
+            reach = before
+            for v, mask in zip(order[i + 1:], parents[i + 1:]):
+                if mask & reach:
+                    reach |= 1 << v
+            if any(z != y and not (reach >> z) & 1 for z in far):
+                out.add(y)
+        before |= 1 << y
+    return frozenset(out)
+
+
 def min_group_cover_reference(sets: list[int], covers: list[int]) -> int:
     """The parent-cover kernel as it was before unit propagation looked only
     at the constraints of new exclusions: every pass of a node rescans every
     uncovered constraint for units, the lower bound and the live candidates.
     The kernel must make the same decisions, so it returns the same mask."""
     full = (1 << len(sets)) - 1
-    best_mask = _greedy_group(sets, covers)
+    best_mask = greedy_group_reference(sets, covers)
     best_size = best_mask.bit_count()
 
     def search(chosen: int, size: int, excluded: int, covered: int):

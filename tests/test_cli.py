@@ -13,7 +13,7 @@ from vertexvis.bounds import TORUS_EVEN_NOTE, bounds_report
 from vertexvis.cli import main
 from vertexvis.graph import parse_graph, read_graph_file
 from vertexvis.generators import generate, parse_family_spec
-from vertexvis.solvers import vv_exact
+from vertexvis.solvers import max_leaf_spanning_tree, vv_exact, vx_exact, vx_greedy
 from vertexvis.witnesses import grid_witness
 
 from oracles import diameter
@@ -249,6 +249,55 @@ def test_maxleaf_and_mu(capsys):
     code, stdout, _ = run(capsys, "mu", "path:4", "--format", "json")
     assert code == 0
     assert json.loads(stdout)["mu"] == 2
+
+
+def test_json_is_one_compact_line_of_the_result(capsys):
+    # one line with sorted keys, parsing to the result's own dict; a tree
+    # names every vertex but the root
+    grid, fig = generate(parse_family_spec("grid:5")), generate(parse_family_spec("figure1:1"))
+    cases = (
+        (("vx", "grid:5", "--root", "13"), vx_exact(grid, 12), grid.n),
+        (("vx", "grid:5", "--root", "13", "--method", "greedy"), vx_greedy(grid, 12), grid.n),
+        (("vv", "grid:5"), vv_exact(grid), grid.n),
+        (("maxleaf", "figure1:1"), max_leaf_spanning_tree(fig), fig.n),
+        (("bounds", "grid:5", "--root", "13", "--exact"),
+         bounds_report(grid, x=12, compute_exact=True), None),
+    )
+    for argv, res, n in cases:
+        code, out, err = run(capsys, *argv, "--format", "json")
+        assert (code, err) == (0, ""), argv
+        payload = json.loads(out)
+        assert out == json.dumps(payload, sort_keys=True) + "\n", argv
+        assert payload == res.to_json_dict(), argv
+        if n is not None:
+            assert len(payload["tree"]) == n - 1, argv
+
+
+def test_text_output_is_unchanged(capsys):
+    for argv, text in (
+        (("vx", "grid:4", "--root", "6"),
+         "root 6: visibility number 9 (cover_bnb)\n"
+         "witness: [1, 2, 3, 4, 9, 11, 13, 15, 16]\n"),
+        (("vx", "grid:4", "--root", "6", "--method", "greedy"),
+         "root 6: visibility number >= 9 (greedy)\n"
+         "witness: [1, 2, 3, 4, 9, 11, 13, 15, 16]\n"),
+        (("vv", "cocktail:3"),
+         "vertex visibility number 4, attained at root 1\nwitness: [2, 4, 5, 6]\n"),
+        (("maxleaf", "figure1:1"),
+         "maximum spanning-tree leaf count: 11\n"
+         "leaves: [1, 2, 3, 4, 6, 8, 9, 10, 11, 12, 14]\n"),
+        (("bounds", "grid:4", "--root", "6"),
+         "n=16 m=24 delta=4\n"
+         "  [vv] order_upper: upper 15\n"
+         "  [vv] max_degree_lower: lower 4\n"
+         "  [vv] degree_order_upper: upper 12\n"
+         "  [vv] mutual_visibility_lower: lower 0 (not applicable)\n"
+         "  [vx] max_distant_lower: lower 4\n"
+         "  [vx] stress_upper: upper 15\n"
+         "  [vx] eccentricity_lower: lower 4\n"
+         "  [vx] eccentricity_upper: upper 12\n"),
+    ):
+        assert run(capsys, *argv) == (0, text, ""), argv
 
 
 def test_text_and_json_agree(capsys):

@@ -3,6 +3,7 @@ vx_greedy: directly on random hitting-set groups, and on graphs built so
 that the root sees several non-trivial BFS layers and several independent
 constraint groups in each of them."""
 
+import random
 from collections import Counter
 from functools import reduce
 from itertools import combinations
@@ -23,7 +24,7 @@ from vertexvis.solvers import (
 )
 from vertexvis.visibility import is_x_visibility_set
 
-from oracles import cover_groups_reference, min_group_cover_reference
+from oracles import cover_groups_reference, greedy_group_reference, min_group_cover_reference
 
 
 @st.composite
@@ -93,6 +94,41 @@ def test_kernel_is_a_minimum_hitting_set(group):
     assert mask.bit_count() == _min_hitting_set_size(sets, len(covers))
     # the same search as the reference, so the same cover, not just its size
     assert mask == min_group_cover_reference(sets, covers)
+    assert _greedy_group(sets, covers) == greedy_group_reference(sets, covers)
+
+
+def _tied_group(rng: random.Random):
+    """A seeded group, (sets, covers), in which every candidate starts out
+    covering the same number of constraints, so the smallest-id rule
+    decides many picks."""
+    size, k = rng.randint(2, 40), rng.randint(1, 4)
+    members = [rng.sample(range(size * k), k) for _ in range(size)]
+    sets = [sum(1 << i for i, m in enumerate(members) if j in m) for j in range(size * k)]
+    sets = [s for s in sets if s]
+    covers = [sum(1 << j for j, s in enumerate(sets) if (s >> i) & 1) for i in range(size)]
+    return sets, covers
+
+
+def test_lazy_greedy_picks_what_the_scan_picks():
+    # the groups of the large grids at the centre root, of gadget apexes,
+    # of random:200 roots, and seeded groups full of equal gains
+    groups = []
+    for n in (40, 60):
+        g = generate(parse_family_spec(f"grid:{n}"))
+        centre = (n + 1) // 2 - 1
+        groups += [group[1:] for group in _cover_groups(bfs_root_view(g, centre * n + centre))]
+    rng = random.Random(16)
+    for n in range(42, 61, 3):
+        red = np_gadget(random_connected_graph(n, (8 + n % 3) / (n - 1), rng.randrange(1 << 30)))
+        groups += [group[1:] for group in _cover_groups(bfs_root_view(red.gprime, red.apex))]
+    for seed in range(3):
+        g = generate(parse_family_spec("random:200,0.03"), seed)
+        for x in rng.sample(range(g.n), 4):
+            groups += [group[1:] for group in _cover_groups(bfs_root_view(g, x))]
+    groups += [_tied_group(rng) for _ in range(500)]
+    for sets, covers in groups:
+        assert _greedy_group(sets, covers) == greedy_group_reference(sets, covers), len(covers)
+    assert max(len(covers) for _, covers in groups) > 100
 
 
 def test_kernel_matches_the_reference_on_graph_groups():

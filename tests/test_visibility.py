@@ -6,7 +6,10 @@ from vertexvis.errors import InvalidParameterError
 from vertexvis.generators import (
     complete_graph,
     cycle_graph,
+    generate,
+    parse_family_spec,
     path_graph,
+    random_connected_graph,
     star_graph,
 )
 from vertexvis.graph import Graph
@@ -22,7 +25,7 @@ from vertexvis.visibility import (
     stress_vertices,
 )
 
-from oracles import all_shortest_paths, mutual_by_paths, visible_by_paths
+from oracles import all_shortest_paths, mutual_by_paths, stress_vertices_reference, visible_by_paths
 
 BOWTIE = Graph(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)])
 
@@ -157,6 +160,25 @@ def test_stress_examples():
     assert stress_vertices(path_graph(4), 1) == {2}
     assert stress_vertices(cycle_graph(6), 0) == frozenset()
     assert stress_vertices(star_graph(4), 1) == {0}
+
+
+def test_stress_matches_the_sweep_reference():
+    # the dominator pass against one blocked sweep per vertex, on every
+    # root: families with many ties, trees and block graphs (every internal
+    # vertex a cut vertex), and sparse G(n, p) with a few cut vertices
+    graphs = [generate(parse_family_spec(spec), 1) for spec in
+              ("grid:7", "torus:9", "prism:8", "figure1:3", "cycle:9", "path:7",
+               "rtree:300", "rblock:300")]
+    rng = random.Random(47)
+    for n in range(40, 121, 20):
+        graphs.append(random_connected_graph(n, rng.uniform(2, 5) / (n - 1), rng.randrange(1 << 30)))
+    stressed = 0
+    for g in graphs:
+        for x in range(g.n):
+            stress = stress_vertices(g, x)
+            assert stress == stress_vertices_reference(g, x), (g.n, x)
+            stressed += bool(stress)
+    assert stressed > 1000
 
 
 def test_md_and_stress_disjoint(small_graphs):
