@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .errors import (
     CompleteGraphError,
@@ -25,7 +25,7 @@ from .errors import (
     UnsupportedFamilyError,
 )
 from .generators import FamilySpec
-from .graph import Graph, bfs_distances, is_block_graph, require_connected
+from .graph import Graph, bfs_root_view, is_block_graph, require_connected
 from .solvers import mu_brute, vv_exact, vx_exact
 from .visibility import (
     has_spanning_double_star,
@@ -74,14 +74,7 @@ class BoundEntry:
     scope: str  # "vv" | "vx"
 
     def to_json_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "kind": self.kind,
-            "value": self.value,
-            "applicable": self.applicable,
-            "provenance": self.provenance,
-            "scope": self.scope,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -117,8 +110,9 @@ def bounds_report(
     """Assemble every applicable bound; per-root entries appear only when a
     root is given.  The mutual-visibility entry is exponential to evaluate
     and therefore opt-in; when skipped it is reported as not applicable
-    rather than estimated.  Its mu and exact solves and the stress-vertex pass
-    share the one deadline."""
+    rather than estimated.  The per-root entries read one root view of x,
+    so one BFS.  Its mu and exact solves and the stress-vertex pass share
+    the one deadline."""
     require_connected(g)
     if g.n < 2:
         raise InvalidParameterError("bounds need at least two vertices")
@@ -172,10 +166,8 @@ def bounds_report(
         )
     )
     if x is not None:
-        g.check_vertex(x)
-        dist, order = bfs_distances(g, x)
-        ecc = dist[order[-1]]
         md = maximally_distant(g, x)
+        ecc = bfs_root_view(g, x).ecc  # the view md was read from, cached
         stress = stress_vertices(g, x, deadline)
         entries.append(
             BoundEntry(

@@ -39,6 +39,7 @@ from .graph import (
     Graph,
     format_graph,
     read_graph_file,
+    read_text,
     to_external_ids,
     write_graph_file,
 )
@@ -62,13 +63,8 @@ def _load_graph(where: str, seed: int) -> Graph:
 
 
 def _read_set_file(path: str, n: int):
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            text = handle.read()
-        except UnicodeDecodeError as exc:
-            raise GraphFormatError(f"{path}: not UTF-8 text ({exc.reason})") from exc
     members: set[int] = set()
-    for lineno, raw in enumerate(text.split("\n"), start=1):
+    for lineno, raw in enumerate(read_text(path).split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("c") or line.startswith("#"):
             continue
@@ -96,10 +92,6 @@ def _emit(args, payload: dict, text_lines: list[str]) -> None:
             print(line)
 
 
-def _deadline(args) -> float | None:
-    return None if args.timeout is None else time.monotonic() + args.timeout
-
-
 def _root(args, g: Graph) -> int:
     """The 0-based id of the 1-based --root, checked against g."""
     if not 1 <= args.root <= g.n:
@@ -120,9 +112,8 @@ def _cmd_gen(args) -> int:
 def _cmd_vx(args) -> int:
     g = _load_graph(args.input, args.seed)
     root = _root(args, g)
-    deadline = _deadline(args)
     solver = {"exact": vx_exact, "brute": vx_brute, "greedy": vx_greedy}[args.method]
-    res = solver(g, root, deadline)
+    res = solver(g, root, args.deadline)
     payload = res.to_json_dict()
     lines = [
         f"root {args.root}: visibility number {res.value} ({res.method})",
@@ -136,7 +127,7 @@ def _cmd_vx(args) -> int:
 
 def _cmd_vv(args) -> int:
     g = _load_graph(args.input, args.seed)
-    res = vv_exact(g, _deadline(args))
+    res = vv_exact(g, args.deadline)
     _emit(
         args,
         res.to_json_dict(),
@@ -173,7 +164,7 @@ def _cmd_bounds(args) -> int:
         x=x,
         compute_mu=args.mu,
         compute_exact=args.exact,
-        deadline=_deadline(args),
+        deadline=args.deadline,
     )
     lines = [f"n={report.n} m={report.m} delta={report.delta}"]
     for e in report.entries:
@@ -249,18 +240,17 @@ def _cmd_table(args) -> int:
     if top > MAX_FILE_VERTICES:
         raise TooLargeError(f"{args.family}:{hi_n} has n={top}, above the limit of "
                             f"{MAX_FILE_VERTICES} vertices")
-    deadline = _deadline(args)
     rows = []
     notes: set[str] = set()
     for n in range(lo_n, hi_n + 1):
-        check_deadline(deadline, "table")
+        check_deadline(args.deadline, "table")
         spec = FamilySpec(args.family, (n,))
         notes.update(closed_form_notes(spec))
         # the witness is built to the closed form, and _finish checks its size
         w = witness_for(args.family, n)
         exact = None
         if args.exact_max is not None and n <= args.exact_max:
-            exact = vv_exact(generate(spec), deadline).value
+            exact = vv_exact(generate(spec), args.deadline).value
         rows.append({"n": n, "closed_form": w.claimed_size, "witness": len(w.members),
                      "exact": exact})
     lines = [f"{args.family}: n, closed form, witness size, exact"]
@@ -275,7 +265,7 @@ def _cmd_table(args) -> int:
 
 def _cmd_maxleaf(args) -> int:
     g = _load_graph(args.input, args.seed)
-    res = max_leaf_spanning_tree(g, _deadline(args))
+    res = max_leaf_spanning_tree(g, args.deadline)
     _emit(
         args,
         res.to_json_dict(),
@@ -289,7 +279,7 @@ def _cmd_maxleaf(args) -> int:
 
 def _cmd_mu(args) -> int:
     g = _load_graph(args.input, args.seed)
-    value = mu_brute(g, _deadline(args))
+    value = mu_brute(g, args.deadline)
     _emit(args, {"mu": value}, [f"mutual visibility number: {value}"])
     return 0
 
@@ -376,7 +366,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one request.  Its --timeout budget starts here, before the graph
+    is loaded, as the one deadline every timed step of the request checks."""
     args = build_parser().parse_args(argv)
+    timeout = getattr(args, "timeout", None)
+    args.deadline = None if timeout is None else time.monotonic() + timeout
     try:
         return args.func(args)
     except WitnessRejectedError as exc:

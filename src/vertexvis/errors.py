@@ -2,6 +2,24 @@
 
 import time
 
+__all__ = [
+    "VertexVisError",
+    "IdOutOfRangeError",
+    "SelfLoopError",
+    "DuplicateEdgeError",
+    "DisconnectedError",
+    "TooLargeError",
+    "InvalidParameterError",
+    "IsolatedVertexError",
+    "InvalidRegionError",
+    "WitnessRejectedError",
+    "UnsupportedFamilyError",
+    "NotBlockGraphError",
+    "CompleteGraphError",
+    "SolveTimeoutError",
+    "GraphFormatError",
+]
+
 
 class VertexVisError(Exception):
     """Base class for every error raised by this library."""

@@ -344,8 +344,6 @@ def random_graph_no_isolated(n: int, p: float, seed: int) -> Graph:
 
 def random_tree(n: int, seed: int) -> Graph:
     """Random labeled tree: each vertex attaches to a random earlier one."""
-    if n == 1:
-        return Graph(1, [])
     rng = random.Random(seed)
     edges = [(rng.randrange(v), v) for v in range(1, n)]
     return Graph(n, edges)

@@ -497,13 +497,17 @@ def format_graph(g: Graph, comment: str | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def read_graph_file(path) -> Graph:
+def read_text(path) -> str:
+    """The UTF-8 text of an input file, graph or vertex set."""
     with open(path, "r", encoding="utf-8") as handle:
         try:
-            text = handle.read()
+            return handle.read()
         except UnicodeDecodeError as exc:
             raise GraphFormatError(f"{path}: not UTF-8 text ({exc.reason})") from exc
-    return parse_graph(text)
+
+
+def read_graph_file(path) -> Graph:
+    return parse_graph(read_text(path))
 
 
 def write_graph_file(path, g: Graph, comment: str | None = None) -> None:

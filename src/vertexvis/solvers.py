@@ -52,7 +52,8 @@ from heapq import heapify, heappop, heapreplace
 from itertools import combinations
 
 from .errors import InvalidParameterError, TooLargeError, check_deadline
-from .graph import Graph, RootView, bfs_distances, bfs_root_view, mask_to_set, require_connected
+from .graph import (Graph, RootView, bfs_distances, bfs_root_view, mask_to_set,
+                    require_connected, to_external_ids)
 from .visibility import _members_all_visible, _pairwise_visible
 
 __all__ = [
@@ -93,7 +94,7 @@ class SolveResult:
         return {
             "value": self.value,
             "root": self.root + 1,
-            "witness": sorted(v + 1 for v in self.witness),
+            "witness": to_external_ids(self.witness),
             "tree": None
             if self.tree is None
             else {str(v + 1): p + 1 for v, p in self.tree.items()},
@@ -114,7 +115,7 @@ class MaxLeafResult:
         return {
             "value": self.value,
             "root": self.root + 1,
-            "leaves": sorted(v + 1 for v in self.leaves),
+            "leaves": to_external_ids(self.leaves),
             "tree": {str(v + 1): p + 1 for v, p in self.tree.items()},
         }
 
@@ -237,8 +238,8 @@ def _min_group_cover(sets: list[int], covers: list[int], deadline) -> int:
     excluded, covering something uncovered) gives this pass's, the ones
     covering two or more, and the pick.  Each uncovered constraint then has
     two or more live candidates, so the bound is at most live // 2, and its
-    constraint scan is skipped when that could not prune."""
-    check_deadline(deadline, "exact visibility solve")
+    constraint scan is skipped when that could not prune.  The deadline is
+    checked every 256 search nodes."""
     full = (1 << len(sets)) - 1
     best_mask = _greedy_group(sets, covers)
     best_size = best_mask.bit_count()
@@ -327,25 +328,35 @@ def _min_group_cover(sets: list[int], covers: list[int], deadline) -> int:
     return best_mask
 
 
-def _solve_root(g: Graph, x: int, solve_group, method: str) -> SolveResult:
+def _hang(rv: RootView, allowed: int) -> tuple[dict[int, int], int]:
+    """The shortest-path tree hanging each non-root vertex of rv off its
+    smallest DAG parent in allowed, and the mask of the parents it uses."""
+    tree: dict[int, int] = {}
+    used = 0
+    for v in rv.order[1:]:
+        cands = rv.dag_in_mask[v] & allowed
+        p = (cands & -cands).bit_length() - 1
+        tree[v] = p
+        used |= 1 << p
+    return tree, used
+
+
+def _solve_root(g: Graph, x: int, solve_group, method: str, what: str,
+                deadline) -> SolveResult:
     """Certificate for root x from a cover of every constraint group.  The
     internal vertices are x plus each group's picks from
-    solve_group(sets, covers); every other vertex hangs off its smallest
+    solve_group(sets, covers), and the deadline is checked before each
+    group, as the `what` step; every other vertex hangs off its smallest
     internal DAG parent, and the witness is the resulting leaf set."""
     rv = bfs_root_view(g, x)
     chosen = 1 << x
     for cands, sets, covers in _cover_groups(rv):
+        check_deadline(deadline, what)
         picked = solve_group(sets, covers)
         for i, p in enumerate(cands):
             if (picked >> i) & 1:
                 chosen |= 1 << p
-    tree: dict[int, int] = {}
-    used = 0
-    for v in rv.order[1:]:
-        internal = rv.dag_in_mask[v] & chosen
-        p = (internal & -internal).bit_length() - 1
-        tree[v] = p
-        used |= 1 << p
+    tree, used = _hang(rv, chosen)
     # the root is the parent of layer 1, so it is in used
     leaves = mask_to_set(((1 << g.n) - 1) ^ used)
     return SolveResult(value=len(leaves), root=x, witness=leaves, tree=tree, method=method)
@@ -356,8 +367,8 @@ def vx_exact(g: Graph, x: int, deadline: float | None = None) -> SolveResult:
     tree certificate."""
     g.check_vertex(x)
     _require_solvable(g)
-    check_deadline(deadline, "exact visibility solve")
-    return _solve_root(g, x, partial(_min_group_cover, deadline=deadline), "cover_bnb")
+    return _solve_root(g, x, partial(_min_group_cover, deadline=deadline), "cover_bnb",
+                       "exact visibility solve", deadline)
 
 
 def vx_brute(g: Graph, x: int, deadline: float | None = None) -> SolveResult:
@@ -394,10 +405,11 @@ def vx_brute(g: Graph, x: int, deadline: float | None = None) -> SolveResult:
 
 def vx_greedy(g: Graph, x: int, deadline: float | None = None) -> SolveResult:
     """Greedy parent cover on the BFS DAG: always a valid visibility set,
-    never exceeding the exact value; polynomial, so deadline is unused."""
+    never exceeding the exact value.  Polynomial, but the deadline is
+    checked before each group all the same."""
     g.check_vertex(x)
     _require_solvable(g)
-    return _solve_root(g, x, _greedy_group, "greedy")
+    return _solve_root(g, x, _greedy_group, "greedy", "greedy visibility solve", deadline)
 
 
 def vv_exact(g: Graph, deadline: float | None = None) -> SolveResult:
@@ -533,7 +545,8 @@ def _extend(g: Graph, ca: list[int], cb: list[int], order: list[int]) -> list[in
     vertex by vertex in order (each vertex after some neighbour).  v goes to
     an unused vertex w of its class whose neighbours among the images so far
     are exactly the images of v's neighbours so far: v itself when it
-    qualifies, else the smallest such w.  None at a vertex with no such w."""
+    qualifies, else the smallest such w.  None at a vertex with no such w,
+    and None when the finished map fails _is_automorphism."""
     adj_mask = g.adj_mask
     free: dict[int, int] = {}
     for w, c in enumerate(cb):
@@ -559,7 +572,7 @@ def _extend(g: Graph, ca: list[int], cb: list[int], order: list[int]) -> list[in
         sigma[v] = w
         images |= 1 << w
         free[ca[v]] ^= 1 << w
-    return sigma
+    return sigma if _is_automorphism(g, sigma) else None
 
 
 def _is_automorphism(g: Graph, sigma: list[int]) -> bool:
@@ -586,8 +599,8 @@ def _automorphism(g: Graph, cells: list[int], r: int, x: int, budget: int, deadl
     builds from its colourings in BFS order from r, then refines them and
     tries again, and then branches on its largest non-singleton class (the
     first met on ties): the smallest vertex v of that class goes to v itself
-    first, then to the other members in ascending order.  A map is returned
-    only once _is_automorphism holds."""
+    first, then to the other members in ascending order.  _extend returns
+    only maps that _is_automorphism accepts."""
     nodes = 0
     dr, order = bfs_distances(g, r)
 
@@ -596,7 +609,7 @@ def _automorphism(g: Graph, cells: list[int], r: int, x: int, budget: int, deadl
         nodes += 1
         check_deadline(deadline, "symmetry search")
         sigma = _extend(g, ca, cb, order)
-        if sigma is not None and _is_automorphism(g, sigma):
+        if sigma is not None:
             return sigma
         classes = len(set(ca))
         refined = _refine(g, [ca, cb], deadline)
@@ -608,7 +621,7 @@ def _automorphism(g: Graph, cells: list[int], r: int, x: int, budget: int, deadl
             sizes[c] = sizes.get(c, 0) + 1
         if len(sizes) > classes:
             sigma = _extend(g, ca, cb, order)
-            if sigma is not None and _is_automorphism(g, sigma):
+            if sigma is not None:
                 return sigma
         colour = max(sizes, key=sizes.__getitem__)
         if sizes[colour] == 1:
@@ -637,15 +650,11 @@ def _automorphism(g: Graph, cells: list[int], r: int, x: int, budget: int, deadl
 # maximum-leaf spanning trees via minimum connected dominating sets
 
 def _greedy_cds(g: Graph) -> int:
-    """Internal vertices of a BFS tree from a max-degree vertex: a connected
-    dominating set used as the starting incumbent."""
+    """Internal vertices of a BFS tree from a max-degree vertex, each vertex
+    under its smallest DAG parent: a connected dominating set used as the
+    starting incumbent."""
     start = max(range(g.n), key=lambda v: (g.degree(v), -v))
-    rv = bfs_root_view(g, start)
-    used = 0
-    for v in rv.order[1:]:
-        cands = rv.dag_in_mask[v]
-        used |= cands & -cands
-    return used
+    return _hang(bfs_root_view(g, start), -1)[1]
 
 
 def _min_cds(g: Graph, deadline) -> int:

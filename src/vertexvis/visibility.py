@@ -21,14 +21,7 @@ Terminology used throughout:
 from __future__ import annotations
 
 from .errors import InvalidParameterError, check_deadline
-from .graph import (
-    Graph,
-    RootView,
-    bfs_distances,
-    bfs_root_view,
-    mask_to_set,
-    require_connected,
-)
+from .graph import Graph, RootView, bfs_root_view, mask_to_set, require_connected
 
 __all__ = [
     "clear_reachable",
@@ -133,27 +126,31 @@ def is_mutual_visibility_set(g: Graph, s) -> bool:
     return _pairwise_visible({u: bfs_root_view(g, u) for u in members}, members)
 
 
+def _maximally_distant_mask(rv: RootView) -> int:
+    """Vertices with no neighbor farther from rv.root: a farther neighbor
+    is one layer down, so these are the vertices that are no vertex's DAG
+    parent."""
+    parents = 0
+    for mask in rv.dag_in_mask:
+        parents |= mask
+    return ((1 << len(rv.dist)) - 1) & ~parents
+
+
 def maximally_distant(g: Graph, x: int) -> frozenset[int]:
-    """All vertices with no neighbor farther from x than themselves."""
+    """All vertices with no neighbor farther from x than themselves: those
+    that are no vertex's DAG parent in the cached root view of x."""
     g.check_vertex(x)
     require_connected(g)
-    dist = bfs_distances(g, x)[0]
-    out = []
-    for y in range(g.n):
-        dy = dist[y]
-        if all(dist[z] <= dy for z in g.adj[y]):
-            out.append(y)
-    return frozenset(out)
+    return mask_to_set(_maximally_distant_mask(bfs_root_view(g, x)))
 
 
 def stress_vertices(g: Graph, x: int, deadline: float | None = None) -> frozenset[int]:
     """Stress vertices for x.
 
     Every shortest x,z-path passes through y exactly when y dominates z in
-    the BFS DAG from x, and z is maximally distant exactly when it is no
-    vertex's DAG parent.  So y != x qualifies when it strictly dominates
-    some such z != x.  One walk of the BFS order, with a deadline check
-    every 256 vertices, gives each vertex its immediate dominator: the
+    the BFS DAG from x, so y != x qualifies when it strictly dominates some
+    maximally distant z != x.  One walk of the BFS order, with a deadline
+    check every 256 vertices, gives each vertex its immediate dominator: the
     nearest common dominator-tree ancestor of its DAG parents, by the
     intersect step of Cooper, Harvey and Kennedy ("A simple, fast dominance
     algorithm", 2001) with BFS distances as the ranks.  The answer is the
@@ -163,12 +160,10 @@ def stress_vertices(g: Graph, x: int, deadline: float | None = None) -> frozense
     require_connected(g)
     rv = bfs_root_view(g, x)
     dist, idom = rv.dist, [x] * g.n
-    parents = 0
     for i, v in enumerate(rv.order[1:]):
         if not i & 0xFF:
             check_deadline(deadline, "stress-vertex pass")
         rest = rv.dag_in_mask[v]
-        parents |= rest
         a = rest.bit_length() - 1
         rest ^= 1 << a
         while rest:
@@ -182,7 +177,7 @@ def stress_vertices(g: Graph, x: int, deadline: float | None = None) -> frozense
                     b = idom[b]
         idom[v] = a
     out = 1 << x  # marked first, so every walk up stops at x
-    rest = ((1 << g.n) - 1) & ~parents
+    rest = _maximally_distant_mask(rv)
     while rest:
         low = rest & -rest
         rest ^= low

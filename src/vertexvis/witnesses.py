@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from .bounds import closed_form
 from .errors import InvalidParameterError, InvalidRegionError, WitnessRejectedError
 from .generators import FamilySpec, grid_graph, prism_graph, torus_graph
-from .graph import Graph, bfs_distances
+from .graph import Graph, bfs_distances, to_external_ids
 from .visibility import is_x_visibility_set
 
 __all__ = [
@@ -53,7 +53,7 @@ class WitnessResult:
             "family": self.family,
             "n": self.n,
             "root": {"id": self.root + 1, "row": row, "col": col},
-            "set": sorted(v + 1 for v in self.members),
+            "set": to_external_ids(self.members),
             "claimed_size": self.claimed_size,
             "verified": self.verified,
         }

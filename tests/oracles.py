@@ -241,6 +241,14 @@ def greedy_group_reference(sets: list[int], covers: list[int]) -> int:
     return chosen
 
 
+def maximally_distant_reference(g: Graph, x: int) -> frozenset[int]:
+    """Maximally distant vertices the way they were found before the root
+    view: one BFS, then a scan of every vertex's neighbours for one farther
+    from x."""
+    dist = bfs_dist(g, x)
+    return frozenset(y for y in range(g.n) if all(dist[z] <= dist[y] for z in g.adj[y]))
+
+
 def stress_vertices_reference(g: Graph, x: int) -> frozenset[int]:
     """Stress vertices for x the way they were found before the dominator
     pass: for each y != x, one sweep of the BFS order from x with y

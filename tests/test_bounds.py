@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from vertexvis import bounds
+from vertexvis import bounds, graph, solvers, visibility
 from vertexvis.bounds import (
     COMPLETE_PRODUCT_NOTE,
     TORUS_EVEN_NOTE,
@@ -27,6 +27,7 @@ from vertexvis.generators import (
     complete_graph,
     cycle_graph,
     generate,
+    parse_family_spec,
     path_graph,
     random_block_graph,
     random_connected_graph,
@@ -112,11 +113,30 @@ def test_report_solves_share_one_deadline(monkeypatch):
     assert seen == [("mu_brute", deadline), ("vx_exact", deadline)]
 
 
+def test_per_root_entries_run_one_bfs(monkeypatch):
+    # maximally distant vertices, stress vertices and the eccentricity all
+    # come from one root view; connectivity, cached on the graph, is asked
+    # for first so that its own BFS is not counted
+    calls = []
+    real = graph.bfs_distances
+    for module in (bounds, graph, solvers, visibility):
+        if hasattr(module, "bfs_distances"):
+            monkeypatch.setattr(module, "bfs_distances", lambda g, x: calls.append(x) or real(g, x))
+    for spec, x in (("grid:9", 40), ("figure1:2", 3), ("random:60,0.08", 7)):
+        g = generate(parse_family_spec(spec), 1)
+        graph.require_connected(g)
+        calls.clear()
+        bounds_report(g, x=x)
+        assert calls == [x], spec
+
+
 def test_characterize_examples():
     assert characterize_extremal(complete_graph(5)) == "top"
     assert characterize_extremal(star_graph(4)) == "top"
     assert characterize_extremal(path_graph(4)) == "second"
     assert characterize_extremal(cycle_graph(6)) == "other"
+    with pytest.raises(InvalidParameterError, match="at least two vertices"):
+        characterize_extremal(path_graph(1))
 
 
 def test_characterize_iff_small(small_graphs):

@@ -11,7 +11,7 @@ import vertexvis
 from vertexvis import cli, generators, witnesses
 from vertexvis.bounds import TORUS_EVEN_NOTE, bounds_report
 from vertexvis.cli import main
-from vertexvis.graph import parse_graph, read_graph_file
+from vertexvis.graph import format_graph, parse_graph, read_graph_file
 from vertexvis.generators import generate, parse_family_spec
 from vertexvis.solvers import max_leaf_spanning_tree, vv_exact, vx_exact, vx_greedy
 from vertexvis.witnesses import grid_witness
@@ -220,6 +220,28 @@ def test_timeout_bounds_the_stress_sweep_and_every_table_row(capsys):
         assert (code, out) == (1, "") and "time budget" in err, argv
 
 
+def test_greedy_honours_the_timeout(capsys):
+    code, out, err = run(capsys, "vx", "grid:60", "--root", "1771", "--method", "greedy",
+                         "--timeout", "0")
+    assert (code, out) == (1, "")
+    assert err == "error: greedy visibility solve exceeded its time budget\n"
+
+
+def test_the_request_clock_starts_before_the_graph_is_loaded(tmp_path, capsys, monkeypatch):
+    # loading alone outlives the budget, so the first check after it fires
+    def slow(load):
+        return lambda *args: time.sleep(0.1) or load(*args)
+
+    monkeypatch.setattr(cli, "generate", slow(cli.generate))
+    monkeypatch.setattr(cli, "read_graph_file", slow(cli.read_graph_file))
+    path = tmp_path / "grid5.gr"
+    path.write_text(format_graph(generate(parse_family_spec("grid:5"))))
+    for source in ("grid:5", str(path)):
+        for argv in (("vx", source, "--root", "1"), ("vv", source)):
+            code, out, err = run(capsys, *argv, "--timeout", "0.05")
+            assert (code, out) == (1, "") and "time budget" in err, argv
+
+
 def test_removed_options_are_usage_errors(capsys):
     for argv in (("gen", "path:3", "--format", "json"), ("witness", "grid:5", "--seed", "1"),
                  ("table", "grid", "--range", "4..5", "--seed", "1")):
@@ -249,6 +271,8 @@ def test_maxleaf_and_mu(capsys):
     code, stdout, _ = run(capsys, "mu", "path:4", "--format", "json")
     assert code == 0
     assert json.loads(stdout)["mu"] == 2
+    code, stdout, _ = run(capsys, "mu", "path:1", "--format", "json")
+    assert (code, json.loads(stdout)) == (0, {"mu": 1})
 
 
 def test_json_is_one_compact_line_of_the_result(capsys):
@@ -321,6 +345,8 @@ def test_error_exit_codes(tmp_path, capsys):
         bad.write_bytes(text)
         code, _, err = run(capsys, "vx", str(bad), "--root", "1")
         assert code == 1 and err.startswith("error: ") and message in err, text
+    code, out, err = run(capsys, "vx", "grid:0", "--root", "1")
+    assert (code, out, err) == (1, "", "error: parameters must be positive: (0,)\n")
     # over a fixed exhaustive cap, and over the request's time budget
     for argv in (("mu", "grid:5"), ("vx", "grid:5", "--root", "1", "--method", "brute"),
                  ("maxleaf", "grid:6"),

@@ -65,6 +65,15 @@ def test_family_spec_parsing():
                 FamilySpec(name, spec.args[:at] + (wrong,) + spec.args[at + 1:])
 
 
+def test_smallest_parameters_of_the_size_checked_families():
+    for spec, message in (("cycle:2", "cycle needs n >= 3"),
+                          ("rblock:2", "block graph sampler needs n >= 3")):
+        with pytest.raises(InvalidParameterError, match=message):
+            generate(parse_family_spec(spec))
+    g = generate(parse_family_spec("rtree:1"))
+    assert (g.n, g.m) == (1, 0)
+
+
 def test_family_vertex_counts_and_cap(monkeypatch):
     for name, family in FAMILIES.items():
         args = tuple(0.5 if kind is float else 3 + i for i, kind in enumerate(family.params))

@@ -205,6 +205,8 @@ def test_alpha_examples():
     assert alpha_brute(complete_graph(4)) == 1
     assert alpha_brute(cycle_graph(5)) == 2
     assert alpha_brute(Graph(4, [(0, 1), (2, 3)])) == 2
+    with pytest.raises(TooLargeError, match="capped at n=30"):
+        alpha_brute(path_graph(31))
 
 
 def test_greedy_examples():
@@ -241,9 +243,8 @@ def test_timeout_fires():
 
 
 def test_timeout_fires_before_the_group_search(monkeypatch):
-    # the root view outlives the deadline; the exact route checks it again
-    # before each group's search, not only every 256 search nodes, while
-    # vx_greedy stays unchecked
+    # the root view outlives the deadline; both routes check it again
+    # before each group, not only every 256 search nodes
     real = solvers.bfs_root_view
 
     def late(g, x):
@@ -257,7 +258,21 @@ def test_timeout_fires_before_the_group_search(monkeypatch):
         with pytest.raises(SolveTimeoutError, match="exact visibility solve"):
             vx_exact(g, 0, deadline)
         deadline = time.monotonic() + 0.05
-        assert vx_greedy(g, 0, deadline).value == vx_exact(g, 0).value
+        with pytest.raises(SolveTimeoutError, match="greedy visibility solve"):
+            vx_greedy(g, 0, deadline)
+
+
+def test_timeout_fires_inside_the_group_and_cds_searches():
+    # each search alone runs 0.5 s or more (1.6 s and 0.5 s on a 2-core
+    # x86-64 VM), so a deadline 0.05 s ahead passes mid-search, where only
+    # the checks every 256 nodes can see it
+    g = generate(parse_family_spec("random:400,0.02"), 3)
+    _, sets, covers = max(solvers._cover_groups(bfs_root_view(g, 1)), key=lambda gr: len(gr[0]))
+    with pytest.raises(SolveTimeoutError, match="exact visibility solve"):
+        solvers._min_group_cover(sets, covers, time.monotonic() + 0.05)
+    g = generate(parse_family_spec("random:32,0.15"), 1)
+    with pytest.raises(SolveTimeoutError, match="max-leaf spanning tree solve"):
+        solvers._min_cds(g, time.monotonic() + 0.05)
 
 
 def test_timeout_bounds_the_whole_root_loop():

@@ -25,7 +25,13 @@ from vertexvis.visibility import (
     stress_vertices,
 )
 
-from oracles import all_shortest_paths, mutual_by_paths, stress_vertices_reference, visible_by_paths
+from oracles import (
+    all_shortest_paths,
+    maximally_distant_reference,
+    mutual_by_paths,
+    stress_vertices_reference,
+    visible_by_paths,
+)
 
 BOWTIE = Graph(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)])
 
@@ -112,6 +118,8 @@ def test_set_arguments_are_range_checked():
         is_visible_from(p4, 0, {7}, 2)
     with pytest.raises(IdOutOfRangeError):
         is_mutual_visibility_set(p4, {0, 11})
+    with pytest.raises(InvalidParameterError, match="distinct vertices"):
+        is_visible_from(p4, 1, [], 1)
 
 
 def test_visibility_hereditary_down(small_graphs):
@@ -154,6 +162,17 @@ def test_maximally_distant_examples():
     assert maximally_distant(path_graph(4), 1) == {0, 3}
     assert maximally_distant(cycle_graph(6), 0) == {3}
     assert maximally_distant(complete_graph(5), 2) == {0, 1, 3, 4}
+
+
+def test_maximally_distant_matches_the_neighbour_scan(small_graphs):
+    # no vertex's DAG parent, against the scan for a farther neighbour
+    rng = random.Random(53)
+    graphs = list(small_graphs)
+    for n in range(30, 151, 30):
+        graphs.append(random_connected_graph(n, rng.uniform(2, 6) / (n - 1), rng.randrange(1 << 30)))
+    for g in graphs:
+        for x in range(g.n):
+            assert maximally_distant(g, x) == maximally_distant_reference(g, x), (g, x)
 
 
 def test_stress_examples():
