@@ -113,7 +113,7 @@ def bounds_report(
     rather than estimated.  The per-root entries read one root view of x,
     so one BFS.  Its mu and exact solves and the stress-vertex pass share
     the one deadline."""
-    require_connected(g)
+    require_connected(g, x)
     if g.n < 2:
         raise InvalidParameterError("bounds need at least two vertices")
     n, delta = g.n, g.max_degree()

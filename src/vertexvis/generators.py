@@ -260,9 +260,10 @@ def np_gadget(g: Graph) -> ReductionResult:
     to exactly the two endpoints of its edge.  Original edges are kept.
 
     The apex-visibility number of the result equals m(g) plus the maximum
-    independent set size of g.  Rejects graphs with isolated vertices, named
-    by 1-based id, and gadgets over MAX_DENSE_EDGES edges before any edge is
-    built.
+    independent set size of g.  Built a vertex at a time from g's lists and
+    masks, in O(n + m) big-int steps.  Rejects graphs with isolated
+    vertices, named by 1-based id, and gadgets over MAX_DENSE_EDGES edges
+    before any edge is built.
     """
     for v in range(g.n):
         if not g.adj[v]:
@@ -271,20 +272,20 @@ def np_gadget(g: Graph) -> ReductionResult:
     _check_dense(f"visibility gadget of a graph with {m} edges",
                  m + n + 2 * m + m * (m - 1) // 2)
     apex = n
-    original_edges = list(g.edges())
-    edges = list(original_edges)
-    edges += [(v, apex) for v in range(n)]
-    edge_ids = {}
-    for idx, (u, v) in enumerate(original_edges):
-        ev = n + 1 + idx
-        edge_ids[(u, v)] = ev
-        edges.append((u, ev))
-        edges.append((v, ev))
-    evs = sorted(edge_ids.values())
-    edges += [(a, b) for i, a in enumerate(evs) for b in evs[i + 1:]]
-    gprime = Graph(n + 1 + m, edges)
+    clique = list(range(n + 1, n + 1 + m))
+    edge_ids = dict(zip(g.edges(), clique))
+    neighbors = [[*nb, apex] for nb in g.adj] + [list(range(n))]
+    masks = [mask | 1 << apex for mask in g.adj_mask] + [(1 << n) - 1]
+    clique_mask = ((1 << m) - 1) << (n + 1)
+    for i, ((u, v), ev) in enumerate(edge_ids.items()):
+        bit = 1 << ev
+        for w in (u, v):
+            neighbors[w].append(ev)
+            masks[w] |= bit
+        neighbors.append([u, v, *clique[:i], *clique[i + 1:]])
+        masks.append(clique_mask ^ bit | 1 << u | 1 << v)
     return ReductionResult(
-        gprime=gprime,
+        gprime=Graph._from_lists(neighbors, masks),
         apex=apex,
         original_map=tuple(range(n)),
         edge_vertex_map=edge_ids,

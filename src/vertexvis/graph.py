@@ -12,6 +12,7 @@ heavily.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from .errors import (
@@ -87,6 +88,13 @@ class Graph:
             neighbors[u].append(v)
             neighbors[v].append(u)
         self._set_adjacency(neighbors, masks)
+
+    @classmethod
+    def _from_lists(cls, neighbors: list[list[int]], masks: list[int]) -> Graph:
+        """A graph over checked neighbor lists and masks, as _set_adjacency takes them."""
+        g = cls.__new__(cls)
+        g._set_adjacency(neighbors, masks)
+        return g
 
     def _set_adjacency(self, neighbors: list[list[int]], masks: list[int]) -> None:
         """Take over checked neighbor lists and their masks (sorts the lists)."""
@@ -213,17 +221,19 @@ def bfs_root_view(g: Graph, x: int) -> RootView:
     return view
 
 
-def is_connected(g: Graph) -> bool:
-    """Whether every vertex is reachable from vertex 0: whether the BFS
-    order from 0 holds all n vertices.  The answer is cached on the graph;
-    no root view is built."""
+def is_connected(g: Graph, root: int | None = None) -> bool:
+    """Whether the BFS order from vertex 0 holds all n vertices, cached on
+    the graph.  Given a root, the order of its root view is read instead:
+    the view is cached for the caller's next bfs_root_view, so a per-root
+    request runs one BFS, not two.  Otherwise no root view is built."""
     if g._connected is None:
-        g._connected = len(bfs_distances(g, 0)[1]) == g.n
+        order = bfs_distances(g, 0)[1] if root is None else bfs_root_view(g, root).order
+        g._connected = len(order) == g.n
     return g._connected
 
 
-def require_connected(g: Graph) -> None:
-    if not is_connected(g):
+def require_connected(g: Graph, root: int | None = None) -> None:
+    if not is_connected(g, root):
         raise DisconnectedError("operation requires a connected graph")
 
 
@@ -395,9 +405,7 @@ def parse_graph(text: str) -> Graph:
     masks = [sum(map(bits.__getitem__, nb)) for nb in neighbors]
     if any(mask.bit_count() != len(nb) for mask, nb in zip(masks, neighbors)):
         return _parse_lines(text)
-    g = Graph.__new__(Graph)
-    g._set_adjacency(neighbors, masks)
-    return g
+    return Graph._from_lists(neighbors, masks)
 
 
 def _parse_lines(text: str) -> Graph:
@@ -451,9 +459,7 @@ def _parse_lines(text: str) -> Graph:
         raise GraphFormatError("missing 'p <n> <m>' header")
     if declared_m != m:
         raise GraphFormatError(f"header declares {declared_m} edges, file has {m}")
-    g = Graph.__new__(Graph)
-    g._set_adjacency(neighbors, masks)
-    return g
+    return Graph._from_lists(neighbors, masks)
 
 
 def _file_header(parts: list[str], lineno: int) -> tuple[int, int]:
@@ -487,13 +493,16 @@ def _file_id(token: str, n: int, lineno: int) -> int:
 
 
 def format_graph(g: Graph, comment: str | None = None) -> str:
-    lines = []
-    if comment:
-        for part in comment.splitlines():
-            lines.append(f"c {part}")
+    """The file text of g, a vertex at a time: the neighbors above u, one
+    slice of its sorted list, are joined under one ``e u `` head."""
+    lines = [f"c {part}" for part in comment.splitlines()] if comment else []
     lines.append(f"p {g.n} {g.m}")
-    for u, v in g.edges():
-        lines.append(f"e {u + 1} {v + 1}")
+    ids = [str(v + 1) for v in range(g.n)]
+    for u, nb in enumerate(g.adj):
+        above = nb[bisect_right(nb, u):]
+        if above:
+            head = f"e {ids[u]} "
+            lines.append(head + ("\n" + head).join(map(ids.__getitem__, above)))
     return "\n".join(lines) + "\n"
 
 

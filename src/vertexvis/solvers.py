@@ -120,10 +120,10 @@ class MaxLeafResult:
         }
 
 
-def _require_solvable(g: Graph) -> None:
+def _require_solvable(g: Graph, x: int | None = None) -> None:
     if g.n < 2:
         raise InvalidParameterError("need at least 2 vertices")
-    require_connected(g)
+    require_connected(g, x)
 
 
 # ---------------------------------------------------------------------------
@@ -343,12 +343,12 @@ def _hang(rv: RootView, allowed: int) -> tuple[dict[int, int], int]:
 
 def _solve_root(g: Graph, x: int, solve_group, method: str, what: str,
                 deadline) -> SolveResult:
-    """Certificate for root x from a cover of every constraint group.  The
-    internal vertices are x plus each group's picks from
-    solve_group(sets, covers), and the deadline is checked before each
-    group, as the `what` step; every other vertex hangs off its smallest
-    internal DAG parent, and the witness is the resulting leaf set."""
+    """Certificate for root x from a cover of every constraint group: x and
+    each group's picks from solve_group(sets, covers) are internal, every
+    other vertex hangs off its smallest internal DAG parent, and the witness
+    is the leaf set.  The deadline (`what`) is checked first and per group."""
     rv = bfs_root_view(g, x)
+    check_deadline(deadline, what)
     chosen = 1 << x
     for cands, sets, covers in _cover_groups(rv):
         check_deadline(deadline, what)
@@ -366,7 +366,7 @@ def vx_exact(g: Graph, x: int, deadline: float | None = None) -> SolveResult:
     """Exact visibility number of root x with a maximum-leaf shortest-path
     tree certificate."""
     g.check_vertex(x)
-    _require_solvable(g)
+    _require_solvable(g, x)
     return _solve_root(g, x, partial(_min_group_cover, deadline=deadline), "cover_bnb",
                        "exact visibility solve", deadline)
 
@@ -375,7 +375,7 @@ def vx_brute(g: Graph, x: int, deadline: float | None = None) -> SolveResult:
     """Independent oracle: enumerate every subset of V minus x and keep the
     largest visibility set."""
     g.check_vertex(x)
-    _require_solvable(g)
+    _require_solvable(g, x)
     if g.n > BRUTE_CAP:
         raise TooLargeError(f"brute force capped at n={BRUTE_CAP}")
     rv = bfs_root_view(g, x)
@@ -408,7 +408,7 @@ def vx_greedy(g: Graph, x: int, deadline: float | None = None) -> SolveResult:
     never exceeding the exact value.  Polynomial, but the deadline is
     checked before each group all the same."""
     g.check_vertex(x)
-    _require_solvable(g)
+    _require_solvable(g, x)
     return _solve_root(g, x, _greedy_group, "greedy", "greedy visibility solve", deadline)
 
 

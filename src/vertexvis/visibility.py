@@ -59,7 +59,7 @@ def clear_reachable(g: Graph, x: int, blocked) -> frozenset[int]:
     """Vertices v outside `blocked` (plus x itself) admitting a shortest
     x,v-path that avoids `blocked` internally."""
     g.check_vertex(x)
-    require_connected(g)
+    require_connected(g, x)
     blocked_mask = _checked_mask(g, blocked)
     if (blocked_mask >> x) & 1:
         raise InvalidParameterError("root may not be blocked")
@@ -72,7 +72,7 @@ def is_visible_from(g: Graph, x: int, blockers, y: int) -> bool:
     g.check_vertex(y)
     if x == y:
         raise InvalidParameterError("visibility is asked between distinct vertices")
-    require_connected(g)
+    require_connected(g, x)
     rv = bfs_root_view(g, x)
     blocked_mask = _checked_mask(g, blockers) & ~(1 << x) & ~(1 << y)
     reach = _clear_mask(rv, blocked_mask)
@@ -98,7 +98,7 @@ def _members_all_visible(rv: RootView, s_mask: int) -> bool:
 def is_x_visibility_set(g: Graph, x: int, s) -> bool:
     """Decide whether s is an x-visibility set (x itself must not be in s)."""
     g.check_vertex(x)
-    require_connected(g)
+    require_connected(g, x)
     s_mask = _checked_mask(g, s)
     if (s_mask >> x) & 1:
         raise InvalidParameterError("an x-visibility set may not contain x")
@@ -140,7 +140,7 @@ def maximally_distant(g: Graph, x: int) -> frozenset[int]:
     """All vertices with no neighbor farther from x than themselves: those
     that are no vertex's DAG parent in the cached root view of x."""
     g.check_vertex(x)
-    require_connected(g)
+    require_connected(g, x)
     return mask_to_set(_maximally_distant_mask(bfs_root_view(g, x)))
 
 
@@ -157,7 +157,7 @@ def stress_vertices(g: Graph, x: int, deadline: float | None = None) -> frozense
     union of the strict dominators of those z, without x.
     """
     g.check_vertex(x)
-    require_connected(g)
+    require_connected(g, x)
     rv = bfs_root_view(g, x)
     dist, idom = rv.dist, [x] * g.n
     for i, v in enumerate(rv.order[1:]):

@@ -344,3 +344,37 @@ def min_group_cover_reference(sets: list[int], covers: list[int]) -> int:
 
     search(0, 0, 0, 0)
     return best_mask
+
+
+def np_gadget_reference(g: Graph) -> tuple[Graph, int, dict, int]:
+    """(gprime, apex, edge_vertex_map, k_offset) of the hardness gadget as it
+    was built before the per-vertex build: one edge list (original edges,
+    apex spokes, edge-vertex legs, then the edge-vertex clique) through
+    Graph(n, edges)."""
+    n, m = g.n, g.m
+    apex = n
+    original_edges = list(g.edges())
+    edges = list(original_edges)
+    edges += [(v, apex) for v in range(n)]
+    edge_ids = {}
+    for idx, (u, v) in enumerate(original_edges):
+        ev = n + 1 + idx
+        edge_ids[(u, v)] = ev
+        edges.append((u, ev))
+        edges.append((v, ev))
+    evs = sorted(edge_ids.values())
+    edges += [(a, b) for i, a in enumerate(evs) for b in evs[i + 1:]]
+    return Graph(n + 1 + m, edges), apex, edge_ids, m
+
+
+def format_graph_reference(g: Graph, comment: str | None = None) -> str:
+    """The graph file text as it was written before the per-vertex writer:
+    one f-string per edge of Graph.edges()."""
+    lines = []
+    if comment:
+        for part in comment.splitlines():
+            lines.append(f"c {part}")
+    lines.append(f"p {g.n} {g.m}")
+    for u, v in g.edges():
+        lines.append(f"e {u + 1} {v + 1}")
+    return "\n".join(lines) + "\n"

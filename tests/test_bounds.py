@@ -114,20 +114,27 @@ def test_report_solves_share_one_deadline(monkeypatch):
 
 
 def test_per_root_entries_run_one_bfs(monkeypatch):
-    # maximally distant vertices, stress vertices and the eccentricity all
-    # come from one root view; connectivity, cached on the graph, is asked
-    # for first so that its own BFS is not counted
+    # maximally distant vertices, stress vertices, the eccentricity and
+    # connectivity all come from one root view, also on a fresh graph; so do
+    # the per-root solves and the set check
     calls = []
     real = graph.bfs_distances
     for module in (bounds, graph, solvers, visibility):
         if hasattr(module, "bfs_distances"):
             monkeypatch.setattr(module, "bfs_distances", lambda g, x: calls.append(x) or real(g, x))
-    for spec, x in (("grid:9", 40), ("figure1:2", 3), ("random:60,0.08", 7)):
-        g = generate(parse_family_spec(spec), 1)
-        graph.require_connected(g)
-        calls.clear()
-        bounds_report(g, x=x)
-        assert calls == [x], spec
+    entries = (
+        bounds_report,
+        vx_exact,
+        solvers.vx_greedy,
+        lambda g, x: visibility.is_x_visibility_set(g, x, ()),
+    )
+    for spec, x in (("grid:9", 40), ("figure1:2", 3), ("cocktail:5", 7)):
+        for entry in entries:
+            g = generate(parse_family_spec(spec))
+            assert g._connected is None, spec
+            calls.clear()
+            entry(g, x)
+            assert calls == [x], (spec, entry)
 
 
 def test_characterize_examples():

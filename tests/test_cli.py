@@ -227,6 +227,16 @@ def test_greedy_honours_the_timeout(capsys):
     assert err == "error: greedy visibility solve exceeded its time budget\n"
 
 
+def test_a_root_without_constraint_groups_honours_the_timeout(capsys):
+    # every vertex of K5 is adjacent to the root, so there is no group to
+    # check the deadline before; the one check ahead of the groups fires
+    for method in ("exact", "greedy"):
+        code, out, err = run(capsys, "vx", "complete:5", "--root", "1", "--method", method,
+                             "--timeout", "0")
+        assert (code, out) == (1, ""), method
+        assert err == f"error: {method} visibility solve exceeded its time budget\n"
+
+
 def test_the_request_clock_starts_before_the_graph_is_loaded(tmp_path, capsys, monkeypatch):
     # loading alone outlives the budget, so the first check after it fires
     def slow(load):

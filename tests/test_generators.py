@@ -33,7 +33,7 @@ from vertexvis.generators import (
 from vertexvis.graph import MAX_FILE_VERTICES
 from vertexvis.graph import Graph, is_connected
 
-from oracles import diameter
+from oracles import diameter, np_gadget_reference
 
 
 def test_family_spec_parsing():
@@ -179,6 +179,24 @@ def test_gadget_adjacency_contract():
         others = set(red.edge_vertex_map.values()) - {ev}
         assert set(gp.adj[ev]) == {u, v} | others
     assert diameter(gp) == 2
+
+
+def test_gadget_matches_the_per_edge_reference():
+    # Graph.__eq__ compares n and adj only, so masks and m are compared too
+    rng = random.Random(18)
+    bases = [path_graph(5), cycle_graph(3), Graph(2, [(0, 1)])]
+    for i in range(20):
+        n = 10 + (50 * i) // 19
+        bases.append(random_connected_graph(n, rng.uniform(4, 9) / (n - 1), 1800 + i))
+    for base in bases:
+        red = np_gadget(base)
+        gprime, apex, edge_vertex_map, k_offset = np_gadget_reference(base)
+        assert (red.gprime.n, red.gprime.adj) == (gprime.n, gprime.adj), base
+        assert red.gprime.adj_mask == gprime.adj_mask, base
+        assert red.gprime.m == gprime.m, base
+        assert (red.apex, red.k_offset) == (apex, k_offset), base
+        assert list(red.edge_vertex_map.items()) == list(edge_vertex_map.items()), base
+        assert red.original_map == tuple(range(base.n))
 
 
 def test_gadget_rejects_isolated_vertices():

@@ -21,6 +21,8 @@ from vertexvis.generators import (
     cocktail_party,
     complete_graph,
     cycle_graph,
+    grid_graph,
+    np_gadget,
     path_graph,
     random_connected_graph,
     random_tree,
@@ -44,6 +46,7 @@ from vertexvis.graph import (
 
 from oracles import (
     adjacency_by_pair_set,
+    format_graph_reference,
     all_shortest_paths,
     bfs_dist,
     live_root_views,
@@ -305,6 +308,26 @@ def test_graph_file_round_trip():
     text = format_graph(g, comment="round trip")
     again = parse_graph(text)
     assert again == g
+
+
+def test_format_graph_matches_the_per_edge_reference():
+    rng = random.Random(18)
+    sparse = [Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.1])
+              for n in range(2, 40, 3)]  # isolated vertices and vertices with no later neighbor
+    cases = sparse + [
+        path_graph(1),
+        path_graph(7),
+        cycle_graph(9),
+        complete_graph(6),
+        cocktail_party(4),
+        grid_graph(6),
+        random_tree(200, seed=3),
+        np_gadget(cycle_graph(3)).gprime,
+        np_gadget(random_connected_graph(30, 0.2, 4)).gprime,
+    ]
+    for g in cases:
+        for comment in (None, "", "one line", "first\nsecond\n\nfourth\n"):
+            assert format_graph(g, comment) == format_graph_reference(g, comment), (g, comment)
 
 
 def test_graph_file_parsing_details():
