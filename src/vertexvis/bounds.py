@@ -25,7 +25,7 @@ from .errors import (
     UnsupportedFamilyError,
 )
 from .generators import FamilySpec
-from .graph import Graph, bfs_root_view, is_block_graph, require_connected
+from .graph import Graph, connected_view, is_block_graph, require_connected
 from .solvers import mu_brute, vv_exact, vx_exact
 from .visibility import (
     has_spanning_double_star,
@@ -110,10 +110,12 @@ def bounds_report(
     """Assemble every applicable bound; per-root entries appear only when a
     root is given.  The mutual-visibility entry is exponential to evaluate
     and therefore opt-in; when skipped it is reported as not applicable
-    rather than estimated.  The per-root entries read one root view of x,
-    so one BFS.  Its mu and exact solves and the stress-vertex pass share
-    the one deadline."""
-    require_connected(g, x)
+    rather than estimated.  connected_view checks a root before any work,
+    and the per-root entries read its view of x.  Its mu and exact solves
+    and the stress-vertex pass share the one deadline."""
+    if x is not None:
+        ecc = connected_view(g, x).ecc
+    require_connected(g)
     if g.n < 2:
         raise InvalidParameterError("bounds need at least two vertices")
     n, delta = g.n, g.max_degree()
@@ -167,7 +169,6 @@ def bounds_report(
     )
     if x is not None:
         md = maximally_distant(g, x)
-        ecc = bfs_root_view(g, x).ecc  # the view md was read from, cached
         stress = stress_vertices(g, x, deadline)
         entries.append(
             BoundEntry(

@@ -250,7 +250,7 @@ def _cmd_table(args) -> int:
         w = witness_for(args.family, n)
         exact = None
         if args.exact_max is not None and n <= args.exact_max:
-            exact = vv_exact(generate(spec), args.deadline).value
+            exact = vv_exact(w.graph, args.deadline).value
         rows.append({"n": n, "closed_form": w.claimed_size, "witness": len(w.members),
                      "exact": exact})
     lines = [f"{args.family}: n, closed form, witness size, exact"]

@@ -221,20 +221,27 @@ def bfs_root_view(g: Graph, x: int) -> RootView:
     return view
 
 
-def is_connected(g: Graph, root: int | None = None) -> bool:
+def is_connected(g: Graph) -> bool:
     """Whether the BFS order from vertex 0 holds all n vertices, cached on
-    the graph.  Given a root, the order of its root view is read instead:
-    the view is cached for the caller's next bfs_root_view, so a per-root
-    request runs one BFS, not two.  Otherwise no root view is built."""
+    the graph.  No root view is built."""
     if g._connected is None:
-        order = bfs_distances(g, 0)[1] if root is None else bfs_root_view(g, root).order
-        g._connected = len(order) == g.n
+        g._connected = len(bfs_distances(g, 0)[1]) == g.n
     return g._connected
 
 
-def require_connected(g: Graph, root: int | None = None) -> None:
-    if not is_connected(g, root):
+def require_connected(g: Graph) -> None:
+    if not is_connected(g):
         raise DisconnectedError("operation requires a connected graph")
+
+
+def connected_view(g: Graph, x: int) -> RootView:
+    """The checked root view of x: refuses an out-of-range x, then (as
+    require_connected does) a graph its BFS order does not cover.  Per-root
+    requests take their one BFS and their connectivity from here."""
+    view = bfs_root_view(g, x)
+    g._connected = len(view.order) == g.n
+    require_connected(g)
+    return view
 
 
 def interval(g: Graph, x: int, y: int) -> frozenset[int]:

@@ -52,8 +52,8 @@ from heapq import heapify, heappop, heapreplace
 from itertools import combinations
 
 from .errors import InvalidParameterError, TooLargeError, check_deadline
-from .graph import (Graph, RootView, bfs_distances, bfs_root_view, mask_to_set,
-                    require_connected, to_external_ids)
+from .graph import (Graph, RootView, bfs_distances, bfs_root_view, connected_view,
+                    mask_to_set, require_connected, to_external_ids)
 from .visibility import _members_all_visible, _pairwise_visible
 
 __all__ = [
@@ -120,10 +120,12 @@ class MaxLeafResult:
         }
 
 
-def _require_solvable(g: Graph, x: int | None = None) -> None:
+def _require_solvable(g: Graph, x: int) -> RootView:
+    """The connected_view of x, refused below two vertices."""
+    rv = connected_view(g, x)
     if g.n < 2:
         raise InvalidParameterError("need at least 2 vertices")
-    require_connected(g, x)
+    return rv
 
 
 # ---------------------------------------------------------------------------
@@ -341,15 +343,15 @@ def _hang(rv: RootView, allowed: int) -> tuple[dict[int, int], int]:
     return tree, used
 
 
-def _solve_root(g: Graph, x: int, solve_group, method: str, what: str,
+def _solve_root(rv: RootView, solve_group, method: str, what: str,
                 deadline) -> SolveResult:
-    """Certificate for root x from a cover of every constraint group: x and
-    each group's picks from solve_group(sets, covers) are internal, every
-    other vertex hangs off its smallest internal DAG parent, and the witness
-    is the leaf set.  The deadline (`what`) is checked first and per group."""
-    rv = bfs_root_view(g, x)
+    """Certificate for the root of rv from a cover of every constraint group:
+    the root and each group's picks from solve_group(sets, covers) are
+    internal, every other vertex hangs off its smallest internal DAG parent,
+    and the witness is the leaf set.  The deadline (`what`) is checked first
+    and per group."""
     check_deadline(deadline, what)
-    chosen = 1 << x
+    chosen = 1 << rv.root
     for cands, sets, covers in _cover_groups(rv):
         check_deadline(deadline, what)
         picked = solve_group(sets, covers)
@@ -358,27 +360,23 @@ def _solve_root(g: Graph, x: int, solve_group, method: str, what: str,
                 chosen |= 1 << p
     tree, used = _hang(rv, chosen)
     # the root is the parent of layer 1, so it is in used
-    leaves = mask_to_set(((1 << g.n) - 1) ^ used)
-    return SolveResult(value=len(leaves), root=x, witness=leaves, tree=tree, method=method)
+    leaves = mask_to_set(((1 << len(rv.dist)) - 1) ^ used)
+    return SolveResult(value=len(leaves), root=rv.root, witness=leaves, tree=tree, method=method)
 
 
 def vx_exact(g: Graph, x: int, deadline: float | None = None) -> SolveResult:
     """Exact visibility number of root x with a maximum-leaf shortest-path
     tree certificate."""
-    g.check_vertex(x)
-    _require_solvable(g, x)
-    return _solve_root(g, x, partial(_min_group_cover, deadline=deadline), "cover_bnb",
-                       "exact visibility solve", deadline)
+    return _solve_root(_require_solvable(g, x), partial(_min_group_cover, deadline=deadline),
+                       "cover_bnb", "exact visibility solve", deadline)
 
 
 def vx_brute(g: Graph, x: int, deadline: float | None = None) -> SolveResult:
     """Independent oracle: enumerate every subset of V minus x and keep the
     largest visibility set."""
-    g.check_vertex(x)
-    _require_solvable(g, x)
+    rv = _require_solvable(g, x)
     if g.n > BRUTE_CAP:
         raise TooLargeError(f"brute force capped at n={BRUTE_CAP}")
-    rv = bfs_root_view(g, x)
     others = [v for v in range(g.n) if v != x]
     k = len(others)
     best_size, best_set = 0, 0
@@ -407,9 +405,8 @@ def vx_greedy(g: Graph, x: int, deadline: float | None = None) -> SolveResult:
     """Greedy parent cover on the BFS DAG: always a valid visibility set,
     never exceeding the exact value.  Polynomial, but the deadline is
     checked before each group all the same."""
-    g.check_vertex(x)
-    _require_solvable(g, x)
-    return _solve_root(g, x, _greedy_group, "greedy", "greedy visibility solve", deadline)
+    return _solve_root(_require_solvable(g, x), _greedy_group, "greedy",
+                       "greedy visibility solve", deadline)
 
 
 def vv_exact(g: Graph, deadline: float | None = None) -> SolveResult:
@@ -427,9 +424,9 @@ def vv_exact(g: Graph, deadline: float | None = None) -> SolveResult:
     smallest root of maximum value is a class minimum that no rule skips,
     so the answer is the vx_exact result of the same root as over all
     roots: same value, root, witness and tree.  The one deadline bounds the
-    symmetry search, the bound of each class minimum and every solve; the
-    graph caches only the root view of the root last asked for."""
-    _require_solvable(g)
+    symmetry search, the bound of each class minimum and every solve.
+    Connectivity comes from the view of vertex 0, reused if 0 is a root."""
+    _require_solvable(g, 0)
     if g.n == 2:
         roots = [0]
     else:

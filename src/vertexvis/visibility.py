@@ -21,7 +21,7 @@ Terminology used throughout:
 from __future__ import annotations
 
 from .errors import InvalidParameterError, check_deadline
-from .graph import Graph, RootView, bfs_root_view, mask_to_set, require_connected
+from .graph import Graph, RootView, bfs_root_view, connected_view, mask_to_set, require_connected
 
 __all__ = [
     "clear_reachable",
@@ -58,12 +58,11 @@ def _clear_mask(rv: RootView, blocked_mask: int) -> int:
 def clear_reachable(g: Graph, x: int, blocked) -> frozenset[int]:
     """Vertices v outside `blocked` (plus x itself) admitting a shortest
     x,v-path that avoids `blocked` internally."""
-    g.check_vertex(x)
-    require_connected(g, x)
+    rv = connected_view(g, x)
     blocked_mask = _checked_mask(g, blocked)
     if (blocked_mask >> x) & 1:
         raise InvalidParameterError("root may not be blocked")
-    return mask_to_set(_clear_mask(bfs_root_view(g, x), blocked_mask))
+    return mask_to_set(_clear_mask(rv, blocked_mask))
 
 
 def is_visible_from(g: Graph, x: int, blockers, y: int) -> bool:
@@ -72,8 +71,7 @@ def is_visible_from(g: Graph, x: int, blockers, y: int) -> bool:
     g.check_vertex(y)
     if x == y:
         raise InvalidParameterError("visibility is asked between distinct vertices")
-    require_connected(g, x)
-    rv = bfs_root_view(g, x)
+    rv = connected_view(g, x)
     blocked_mask = _checked_mask(g, blockers) & ~(1 << x) & ~(1 << y)
     reach = _clear_mask(rv, blocked_mask)
     return bool(rv.dag_in_mask[y] & reach)
@@ -97,12 +95,11 @@ def _members_all_visible(rv: RootView, s_mask: int) -> bool:
 
 def is_x_visibility_set(g: Graph, x: int, s) -> bool:
     """Decide whether s is an x-visibility set (x itself must not be in s)."""
-    g.check_vertex(x)
-    require_connected(g, x)
+    rv = connected_view(g, x)
     s_mask = _checked_mask(g, s)
     if (s_mask >> x) & 1:
         raise InvalidParameterError("an x-visibility set may not contain x")
-    return _members_all_visible(bfs_root_view(g, x), s_mask)
+    return _members_all_visible(rv, s_mask)
 
 
 def _pairwise_visible(views, members) -> bool:
@@ -138,10 +135,8 @@ def _maximally_distant_mask(rv: RootView) -> int:
 
 def maximally_distant(g: Graph, x: int) -> frozenset[int]:
     """All vertices with no neighbor farther from x than themselves: those
-    that are no vertex's DAG parent in the cached root view of x."""
-    g.check_vertex(x)
-    require_connected(g, x)
-    return mask_to_set(_maximally_distant_mask(bfs_root_view(g, x)))
+    that are no vertex's DAG parent in the connected_view of x."""
+    return mask_to_set(_maximally_distant_mask(connected_view(g, x)))
 
 
 def stress_vertices(g: Graph, x: int, deadline: float | None = None) -> frozenset[int]:
@@ -156,9 +151,7 @@ def stress_vertices(g: Graph, x: int, deadline: float | None = None) -> frozense
     algorithm", 2001) with BFS distances as the ranks.  The answer is the
     union of the strict dominators of those z, without x.
     """
-    g.check_vertex(x)
-    require_connected(g, x)
-    rv = bfs_root_view(g, x)
+    rv = connected_view(g, x)
     dist, idom = rv.dist, [x] * g.n
     for i, v in enumerate(rv.order[1:]):
         if not i & 0xFF:

@@ -17,6 +17,7 @@ from vertexvis.bounds import (
 )
 from vertexvis.errors import (
     CompleteGraphError,
+    IdOutOfRangeError,
     InvalidParameterError,
     NotBlockGraphError,
     UnsupportedFamilyError,
@@ -113,10 +114,24 @@ def test_report_solves_share_one_deadline(monkeypatch):
     assert seen == [("mu_brute", deadline), ("vx_exact", deadline)]
 
 
+def test_report_refuses_a_bad_root_before_any_work(monkeypatch):
+    # connectivity is cached when the graph is built, so only the root's own
+    # check can refuse 99, and it must come before the exponential mu pass
+    g = random_connected_graph(16, 0.25, 1)
+    assert g._connected
+
+    def fail(*args):
+        raise AssertionError("mu_brute ran before the root was checked")
+
+    monkeypatch.setattr(bounds, "mu_brute", fail)
+    with pytest.raises(IdOutOfRangeError):
+        bounds_report(g, 99, compute_mu=True)
+
+
 def test_per_root_entries_run_one_bfs(monkeypatch):
     # maximally distant vertices, stress vertices, the eccentricity and
     # connectivity all come from one root view, also on a fresh graph; so do
-    # the per-root solves and the set check
+    # the per-root solves, the set check and each per-root predicate
     calls = []
     real = graph.bfs_distances
     for module in (bounds, graph, solvers, visibility):
@@ -127,6 +142,10 @@ def test_per_root_entries_run_one_bfs(monkeypatch):
         vx_exact,
         solvers.vx_greedy,
         lambda g, x: visibility.is_x_visibility_set(g, x, ()),
+        lambda g, x: visibility.clear_reachable(g, x, ()),
+        lambda g, x: visibility.is_visible_from(g, x, (), 0),
+        visibility.maximally_distant,
+        visibility.stress_vertices,
     )
     for spec, x in (("grid:9", 40), ("figure1:2", 3), ("cocktail:5", 7)):
         for entry in entries:

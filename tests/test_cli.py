@@ -129,6 +129,21 @@ def test_table_rows(capsys):
     assert payload["notes"]
 
 
+def test_table_solves_the_witness_graph(capsys, monkeypatch):
+    # --exact-max solves the graph the witness was built on; no family
+    # graph is generated a second time, and the table stays the same
+    def refuse(*args):
+        raise AssertionError("table generated a family graph")
+
+    for family in ("grid", "prism", "torus"):
+        argv = ("table", family, "--range", "4..6", "--exact-max", "5")
+        before = run(capsys, *argv)
+        with monkeypatch.context() as m:
+            m.setattr(cli, "generate", refuse)
+            assert run(capsys, *argv) == before, family
+        assert before[0] == 0 and before[1].count("\n") > 3, family
+
+
 def test_table_refuses_an_empty_or_oversized_range_before_any_row(capsys):
     code, out, err = run(capsys, "table", "grid", "--range", "8..4")
     assert (code, out, err) == (1, "", "error: range 8..4 is empty\n")

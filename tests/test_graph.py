@@ -33,6 +33,7 @@ from vertexvis.graph import (
     _parse_lines,
     bfs_distances,
     bfs_root_view,
+    connected_view,
     format_graph,
     interval,
     is_block_graph,
@@ -231,6 +232,14 @@ def test_is_connected_matches_bfs_and_builds_no_root_view():
         connected = is_connected(g)
         assert connected == (len(bfs_dist(g, 0)) == n), (n, edges)
         assert g._view is None
+        # connected_view reads the same answer off the view it returns
+        h = Graph(n, edges)
+        if connected:
+            assert connected_view(h, n - 1) is h._view and h._connected
+        else:
+            with pytest.raises(DisconnectedError):
+                connected_view(h, n - 1)
+            assert h._connected is False
         outcomes[connected] += 1
     assert min(outcomes.values()) >= 50, outcomes
 

@@ -245,13 +245,13 @@ def test_timeout_fires():
 def test_timeout_fires_before_the_group_search(monkeypatch):
     # the root view outlives the deadline; both routes check it again
     # before each group, not only every 256 search nodes
-    real = solvers.bfs_root_view
+    real = solvers.connected_view
 
     def late(g, x):
         time.sleep(max(0.0, deadline - time.monotonic()) + 0.01)
         return real(g, x)
 
-    monkeypatch.setattr(solvers, "bfs_root_view", late)
+    monkeypatch.setattr(solvers, "connected_view", late)
     # a grid, and a tree, whose every group's constraints share a candidate
     for g in (grid_graph(6), generate(parse_family_spec("rtree:60"), 1)):
         deadline = time.monotonic() + 0.05
