@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 from .errors import (
     CompleteGraphError,
@@ -64,8 +64,7 @@ TORUS_EVEN_NOTE = (
 )
 
 
-@dataclass(frozen=True)
-class BoundEntry:
+class BoundEntry(NamedTuple):
     name: str
     kind: str  # "lower" | "upper"
     value: int
@@ -74,11 +73,10 @@ class BoundEntry:
     scope: str  # "vv" | "vx"
 
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
-@dataclass(frozen=True)
-class BoundsReport:
+class BoundsReport(NamedTuple):
     n: int
     m: int
     delta: int

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from .errors import (
@@ -63,29 +62,35 @@ def _check_dense(what: str, m: int) -> None:
         raise TooLargeError(f"{what} has {m} edges, above the limit of {MAX_DENSE_EDGES}")
 
 
-@dataclass(frozen=True)
-class FamilySpec:
-    """A named family plus its parameters, e.g. grid:5, kxk:3,2 or
-    random:8,0.4; FAMILIES lists the names and parameter types."""
-
+class _FamilySpecFields(NamedTuple):
     family: str
     args: tuple[int | float, ...]
 
-    def __post_init__(self):
-        params = _family(self.family).params
-        if len(self.args) != len(params):
+
+class FamilySpec(_FamilySpecFields):
+    """A named family plus its parameters, e.g. grid:5, kxk:3,2 or
+    random:8,0.4; FAMILIES lists the names and parameter types.  Checked
+    when constructed (a NamedTuple body may not define __new__, hence the
+    fields class)."""
+
+    __slots__ = ()
+
+    def __new__(cls, family: str, args: tuple[int | float, ...]):
+        params = _family(family).params
+        if len(args) != len(params):
             raise InvalidParameterError(
-                f"family {self.family!r} takes {len(params)} parameter(s), got {self.args}"
+                f"family {family!r} takes {len(params)} parameter(s), got {args}"
             )
-        for kind, a in zip(params, self.args):
+        for kind, a in zip(params, args):
             # bool is an int subclass; a float parameter also takes an int
             if isinstance(a, bool) or not isinstance(a, int if kind is int else (int, float)):
                 usage = ",".join(k.__name__ for k in params)
                 raise InvalidParameterError(
-                    f"family {self.family!r} takes {usage} parameters, got {self.args}"
+                    f"family {family!r} takes {usage} parameters, got {args}"
                 )
-        if not all(a > 0 for a in self.args):
-            raise InvalidParameterError(f"parameters must be positive: {self.args}")
+        if not all(a > 0 for a in args):
+            raise InvalidParameterError(f"parameters must be positive: {args}")
+        return super().__new__(cls, family, args)
 
     def __str__(self):
         return f"{self.family}:{','.join(str(a) for a in self.args)}"
@@ -236,8 +241,7 @@ def figure_family(copies: int) -> tuple[Graph, dict]:
 # ---------------------------------------------------------------------------
 # hardness gadget: decide-an-independent-set inside a diameter-2 supergraph
 
-@dataclass(frozen=True)
-class ReductionResult:
+class ReductionResult(NamedTuple):
     """Output of np_gadget.
 
     gprime: the transformed graph; apex: the vertex adjacent to every

@@ -13,7 +13,7 @@ heavily.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (
     DisconnectedError,
@@ -138,8 +138,7 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
-@dataclass(frozen=True)
-class RootView:
+class RootView(NamedTuple):
     """Everything BFS from one root tells us.
 
     dist[v] is the hop distance, -1 when v is unreachable.  ``order`` lists

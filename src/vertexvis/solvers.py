@@ -46,10 +46,10 @@ quantities add up to n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 from heapq import heapify, heappop, heapreplace
 from itertools import combinations
+from typing import NamedTuple
 
 from .errors import InvalidParameterError, TooLargeError, check_deadline
 from .graph import (Graph, RootView, bfs_distances, bfs_root_view, connected_view,
@@ -75,8 +75,7 @@ ALPHA_CAP = 30
 MCDS_CAP = 32
 
 
-@dataclass(frozen=True)
-class SolveResult:
+class SolveResult(NamedTuple):
     """An exact (or heuristic lower-bound) value plus its certificate.
 
     witness is a visibility set for root of size value; tree, when present,
@@ -102,8 +101,7 @@ class SolveResult:
         }
 
 
-@dataclass(frozen=True)
-class MaxLeafResult:
+class MaxLeafResult(NamedTuple):
     """Maximum spanning-tree leaf count with a realizing tree."""
 
     value: int

@@ -15,7 +15,7 @@ matching the product id convention from the generators module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .bounds import closed_form
 from .errors import InvalidParameterError, InvalidRegionError, WitnessRejectedError
@@ -34,8 +34,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class WitnessResult:
+class WitnessResult(NamedTuple):
     family: str
     n: int
     graph: Graph

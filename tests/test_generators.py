@@ -63,6 +63,17 @@ def test_family_spec_parsing():
             wrong = 4.5 if kind is int else True
             with pytest.raises(InvalidParameterError):
                 FamilySpec(name, spec.args[:at] + (wrong,) + spec.args[at + 1:])
+    # refused on construction, each with its error class and message
+    for args, error, message in (
+        (("grid", (0,)), InvalidParameterError, "parameters must be positive: (0,)"),
+        (("grid", (4, 4)), InvalidParameterError, "family 'grid' takes 1 parameter(s), got (4, 4)"),
+        (("grid", (True,)), InvalidParameterError, "family 'grid' takes int parameters, got (True,)"),
+        (("nope", (4,)), UnsupportedFamilyError, "unknown family 'nope'"),
+    ):
+        with pytest.raises(error) as raised:
+            FamilySpec(*args)
+        assert type(raised.value) is error and str(raised.value) == message
+    assert FamilySpec(family="grid", args=(4,)) == parse_family_spec("grid:4")
 
 
 def test_smallest_parameters_of_the_size_checked_families():

@@ -9,6 +9,7 @@ from functools import reduce
 from itertools import combinations
 from operator import and_
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -156,6 +157,54 @@ def test_kernel_matches_the_reference_on_graph_groups():
                     shared += 1
                     assert common & -common == mask == _greedy_group(sets, covers), (g.n, x)
     assert groups > 1000 and shared > 100
+
+
+def _random_group(rng: random.Random):
+    """A seeded group, (sets, covers), on 20-100 candidates: 1-1.6
+    constraints per candidate, each of 2-4 candidates, few enough that the
+    search ends in well under a second and enough that greedy often misses."""
+    size = rng.randint(20, 100)
+    drawn = [rng.sample(range(size), rng.randint(2, 4))
+             for _ in range(int(size * rng.uniform(1, 1.6)))]
+    cands = sorted(set().union(*drawn))
+    pos = {p: i for i, p in enumerate(cands)}
+    sets = [sum(1 << pos[p] for p in c) for c in drawn]
+    covers = [sum(1 << j for j, c in enumerate(drawn) if p in c) for p in cands]
+    return sets, covers
+
+
+def test_kernel_size_matches_milp():
+    # HiGHS on min sum(x) subject to one covering row per constraint, x
+    # binary: an oracle sharing no code with the kernel, on groups far past
+    # the 12 candidates brute force reaches
+    optimize = pytest.importorskip("scipy.optimize")
+    import numpy as np
+
+    def milp_size(sets, k):
+        rows = np.array([[(s >> i) & 1 for i in range(k)] for s in sets], dtype=float)
+        res = optimize.milp(np.ones(k), integrality=np.ones(k), bounds=optimize.Bounds(0, 1),
+                            constraints=optimize.LinearConstraint(rows, lb=1))
+        assert res.status == 0, res.message
+        return round(res.fun)
+
+    rng = random.Random(20)
+    groups = [_random_group(rng) for _ in range(30)]
+    for n, p, seed in ((100, 0.05, 0), (150, 0.04, 1), (200, 0.03, 2), (300, 0.02, 3)):
+        g = random_connected_graph(n, p, seed)
+        for x in rng.sample(range(n), 3):
+            groups += [group[1:] for group in _cover_groups(bfs_root_view(g, x))
+                       if len(group[0]) > 1]
+    red = np_gadget(random_connected_graph(42, 8 / 41, 1))
+    [(_, sets, covers)] = _cover_groups(bfs_root_view(red.gprime, red.apex))
+    groups.append((sets, covers))  # a vertex cover of the base, 42 candidates
+    misses = 0
+    for sets, covers in groups:
+        mask = _min_group_cover(sets, covers, None)
+        assert all(s & mask for s in sets)
+        size = milp_size(sets, len(covers))
+        assert mask.bit_count() == size, len(covers)
+        misses += _greedy_group(sets, covers).bit_count() > size
+    assert max(len(covers) for _, covers in groups) > 100 and misses > 10
 
 
 def test_groups_match_the_union_find_reference():

@@ -1,4 +1,9 @@
+import os
+import subprocess
+import sys
 import types
+
+import pytest
 
 import vertexvis
 from vertexvis import bounds, errors, generators, graph, solvers, visibility, witnesses
@@ -46,3 +51,58 @@ def test_package_names_are_the_modules_all():
     assert exported == {name for module in MODULES for name in module.__all__}
     assert exported == set(LISTED + ADDED)
     assert len(errors.__all__) == 15
+
+
+# each result record's fields, in their documented order
+RECORD_FIELDS = {
+    "RootView": ("root", "dist", "ecc", "order", "starts", "dag_in_mask"),
+    "SolveResult": ("value", "root", "witness", "tree", "method"),
+    "MaxLeafResult": ("value", "root", "tree", "leaves"),
+    "FamilySpec": ("family", "args"),
+    "ReductionResult": ("gprime", "apex", "original_map", "edge_vertex_map", "k_offset"),
+    "WitnessResult": ("family", "n", "graph", "root", "members", "claimed_size", "verified"),
+    "BoundEntry": ("name", "kind", "value", "applicable", "provenance", "scope"),
+    "BoundsReport": ("n", "m", "delta", "root", "entries", "mu", "exact_value", "exact_root"),
+}
+
+
+def _records():
+    """One of each record, built from fresh inputs on every call."""
+    g = vertexvis.grid_graph(4)
+    report = vertexvis.bounds_report(g, 5, compute_exact=True)
+    return {
+        "RootView": vertexvis.bfs_root_view(g, 5),
+        "SolveResult": vertexvis.vx_exact(g, 5),
+        "MaxLeafResult": vertexvis.max_leaf_spanning_tree(g),
+        "FamilySpec": vertexvis.parse_family_spec("kxk:3,2"),
+        "ReductionResult": vertexvis.np_gadget(vertexvis.path_graph(4)),
+        "WitnessResult": vertexvis.witness_for("grid", 5),
+        "BoundEntry": report.entries[0],
+        "BoundsReport": report,
+    }
+
+
+def test_records_keep_their_fields_and_compare_by_value():
+    records, again = _records(), _records()
+    assert set(records) == set(RECORD_FIELDS)
+    for name, record in records.items():
+        assert type(record) is getattr(vertexvis, name)
+        assert record._fields == RECORD_FIELDS[name]
+        assert record == again[name] and record is not again[name], name
+        # immutable: assigning a field or a new attribute raises AttributeError
+        with pytest.raises(AttributeError):
+            setattr(record, record._fields[0], None)
+        with pytest.raises(AttributeError):
+            record.extra = None
+    assert list(records["BoundEntry"].to_json_dict()) == list(RECORD_FIELDS["BoundEntry"])
+
+
+def test_cli_import_loads_no_dataclasses_or_inspect():
+    # before and after in one process, so a site hook that loads either
+    # module already cannot trip it
+    src = os.path.dirname(os.path.dirname(vertexvis.__file__))
+    code = ("import sys; before = set(sys.modules); import vertexvis.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))")
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, timeout=60, check=True).stdout
+    assert out == "[]\n"
