@@ -92,15 +92,7 @@ def _emit(args, payload: dict, text_lines: list[str]) -> None:
             print(line)
 
 
-def _root(args, g: Graph) -> int:
-    """The 0-based id of the 1-based --root, checked against g."""
-    if not 1 <= args.root <= g.n:
-        raise IdOutOfRangeError(f"root {args.root} outside 1..{g.n}")
-    return args.root - 1
-
-
-def _cmd_gen(args) -> int:
-    g = _load_graph(args.input, args.seed)
+def _cmd_gen(args, g: Graph, _x) -> int:
     comment = f"generated from {args.input}"
     if args.output:
         write_graph_file(args.output, g, comment)
@@ -109,24 +101,22 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _cmd_vx(args) -> int:
-    g = _load_graph(args.input, args.seed)
-    root = _root(args, g)
+def _cmd_vx(args, g: Graph, x: int) -> int:
     solver = {"exact": vx_exact, "brute": vx_brute, "greedy": vx_greedy}[args.method]
-    res = solver(g, root, args.deadline)
-    payload = res.to_json_dict()
-    lines = [
-        f"root {args.root}: visibility number {res.value} ({res.method})",
-        f"witness: {to_external_ids(res.witness)}",
-    ]
-    if args.method == "greedy":
-        lines[0] = f"root {args.root}: visibility number >= {res.value} (greedy)"
-    _emit(args, payload, lines)
+    res = solver(g, x, args.deadline)
+    at_least = ">= " if args.method == "greedy" else ""
+    _emit(
+        args,
+        res.to_json_dict(),
+        [
+            f"root {args.root}: visibility number {at_least}{res.value} ({res.method})",
+            f"witness: {to_external_ids(res.witness)}",
+        ],
+    )
     return 0
 
 
-def _cmd_vv(args) -> int:
-    g = _load_graph(args.input, args.seed)
+def _cmd_vv(args, g: Graph, _x) -> int:
     res = vv_exact(g, args.deadline)
     _emit(
         args,
@@ -139,11 +129,9 @@ def _cmd_vv(args) -> int:
     return 0
 
 
-def _cmd_verify(args) -> int:
-    g = _load_graph(args.input, args.seed)
-    root = _root(args, g)
+def _cmd_verify(args, g: Graph, x: int) -> int:
     members = _read_set_file(args.set, g.n)
-    ok = is_x_visibility_set(g, root, members)
+    ok = is_x_visibility_set(g, x, members)
     _emit(
         args,
         {"root": args.root, "size": len(members), "visible": ok},
@@ -156,9 +144,7 @@ def _cmd_verify(args) -> int:
     return 0 if ok else 3
 
 
-def _cmd_bounds(args) -> int:
-    g = _load_graph(args.input, args.seed)
-    x = _root(args, g) if args.root is not None else None
+def _cmd_bounds(args, g: Graph, x: int | None) -> int:
     report = bounds_report(
         g,
         x=x,
@@ -180,8 +166,7 @@ def _cmd_bounds(args) -> int:
     return 0
 
 
-def _cmd_reduce(args) -> int:
-    g = _load_graph(args.input, args.seed)
+def _cmd_reduce(args, g: Graph, _x) -> int:
     red = np_gadget(g)
     comment = (
         f"visibility gadget of {args.input}; apex {red.apex + 1}; "
@@ -211,7 +196,7 @@ def _cmd_reduce(args) -> int:
     return 0
 
 
-def _cmd_witness(args) -> int:
+def _cmd_witness(args, _g, _x) -> int:
     spec = parse_family_spec(args.spec)
     w = witness_for(spec.family, spec.args[0])
     row, col = w.root_coords()
@@ -228,7 +213,7 @@ def _cmd_witness(args) -> int:
     return 0
 
 
-def _cmd_table(args) -> int:
+def _cmd_table(args, _g, _x) -> int:
     lo, _, hi = args.range.partition("..")
     try:
         lo_n, hi_n = int(lo), int(hi)
@@ -263,8 +248,7 @@ def _cmd_table(args) -> int:
     return 0
 
 
-def _cmd_maxleaf(args) -> int:
-    g = _load_graph(args.input, args.seed)
+def _cmd_maxleaf(args, g: Graph, _x) -> int:
     res = max_leaf_spanning_tree(g, args.deadline)
     _emit(
         args,
@@ -277,8 +261,7 @@ def _cmd_maxleaf(args) -> int:
     return 0
 
 
-def _cmd_mu(args) -> int:
-    g = _load_graph(args.input, args.seed)
+def _cmd_mu(args, g: Graph, _x) -> int:
     value = mu_brute(g, args.deadline)
     _emit(args, {"mu": value}, [f"mutual visibility number: {value}"])
     return 0
@@ -366,19 +349,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one request.  Its --timeout budget starts here, before the graph
-    is loaded, as the one deadline every timed step of the request checks."""
+    """Run one request, in this order: start the clock of its --timeout
+    budget (the one deadline every timed step of the request checks), load
+    the graph of a verb that takes one, check its 1-based --root, and only
+    then run the verb, which gets the graph and the 0-based root (None for
+    a verb without them)."""
     args = build_parser().parse_args(argv)
     timeout = getattr(args, "timeout", None)
     args.deadline = None if timeout is None else time.monotonic() + timeout
     try:
-        return args.func(args)
+        g = _load_graph(args.input, args.seed) if hasattr(args, "input") else None
+        root = getattr(args, "root", None)
+        if root is not None and not 1 <= root <= g.n:
+            raise IdOutOfRangeError(f"root {root} outside 1..{g.n}")
+        return args.func(args, g, None if root is None else root - 1)
     except WitnessRejectedError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 3
-    except VertexVisError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (VertexVisError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -375,18 +375,13 @@ def vx_brute(g: Graph, x: int, deadline: float | None = None) -> SolveResult:
     rv = _require_solvable(g, x)
     if g.n > BRUTE_CAP:
         raise TooLargeError(f"brute force capped at n={BRUTE_CAP}")
-    others = [v for v in range(g.n) if v != x]
-    k = len(others)
+    # each subset of the other n - 1 vertices is picks with a zero bit put in at x
+    below = (1 << x) - 1
     best_size, best_set = 0, 0
-    for picks in range(1 << k):
+    for picks in range(1 << (g.n - 1)):
         if picks & 0x3FF == 0:
             check_deadline(deadline, "brute-force visibility solve")
-        s_mask = 0
-        rest = picks
-        while rest:
-            low = rest & -rest
-            s_mask |= 1 << others[low.bit_length() - 1]
-            rest ^= low
+        s_mask = picks & below | (picks & ~below) << 1
         size = s_mask.bit_count()
         if size > best_size and _members_all_visible(rv, s_mask):
             best_size, best_set = size, s_mask

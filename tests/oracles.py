@@ -107,6 +107,35 @@ def _connected_edge_mask(n: int, pairs, mask: int) -> bool:
     return comps == 1
 
 
+def vx_brute_reference(g: Graph, x: int) -> tuple[int, frozenset[int]]:
+    """(value, witness) of vx_brute as it enumerated before the zero-bit
+    insertion: subset number picks of the vertices other than x, mapped bit
+    by bit through an index table, is kept when it is larger than the best
+    so far and visible, so the enumeration order decides the witness.  On
+    the BFS DAG from x, a vertex is clear when it is x or a non-member with
+    a clear parent; the members are visible when each has a clear parent."""
+    dist = bfs_dist(g, x)
+    order = sorted(dist, key=dist.__getitem__)
+    parents = {v: [u for u in g.adj[v] if dist[u] == dist[v] - 1] for v in order}
+    others = [v for v in range(g.n) if v != x]
+    best_size, best = 0, frozenset()
+    for picks in range(1 << len(others)):
+        members = set()
+        rest = picks
+        while rest:
+            low = rest & -rest
+            members.add(others[low.bit_length() - 1])
+            rest ^= low
+        if len(members) > best_size:
+            clear = {x}
+            for v in order[1:]:
+                if v not in members and any(u in clear for u in parents[v]):
+                    clear.add(v)
+            if all(any(u in clear for u in parents[v]) for v in members):
+                best_size, best = len(members), frozenset(members)
+    return best_size, best
+
+
 def connected_graphs_upto(nmax: int = 5):
     """All labeled connected graphs on 2..nmax vertices, as Graph objects."""
     for n in range(2, nmax + 1):

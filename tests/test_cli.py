@@ -414,9 +414,12 @@ def test_error_exit_codes(tmp_path, capsys):
 def test_root_out_of_range_is_reported_1_based(tmp_path, capsys):
     setfile = tmp_path / "set.txt"
     setfile.write_text("1\n")
+    # the root is checked before the set file is read, so its error wins
+    # over the missing file's
     for root in ("10", "0", "-3"):
         for argv in (("vx", "grid:3"), ("bounds", "grid:3"),
-                     ("verify", "grid:3", "--set", str(setfile))):
+                     ("verify", "grid:3", "--set", str(setfile)),
+                     ("verify", "grid:3", "--set", str(tmp_path / "absent.txt"))):
             code, out, err = run(capsys, *argv, "--root", root)
             assert (code, out) == (1, "") and err == f"error: root {root} outside 1..9\n", argv
     code, out, _ = run(capsys, "vx", "grid:3", "--root", "9", "--format", "json")

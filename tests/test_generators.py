@@ -241,6 +241,19 @@ def test_figure_family_two_copies():
     assert len(labels["y"]) == 2
 
 
+def test_figure_family_needs_a_copy():
+    with pytest.raises(InvalidParameterError, match="at least one copy"):
+        figure_family(0)
+
+
+def test_random_connected_graph_gives_up_after_1000_samples():
+    # G(60, 0.03) passes the isolated-vertex check but is hardly ever connected
+    for seed in range(3):
+        with pytest.raises(InvalidParameterError,
+                           match=r"no connected sample in 1000 tries for n=60, p=0\.03"):
+            random_connected_graph(60, 0.03, seed)
+
+
 def test_random_generators_deterministic():
     a = random_connected_graph(8, 0.4, seed=42)
     b = random_connected_graph(8, 0.4, seed=42)

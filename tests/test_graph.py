@@ -62,6 +62,16 @@ def test_build_singleton():
     assert g.n == 1 and g.m == 0
 
 
+def test_equal_graphs_hash_equal():
+    a = Graph(4, [(0, 1), (1, 2), (2, 3)])
+    b = Graph(4, [(2, 3), (1, 0), (2, 1)])
+    c = Graph(4, [(0, 1), (1, 2), (0, 3)])
+    assert a == b and hash(a) == hash(b) and a != c
+    seen = {a: "path"}
+    assert seen[b] == "path" and c not in seen
+    assert len({a, b, c}) == 2
+
+
 def test_build_path():
     g = Graph(4, [(0, 1), (1, 2), (2, 3)])
     assert g.max_degree() == 2

@@ -33,7 +33,7 @@ from vertexvis.solvers import (
 )
 from vertexvis.visibility import is_x_visibility_set
 
-from oracles import connected_graphs_upto, min_cds_size, vx_by_paths
+from oracles import connected_graphs_upto, min_cds_size, vx_brute_reference, vx_by_paths
 
 
 def grid_coord(n, k, l):
@@ -67,6 +67,15 @@ def test_vx_brute_examples():
     assert vx_brute(cycle_graph(6), 0).value == 2
     red = np_gadget(path_graph(5))
     assert vx_brute(red.gprime, red.apex).value == 7
+
+
+def test_vx_brute_keeps_its_enumeration_order(small_graphs, random_corpus):
+    """The same value and the same witness as the index-table enumeration,
+    at every root."""
+    for g in small_graphs + [g for g in random_corpus if g.n <= 12]:
+        for x in range(g.n):
+            res = vx_brute(g, x)
+            assert (res.value, res.witness) == vx_brute_reference(g, x), (list(g.edges()), x)
 
 
 def test_vx_brute_cap():
@@ -148,9 +157,15 @@ def test_max_leaf_examples():
 
 
 def assert_max_leaf_certificate(g, res):
-    assert len(res.tree) == g.n - 1
+    assert len(res.tree) == g.n - 1 and res.root not in res.tree
     for v, p in res.tree.items():
         assert p in g.adj[v]
+    for v in range(g.n):
+        # n - 1 edges whose parent chains all reach the root form a spanning tree
+        u, steps = v, 0
+        while u != res.root and steps < g.n:
+            u, steps = res.tree[u], steps + 1
+        assert u == res.root, v
     assert len(res.leaves) == res.value
     internal = {res.root} | set(res.tree.values())
     assert res.leaves == frozenset(set(range(g.n)) - internal)
