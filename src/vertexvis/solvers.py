@@ -12,13 +12,13 @@ such P can be realized, so
 That minimum hitting set splits into independent groups: the root covers
 layer 1, every other dag_in(v) lies inside the layer above v, and the
 constraints of a layer that share a candidate are merged by their masks.
-Each group is solved on its own from its greedy cover (all that vx_greedy
-keeps).  A greedy cover of one candidate is a smallest cover; any other is
-the incumbent of a branch and bound over bitmasks: take or exclude the
-candidate covering the most uncovered constraints, with unit propagation,
-a dominance rule, a disjoint-candidate-set lower bound and smallest-id
-tie-breaking.  On a vertex-cover group this is the
-take-a-vertex-or-its-neighbours rule.
+A group whose constraints share a candidate takes the smallest one, its
+greedy cover and a smallest cover, in _solve_root.  Any other is solved
+from its greedy cover (all that vx_greedy keeps) as the incumbent of a
+branch and bound over bitmasks: take or exclude the candidate covering the
+most uncovered constraints, with unit propagation, a dominance rule, a
+disjoint-candidate-set lower bound and smallest-id tie-breaking.  On a
+vertex-cover group this is the take-a-vertex-or-its-neighbours rule.
 Every solver returns a certificate, never a bare number: a witness set that
 re-verifies through the visibility module, and a parent map realizing the
 matching shortest-path tree.
@@ -129,23 +129,26 @@ def _require_solvable(g: Graph, x: int) -> RootView:
 # ---------------------------------------------------------------------------
 # minimum parent cover, one independent group of constraints at a time
 
-def _cover_groups(rv: RootView):
+def _layer_groups(rv: RootView):
     """Yield the independent groups of parent-cover constraints of rv as
-    (cands, sets, covers): the group's candidate ids ascending, each
-    constraint (vertex-id order) as a bitmask over positions in cands, and
-    each candidate's constraints as a bitmask over positions in sets.
-
-    The root covers layer 1.  Every later constraint, the dag_in_mask of a
+    (union, members): the mask of the group's candidates and the vertices
+    whose dag_in_mask the group holds.  The root covers layer 1.  Every later constraint, the dag_in_mask of a
     vertex, lies inside the layer above it, so groups never span two
-    layers.  A layer's constraints, in vertex-id order, start a new group
-    when they meet no candidate seen so far, and otherwise merge the groups
-    they meet."""
+    layers.  A layer is walked in BFS order, where the vertices one parent
+    discovered are adjacent.  The unions of a layer's groups are disjoint,
+    so a constraint inside the newest group's union joins that group; any
+    other starts a new group when it meets no candidate seen so far, and
+    otherwise merges the groups it meets."""
     masks, order, starts = rv.dag_in_mask, rv.order, rv.starts
     for d in range(2, rv.ecc + 1):
         groups: list[tuple[int, list[int]]] = []
-        seen = 0
-        for v in sorted(order[starts[d]:starts[d + 1]]):
-            union, members = masks[v], [v]
+        seen = last = 0
+        for v in order[starts[d]:starts[d + 1]]:
+            union = masks[v]
+            if union | last == last:
+                members.append(v)
+                continue
+            members = [v]
             if union & seen:
                 apart = []
                 for group in groups:
@@ -156,23 +159,36 @@ def _cover_groups(rv: RootView):
                         apart.append(group)
                 groups = apart
             seen |= union
+            last = union
             groups.append((union, members))
-        for union, members in groups:
-            cands = sorted(mask_to_set(union))
-            pos = {p: i for i, p in enumerate(cands)}
-            sets = []
-            covers = [0] * len(cands)
-            for j, v in enumerate(sorted(members)):
-                mask = 0
-                rest = masks[v]
-                while rest:
-                    top = rest.bit_length() - 1
-                    rest ^= 1 << top
-                    i = pos[top]
-                    mask |= 1 << i
-                    covers[i] |= 1 << j
-                sets.append(mask)
-            yield cands, sets, covers
+        yield from groups
+
+
+def _encode(masks, union: int, members: list[int]):
+    """(cands, sets, covers) of one group: its candidate ids ascending, from
+    one walk down the bits of union, each constraint (members in vertex-id
+    order) as a bitmask over positions in cands, and each candidate's
+    constraints as a bitmask over positions in sets."""
+    cands = []
+    while union:
+        top = union.bit_length() - 1
+        union ^= 1 << top
+        cands.append(top)
+    cands.reverse()
+    pos = {p: i for i, p in enumerate(cands)}
+    sets = []
+    covers = [0] * len(cands)
+    for j, v in enumerate(sorted(members)):
+        mask = 0
+        rest = masks[v]
+        while rest:
+            top = rest.bit_length() - 1
+            rest ^= 1 << top
+            i = pos[top]
+            mask |= 1 << i
+            covers[i] |= 1 << j
+        sets.append(mask)
+    return cands, sets, covers
 
 
 def _root_bound(rv: RootView) -> int:
@@ -222,9 +238,8 @@ def _greedy_group(sets: list[int], covers: list[int]) -> int:
 
 def _min_group_cover(sets: list[int], covers: list[int], deadline) -> int:
     """Smallest cover of one group, as a mask over its candidates, from the
-    greedy cover as incumbent.  A greedy cover of one candidate, the
-    smallest one every constraint holds, is returned without a search: no
-    cover is smaller.  A node propagates units, bounds by the
+    greedy cover as incumbent (_solve_root closes the groups whose
+    constraints share a candidate).  A node propagates units, bounds by the
     constraints with disjoint candidates, and drops each candidate covering
     one uncovered constraint j when another candidate of j covers two or
     more, or only j with a smaller id (swapping keeps the cover's size).
@@ -243,8 +258,6 @@ def _min_group_cover(sets: list[int], covers: list[int], deadline) -> int:
     full = (1 << len(sets)) - 1
     best_mask = _greedy_group(sets, covers)
     best_size = best_mask.bit_count()
-    if best_size == 1:
-        return best_mask
     node_budget = 0
 
     def search(chosen: int, size: int, excluded: int, covered: int, live: int, touched: int):
@@ -344,14 +357,25 @@ def _hang(rv: RootView, allowed: int) -> tuple[dict[int, int], int]:
 def _solve_root(rv: RootView, solve_group, method: str, what: str,
                 deadline) -> SolveResult:
     """Certificate for the root of rv from a cover of every constraint group:
-    the root and each group's picks from solve_group(sets, covers) are
-    internal, every other vertex hangs off its smallest internal DAG parent,
-    and the witness is the leaf set.  The deadline (`what`) is checked first
-    and per group."""
+    the root and each group's picks are internal, every other vertex hangs
+    off its smallest internal DAG parent, and the witness is the leaf set.
+    A group picks the smallest candidate all its constraints hold, as both
+    solvers would, else solve_group(sets, covers) on its encoding.  The
+    deadline (`what`) is checked first and per group."""
     check_deadline(deadline, what)
+    masks = rv.dag_in_mask
     chosen = 1 << rv.root
-    for cands, sets, covers in _cover_groups(rv):
+    for union, members in _layer_groups(rv):
         check_deadline(deadline, what)
+        common = union
+        for v in members:
+            common &= masks[v]
+            if not common:
+                break
+        if common:
+            chosen |= common & -common
+            continue
+        cands, sets, covers = _encode(masks, union, members)
         picked = solve_group(sets, covers)
         for i, p in enumerate(cands):
             if (picked >> i) & 1:
@@ -614,8 +638,6 @@ def _automorphism(g: Graph, cells: list[int], r: int, x: int, budget: int, deadl
             if sigma is not None:
                 return sigma
         colour = max(sizes, key=sizes.__getitem__)
-        if sizes[colour] == 1:
-            return None
         v = ca.index(colour)
         targets = [w for w, c in enumerate(cb) if c == colour]
         if cb[v] == colour:

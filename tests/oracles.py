@@ -10,7 +10,7 @@ from collections import deque
 from itertools import combinations
 
 from vertexvis.errors import DuplicateEdgeError, IdOutOfRangeError, SelfLoopError
-from vertexvis.graph import Graph, RootView
+from vertexvis.graph import Graph, RootView, mask_to_set
 
 
 def bfs_dist(g: Graph, x: int) -> dict[int, int]:
@@ -212,7 +212,7 @@ def vv_all_roots(g: Graph):
 def cover_groups_reference(rv: RootView) -> list:
     """The parent-cover groups of rv as they were built before the groups
     came from masks: one union-find over the predecessor lists of every
-    vertex from layer 2 on.  Each group as _cover_groups yields it,
+    vertex from layer 2 on.  Each group as _encode returns it,
     (cands, sets, covers), in the order of its smallest vertex."""
     link: dict[int, int] = {}
 
@@ -245,6 +245,74 @@ def cover_groups_reference(rv: RootView) -> list:
             sets.append(mask)
         out.append((cands, sets, covers))
     return out
+
+
+def encoded_groups(rv: RootView) -> list:
+    """Every parent-cover group of rv, closed by a shared candidate or not,
+    as the library encodes a group for its solvers: (cands, sets, covers)."""
+    from vertexvis.solvers import _encode, _layer_groups
+
+    return [_encode(rv.dag_in_mask, union, members) for union, members in _layer_groups(rv)]
+
+
+def cover_groups_frozen(rv: RootView):
+    """The parent-cover groups of rv as _cover_groups yielded them before
+    shared-candidate groups were closed at the merge: each layer in
+    vertex-id order, a constraint merging every group it meets, and every
+    group encoded as (cands, sets, covers)."""
+    masks, order, starts = rv.dag_in_mask, rv.order, rv.starts
+    for d in range(2, rv.ecc + 1):
+        groups: list[tuple[int, list[int]]] = []
+        seen = 0
+        for v in sorted(order[starts[d]:starts[d + 1]]):
+            union, members = masks[v], [v]
+            if union & seen:
+                apart = []
+                for group in groups:
+                    if group[0] & union:
+                        union |= group[0]
+                        members += group[1]
+                    else:
+                        apart.append(group)
+                groups = apart
+            seen |= union
+            groups.append((union, members))
+        for union, members in groups:
+            cands = sorted(mask_to_set(union))
+            pos = {p: i for i, p in enumerate(cands)}
+            sets = []
+            covers = [0] * len(cands)
+            for j, v in enumerate(sorted(members)):
+                mask = 0
+                rest = masks[v]
+                while rest:
+                    top = rest.bit_length() - 1
+                    rest ^= 1 << top
+                    i = pos[top]
+                    mask |= 1 << i
+                    covers[i] |= 1 << j
+                sets.append(mask)
+            yield cands, sets, covers
+
+
+def solve_root_frozen(rv: RootView, solve_group) -> tuple[int, frozenset[int], list]:
+    """(value, witness, tree items) of a root as _solve_root built them
+    before shared-candidate groups were closed at the merge: solve_group
+    on every group of cover_groups_frozen, its picks mapped back through
+    cands, then every non-root vertex in BFS order hung off its smallest
+    DAG parent among the picks and the root."""
+    chosen = 1 << rv.root
+    for cands, sets, covers in cover_groups_frozen(rv):
+        picked = solve_group(sets, covers)
+        for i, p in enumerate(cands):
+            if (picked >> i) & 1:
+                chosen |= 1 << p
+    tree = []
+    for v in rv.order[1:]:
+        allowed = rv.dag_in_mask[v] & chosen
+        tree.append((v, (allowed & -allowed).bit_length() - 1))
+    leaves = frozenset(range(len(rv.dist))) - {p for _, p in tree}
+    return len(leaves), leaves, tree
 
 
 def live_root_views() -> int:

@@ -5,7 +5,7 @@ constraint groups in each of them."""
 
 import random
 from collections import Counter
-from functools import reduce
+from functools import partial, reduce
 from itertools import combinations
 from operator import and_
 
@@ -16,8 +16,8 @@ from hypothesis import strategies as st
 from vertexvis.generators import generate, np_gadget, parse_family_spec, random_connected_graph
 from vertexvis.graph import Graph, bfs_root_view
 from vertexvis.solvers import (
-    _cover_groups,
     _greedy_group,
+    _layer_groups,
     _min_group_cover,
     vx_brute,
     vx_exact,
@@ -25,7 +25,13 @@ from vertexvis.solvers import (
 )
 from vertexvis.visibility import is_x_visibility_set
 
-from oracles import cover_groups_reference, greedy_group_reference, min_group_cover_reference
+from oracles import (
+    cover_groups_reference,
+    encoded_groups,
+    greedy_group_reference,
+    min_group_cover_reference,
+    solve_root_frozen,
+)
 
 
 @st.composite
@@ -61,7 +67,7 @@ def branched_graphs(draw, max_n, max_branches, max_depth):
 
 @st.composite
 def hitting_groups(draw):
-    """One group as _cover_groups yields it, (sets, covers): at most 12
+    """One group as _encode returns it, (sets, covers): at most 12
     candidates, each used, and 8-35 constraints of 1-4 candidates, some of
     them singletons or repeats.  So many constraints on so few candidates
     make the greedy incumbent miss the optimum in about one group in nine,
@@ -117,15 +123,15 @@ def test_lazy_greedy_picks_what_the_scan_picks():
     for n in (40, 60):
         g = generate(parse_family_spec(f"grid:{n}"))
         centre = (n + 1) // 2 - 1
-        groups += [group[1:] for group in _cover_groups(bfs_root_view(g, centre * n + centre))]
+        groups += [group[1:] for group in encoded_groups(bfs_root_view(g, centre * n + centre))]
     rng = random.Random(16)
     for n in range(42, 61, 3):
         red = np_gadget(random_connected_graph(n, (8 + n % 3) / (n - 1), rng.randrange(1 << 30)))
-        groups += [group[1:] for group in _cover_groups(bfs_root_view(red.gprime, red.apex))]
+        groups += [group[1:] for group in encoded_groups(bfs_root_view(red.gprime, red.apex))]
     for seed in range(3):
         g = generate(parse_family_spec("random:200,0.03"), seed)
         for x in rng.sample(range(g.n), 4):
-            groups += [group[1:] for group in _cover_groups(bfs_root_view(g, x))]
+            groups += [group[1:] for group in encoded_groups(bfs_root_view(g, x))]
     groups += [_tied_group(rng) for _ in range(500)]
     for sets, covers in groups:
         assert _greedy_group(sets, covers) == greedy_group_reference(sets, covers), len(covers)
@@ -146,7 +152,7 @@ def test_kernel_matches_the_reference_on_graph_groups():
     groups = shared = 0
     for g, xs in zip(graphs, roots):
         for x in xs:
-            for _, sets, covers in _cover_groups(bfs_root_view(g, x)):
+            for _, sets, covers in encoded_groups(bfs_root_view(g, x)):
                 groups += 1
                 mask = _min_group_cover(sets, covers, None)
                 assert mask == min_group_cover_reference(sets, covers), (g.n, x)
@@ -192,10 +198,10 @@ def test_kernel_size_matches_milp():
     for n, p, seed in ((100, 0.05, 0), (150, 0.04, 1), (200, 0.03, 2), (300, 0.02, 3)):
         g = random_connected_graph(n, p, seed)
         for x in rng.sample(range(n), 3):
-            groups += [group[1:] for group in _cover_groups(bfs_root_view(g, x))
+            groups += [group[1:] for group in encoded_groups(bfs_root_view(g, x))
                        if len(group[0]) > 1]
     red = np_gadget(random_connected_graph(42, 8 / 41, 1))
-    [(_, sets, covers)] = _cover_groups(bfs_root_view(red.gprime, red.apex))
+    [(_, sets, covers)] = encoded_groups(bfs_root_view(red.gprime, red.apex))
     groups.append((sets, covers))  # a vertex cover of the base, 42 candidates
     misses = 0
     for sets, covers in groups:
@@ -218,15 +224,45 @@ def test_groups_match_the_union_find_reference():
     for g in graphs:
         for x in range(g.n):
             rv = bfs_root_view(g, x)
-            got = sorted(_cover_groups(rv))
+            got = sorted(encoded_groups(rv))
             assert got == sorted(cover_groups_reference(rv)), (g.n, x)
             groups += len(got)
     assert groups > 1000
 
 
+def test_solves_match_the_frozen_group_pipeline(small_graphs, random_corpus):
+    # closing shared-candidate groups at the merge, and merging each layer
+    # in BFS order, gives the value, witness and tree (key order included)
+    # of the pipeline that encoded and solved every group; every group,
+    # closed or not, is covered by the tree's internal vertices
+    graphs = small_graphs + random_corpus
+    graphs += [generate(parse_family_spec(spec)) for spec in
+               ("rtree:120", "rblock:120", "grid:9", "torus:7", "figure1:3")]
+    roots = [range(g.n) for g in graphs]
+    red = np_gadget(random_connected_graph(16, 0.3, 4))
+    graphs.append(red.gprime)
+    roots.append([red.apex])
+    exact = partial(_min_group_cover, deadline=None)
+    closed = encoded = 0
+    for g, xs in zip(graphs, roots):
+        for x in xs:
+            rv = bfs_root_view(g, x)
+            groups = [[rv.dag_in_mask[v] for v in members] for _, members in _layer_groups(rv)]
+            for solve, group_solve in ((vx_exact, exact), (vx_greedy, _greedy_group)):
+                res = solve(g, x)
+                want = solve_root_frozen(rv, group_solve)
+                assert (res.value, res.witness, list(res.tree.items())) == want, (g.n, x)
+                internal = sum(1 << p for p in set(res.tree.values()))
+                assert all(mask & internal for masks in groups for mask in masks), (g.n, x)
+            shared = sum(1 for masks in groups if reduce(and_, masks))
+            closed += shared
+            encoded += len(groups) - shared
+    assert closed > 10_000 and encoded > 1_000, (closed, encoded)
+
+
 def _layers_with_several_groups(g: Graph) -> int:
     rv = bfs_root_view(g, 0)
-    per_layer = Counter(rv.dist[cands[0]] for cands, _, _ in _cover_groups(rv))
+    per_layer = Counter(rv.dist[cands[0]] for cands, _, _ in encoded_groups(rv))
     return sum(1 for count in per_layer.values() if count >= 2)
 
 

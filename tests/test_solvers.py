@@ -1,5 +1,7 @@
 import random
 import time
+from functools import reduce
+from operator import and_
 
 import pytest
 
@@ -33,7 +35,13 @@ from vertexvis.solvers import (
 )
 from vertexvis.visibility import is_x_visibility_set
 
-from oracles import connected_graphs_upto, min_cds_size, vx_brute_reference, vx_by_paths
+from oracles import (
+    connected_graphs_upto,
+    encoded_groups,
+    min_cds_size,
+    vx_brute_reference,
+    vx_by_paths,
+)
 
 
 def grid_coord(n, k, l):
@@ -282,7 +290,7 @@ def test_timeout_fires_inside_the_group_and_cds_searches():
     # x86-64 VM), so a deadline 0.05 s ahead passes mid-search, where only
     # the checks every 256 nodes can see it
     g = generate(parse_family_spec("random:400,0.02"), 3)
-    _, sets, covers = max(solvers._cover_groups(bfs_root_view(g, 1)), key=lambda gr: len(gr[0]))
+    _, sets, covers = max(encoded_groups(bfs_root_view(g, 1)), key=lambda gr: len(gr[0]))
     with pytest.raises(SolveTimeoutError, match="exact visibility solve"):
         solvers._min_group_cover(sets, covers, time.monotonic() + 0.05)
     g = generate(parse_family_spec("random:32,0.15"), 1)
@@ -307,8 +315,13 @@ def test_timeout_bounds_the_whole_root_loop():
 def test_timeout_reaches_the_solve_loop(monkeypatch):
     # the bound pass runs as it is; the first group search of the first
     # solved root outlives the deadline, and it was handed the request's
-    # deadline itself, not None or one set again per root
-    g = generate(parse_family_spec("rtree:80"), 1)
+    # deadline itself, not None or one set again per root.  That root (40)
+    # has two groups, neither closed by a shared candidate, so both go to
+    # the search
+    g = generate(parse_family_spec("random:60,0.1"), 1)
+    rv = bfs_root_view(g, 40)
+    assert [reduce(and_, [rv.dag_in_mask[v] for v in members])
+            for _, members in solvers._layer_groups(rv)] == [0, 0]
     deadline = time.monotonic() + 0.3
     real = solvers._min_group_cover
     seen = []
@@ -322,6 +335,30 @@ def test_timeout_reaches_the_solve_loop(monkeypatch):
     with pytest.raises(SolveTimeoutError, match="exact visibility solve"):
         vv_exact(g, deadline)
     assert seen == [deadline]
+
+
+def test_tree_solves_check_the_deadline_per_group(monkeypatch):
+    # every group of a tree is closed by its shared parent and none reaches
+    # the search, yet both solvers still check the deadline before each
+    g = generate(parse_family_spec("rtree:80"), 1)
+    groups = sum(1 for _ in solvers._layer_groups(bfs_root_view(g, 0)))
+    real = solvers.check_deadline
+    checks = []
+
+    def counted(deadline, what):
+        checks.append(what)
+        real(deadline, what)
+
+    def unreached(sets, covers, deadline):
+        raise AssertionError("a tree group reached the search")
+
+    monkeypatch.setattr(solvers, "check_deadline", counted)
+    monkeypatch.setattr(solvers, "_min_group_cover", unreached)
+    assert groups > 20
+    for solve, what in ((vx_exact, "exact visibility solve"), (vx_greedy, "greedy visibility solve")):
+        checks.clear()
+        solve(g, 0, time.monotonic() + 60)
+        assert checks.count(what) >= groups
 
 
 def test_timeout_fires_inside_the_bound_pass(monkeypatch):
