@@ -44,11 +44,16 @@ __all__ = [
 ]
 
 
-# largest n of any graph: a `p <n> <m>` header, a family spec or Graph()
-# asking for more is refused before anything of size n is allocated
+# largest n of any graph: a `p <n> <m>` header, a family spec, a product or
+# Graph() asking for more is refused before anything of size n is allocated
 # (adj_mask of a sparse graph takes about n**2 / 16 bytes, so a short file
 # or spec must not be able to ask for gigabytes)
 MAX_FILE_VERTICES = 20_000
+
+
+def check_vertex_count(n: int) -> None:
+    if n > MAX_FILE_VERTICES:
+        raise TooLargeError(f"n={n} above the limit of {MAX_FILE_VERTICES} vertices")
 
 
 class Graph:
@@ -70,8 +75,7 @@ class Graph:
         """
         if n < 1:
             raise IdOutOfRangeError(f"graph needs at least one vertex, got n={n}")
-        if n > MAX_FILE_VERTICES:
-            raise TooLargeError(f"n={n} above the limit of {MAX_FILE_VERTICES} vertices")
+        check_vertex_count(n)
         neighbors = [[] for _ in range(n)]
         masks = [0] * n
         for u, v in edges:

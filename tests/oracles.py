@@ -443,6 +443,22 @@ def min_group_cover_reference(sets: list[int], covers: list[int]) -> int:
     return best_mask
 
 
+def cartesian_product_reference(g: Graph, h: Graph) -> Graph:
+    """G box H as it was built before the per-vertex build: one edge list
+    (each H-edge once per row, then each G-edge once per column) through
+    Graph(n, edges), vertex (a, b) at id a * n(H) + b."""
+    nh = h.n
+    edges = []
+    for a in range(g.n):
+        base = a * nh
+        for b, b2 in h.edges():
+            edges.append((base + b, base + b2))
+    for a, a2 in g.edges():
+        for b in range(nh):
+            edges.append((a * nh + b, a2 * nh + b))
+    return Graph(g.n * nh, edges)
+
+
 def np_gadget_reference(g: Graph) -> tuple[Graph, int, dict, int]:
     """(gprime, apex, edge_vertex_map, k_offset) of the hardness gadget as it
     was built before the per-vertex build: one edge list (original edges,

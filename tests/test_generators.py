@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -24,16 +25,18 @@ from vertexvis.generators import (
     np_gadget,
     parse_family_spec,
     path_graph,
+    prism_graph,
     random_block_graph,
     random_connected_graph,
     random_graph_no_isolated,
     random_tree,
     star_graph,
+    torus_graph,
 )
 from vertexvis.graph import MAX_FILE_VERTICES
 from vertexvis.graph import Graph, is_connected
 
-from oracles import diameter, np_gadget_reference
+from oracles import cartesian_product_reference, diameter, np_gadget_reference
 
 
 def test_family_spec_parsing():
@@ -156,6 +159,53 @@ def test_product_commutes_up_to_relabel():
 
 def test_grid_equals_product_of_paths():
     assert grid_graph(5) == cartesian_product(path_graph(5), path_graph(5))
+
+
+def _same_build(got: Graph, want: Graph) -> bool:
+    # Graph.__eq__ compares n and adj only, so m and the masks are compared too
+    return (got.n, got.m, got.adj, got.adj_mask) == (want.n, want.m, want.adj, want.adj_mask)
+
+
+def test_product_matches_the_per_edge_reference():
+    for n in range(1, 21):
+        p, c = path_graph(n), cycle_graph(max(n, 3))
+        assert _same_build(grid_graph(n), cartesian_product_reference(p, p)), n
+        if n >= 3:
+            assert _same_build(prism_graph(n), cartesian_product_reference(p, c)), n
+            assert _same_build(torus_graph(n), cartesian_product_reference(c, c)), n
+    for m in range(1, 7):
+        for n in range(1, 7):
+            want = cartesian_product_reference(complete_graph(m), complete_graph(n))
+            assert _same_build(complete_product(m, n), want), (m, n)
+    factors = [Graph(1, []), path_graph(2), path_graph(5), cycle_graph(4), cycle_graph(7),
+               star_graph(4), random_tree(9, 24), random_tree(13, 25),
+               random_connected_graph(10, 0.4, 24), random_connected_graph(14, 0.3, 25)]
+    for g in factors:
+        for h in factors:
+            assert _same_build(cartesian_product(g, h), cartesian_product_reference(g, h)), (g, h)
+
+
+def test_product_over_the_vertex_cap_is_refused_before_any_list():
+    side = path_graph(200)
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooLargeError) as raised:
+            cartesian_product(side, side)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(raised.value) == "n=40000 above the limit of 20000 vertices"
+    assert peak < 100_000  # 40,000 neighbour lists alone would take megabytes
+
+
+def test_generated_masks_match_the_lists():
+    graphs = [np_gadget(path_graph(5)).gprime]
+    for name, family in FAMILIES.items():
+        args = tuple(0.5 if kind is float else 3 + i for i, kind in enumerate(family.params))
+        graphs.append(generate(FamilySpec(name, args), seed=3))
+    for g in graphs:
+        assert all(g.adj_mask[v] == sum(1 << w for w in g.adj[v]) for v in range(g.n)), g
+        assert g.m == sum(map(len, g.adj)) // 2, g
 
 
 def test_gadget_path5_counts():
