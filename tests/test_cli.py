@@ -114,6 +114,18 @@ def test_set_file_rejections_name_path_and_line(tmp_path, capsys):
         assert (code, out, err) == (1, "", f"error: {setfile}:{message}\n"), text
 
 
+def test_set_file_skips_one_leading_byte_order_mark(tmp_path, capsys):
+    plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+    plain.write_text("1\n3\n", encoding="utf-8")
+    marked.write_bytes("\ufeff1\n3\n".encode())
+    request = ("verify", "path:3", "--root", "2", "--set")
+    outcome = run(capsys, *request, str(marked))
+    assert outcome == run(capsys, *request, str(plain)) and outcome[0] == 0
+    marked.write_bytes("\ufeff1\n\ufeff3\n".encode())
+    assert run(capsys, *request, str(marked)) == (
+        1, "", f"error: {marked}:2: expected one 1-based id per line\n")
+
+
 def test_table_rows(capsys):
     code, stdout, _ = run(
         capsys, "table", "torus", "--range", "4..8", "--exact-max", "5",

@@ -3,7 +3,7 @@ import re
 
 import networkx as nx
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from vertexvis import graph
@@ -499,6 +499,84 @@ def test_parse_matches_the_line_loop_on_single_mutations(g, comment, op, pos, pi
     assert parse_outcome(parse_graph, text) == parse_outcome(_parse_lines, text)
 
 
+def clique_with_paths(k: int, lengths) -> Graph:
+    """K_k with a pendant path of each given length hung on clique vertex 0,
+    1, ...: clique vertices are dense and path vertices sparse in the
+    token route's sense."""
+    edges = [(u, v) for u in range(k) for v in range(u + 1, k)]
+    n = k
+    for i, length in enumerate(lengths):
+        for j in range(length):
+            edges.append((i if j == 0 else n - 1, n))
+            n += 1
+    return Graph(n, edges)
+
+
+def count_row_masks(monkeypatch) -> list:
+    """A list that grows by one for each mask the token route reads from a
+    byte row (its ``int(row, 2)``)."""
+    rows = []
+
+    def counting_int(value, *base):
+        if base == (2,):
+            rows.append(value)
+        return int(value, *base)
+
+    monkeypatch.setattr(graph, "int", counting_int, raising=False)
+    return rows
+
+
+def test_both_mask_builds_round_trip(monkeypatch):
+    monkeypatch.setattr(graph, "_parse_lines", None)
+    rows = count_row_masks(monkeypatch)
+    rng = random.Random(25)
+    bases = [random_connected_graph(n, 9 / (n - 1), rng.randrange(1 << 30)) for n in (40, 50, 60)]
+    cases = [np_gadget(base).gprime for base in bases]
+    cases.append(clique_with_paths(12, (3, 5, 8)))
+    for g in cases:
+        dense = sum(len(nb) * graph._ROW_DEGREE >= g.n for nb in g.adj)
+        assert 0 < dense < g.n
+        del rows[:]
+        h = parse_graph(format_graph(g))
+        assert (h.n, h.m, h.adj, h.adj_mask) == (g.n, g.m, g.adj, g.adj_mask)
+        assert len(rows) == dense
+
+
+@st.composite
+def faulty_dense_files(draw):
+    """A canonical file of a clique with four pendant paths (n > 32,
+    m >= 2n) in which one edge line is replaced by a repeated edge or a
+    self-loop, placed on clique (dense) vertices or path (sparse) ones."""
+    k = draw(st.integers(12, 13))
+    g = clique_with_paths(k, draw(st.lists(st.integers(6, 7), min_size=4, max_size=4)))
+    lines = format_graph(g).splitlines(keepends=True)
+    dense = draw(st.booleans())
+    if draw(st.booleans()):  # self-loop
+        v = draw(st.integers(0, k - 1) if dense else st.integers(k, g.n - 1))
+        ends = [v, v]
+    else:
+        edges = [(u, v) for u, v in g.edges() if (u < k, v < k) == (dense, dense)]
+        ends = list(draw(st.permutations(draw(st.sampled_from(edges)))))
+    j = draw(st.integers(1, len(lines) - 1))
+    assume(sorted(map(int, lines[j].split()[1:])) != sorted(w + 1 for w in ends))
+    lines[j] = f"e {ends[0] + 1} {ends[1] + 1}\n"
+    ids = " ".join(lines[1:]).split()
+    for w in ends:  # the faulty lists take the build the case names
+        assert (ids.count(str(w + 1)) * graph._ROW_DEGREE >= g.n) == dense
+    return "".join(lines)
+
+
+@given(faulty_dense_files())
+@settings(max_examples=300, deadline=None)
+def test_parse_words_mask_faults_like_the_line_loop(text):
+    """A repeated edge or self-loop that reaches the token route's masks,
+    on a vertex of either build, is worded exactly as the line loop words
+    it."""
+    outcome = parse_outcome(parse_graph, text)
+    assert isinstance(outcome, str)
+    assert outcome == parse_outcome(_parse_lines, text)
+
+
 @pytest.mark.parametrize("text, message", [
     ("e 1 2\n", "line 1: edge before 'p' header"),
     ("c x\np 3 1\np 3 1\n", "line 3: second 'p' header"),
@@ -589,4 +667,32 @@ def test_read_graph_file_rejects_non_utf8(tmp_path):
     path = tmp_path / "binary.gr"
     path.write_bytes(b"p 2 1\n\xff\xfe\n")
     with pytest.raises(GraphFormatError, match="not UTF-8"):
+        read_graph_file(path)
+
+
+BYTE_ORDER_MARK = "\ufeff".encode()
+
+
+@pytest.mark.parametrize("text", [MID_FILE, "p 3 2\ne 01 +2\ne 0_3 2\n"],
+                         ids=["canonical", "noncanonical"])
+def test_read_graph_file_skips_one_leading_byte_order_mark(tmp_path, monkeypatch, text):
+    plain, marked = tmp_path / "plain.gr", tmp_path / "marked.gr"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_bytes(BYTE_ORDER_MARK + text.encode())
+    g = read_graph_file(plain)
+    if text == MID_FILE:  # the mark must not send a canonical file to the line loop
+        monkeypatch.setattr(graph, "_parse_lines", None)
+    h = read_graph_file(marked)
+    assert (h.n, h.m, h.adj, h.adj_mask) == (g.n, g.m, g.adj, g.adj_mask)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("\ufeffp 3 1\ne 1 2\n", "line 1: unknown record '\\ufeffp'"),
+    ("p 3 1\n\ufeffe 1 2\n", "line 2: unknown record '\\ufeffe'"),
+    ("p 3 1\ne 1 \ufeff2\n", "line 2: bad edge id '\\ufeff2'"),
+])
+def test_read_graph_file_refuses_a_byte_order_mark_after_the_start(tmp_path, text, message):
+    path = tmp_path / "marked.gr"
+    path.write_bytes(BYTE_ORDER_MARK + text.encode())
+    with pytest.raises(GraphFormatError, match=f"^{re.escape(message)}$"):
         read_graph_file(path)
