@@ -55,10 +55,10 @@ from .visibility import is_x_visibility_set
 from .witnesses import WITNESS_BUILDERS, witness_for
 
 
-def _load_graph(where: str, seed: int) -> Graph:
+def _load_graph(where: str, seed: int, deadline) -> Graph:
     name, sep, _ = where.partition(":")
     if sep and name in FAMILIES:
-        return generate(parse_family_spec(where), seed)
+        return generate(parse_family_spec(where), seed, deadline)
     return read_graph_file(where)
 
 
@@ -358,7 +358,7 @@ def main(argv=None) -> int:
     timeout = getattr(args, "timeout", None)
     args.deadline = None if timeout is None else time.monotonic() + timeout
     try:
-        g = _load_graph(args.input, args.seed) if hasattr(args, "input") else None
+        g = _load_graph(args.input, args.seed, args.deadline) if hasattr(args, "input") else None
         root = getattr(args, "root", None)
         if root is not None and not 1 <= root <= g.n:
             raise IdOutOfRangeError(f"root {root} outside 1..{g.n}")

@@ -17,6 +17,7 @@ from .errors import (
     IsolatedVertexError,
     TooLargeError,
     UnsupportedFamilyError,
+    check_deadline,
 )
 from .graph import MAX_FILE_VERTICES, Graph, check_vertex_count, is_connected
 
@@ -306,12 +307,12 @@ def np_gadget(g: Graph) -> ReductionResult:
 # ---------------------------------------------------------------------------
 # seeded random graphs (test plumbing)
 
-def _sample_gnp(n: int, p: float, seed: int, accept, what: str) -> Graph:
+def _sample_gnp(n: int, p: float, seed: int, accept, what: str, deadline=None) -> Graph:
     """Erdos-Renyi G(n, p), resampled until accept(graph) holds, at most
-    1000 times.  Refused before any draw when the expected edge count
-    p n (n - 1) / 2 is above MAX_DENSE_EDGES, or when the expected number
-    of isolated vertices n (1 - p)^(n - 1) is MAX_ISOLATED or more: then a
-    sample without one has probability about e^-MAX_ISOLATED."""
+    1000 times, checking the deadline before each sample.  Refused before
+    any draw when p n (n - 1) / 2 expected edges exceed MAX_DENSE_EDGES, or
+    when n (1 - p)^(n - 1) expected isolated vertices reach MAX_ISOLATED:
+    then a sample without one has probability about e^-MAX_ISOLATED."""
     if not 0 < p <= 1:
         raise InvalidParameterError(f"edge probability must lie in (0, 1], got {p}")
     expected = p * n * (n - 1) / 2
@@ -328,6 +329,7 @@ def _sample_gnp(n: int, p: float, seed: int, accept, what: str) -> Graph:
         )
     rng = random.Random(seed)
     for _ in range(1000):
+        check_deadline(deadline, "graph generation")
         edges = [
             (u, v)
             for u in range(n)
@@ -342,9 +344,9 @@ def _sample_gnp(n: int, p: float, seed: int, accept, what: str) -> Graph:
     )
 
 
-def random_connected_graph(n: int, p: float, seed: int) -> Graph:
+def random_connected_graph(n: int, p: float, seed: int, deadline: float | None = None) -> Graph:
     """Erdos-Renyi G(n, p), resampled until connected."""
-    return _sample_gnp(n, p, seed, is_connected, "connected")
+    return _sample_gnp(n, p, seed, is_connected, "connected", deadline)
 
 
 def random_graph_no_isolated(n: int, p: float, seed: int) -> Graph:
@@ -387,8 +389,8 @@ def random_block_graph(n: int, seed: int) -> Graph:
 
 class Family(NamedTuple):
     """A spec family: its parameter types, in spec order, its builder, which
-    takes the seed as one more argument when seeded is set, and the vertex
-    count of the graph it builds from the same parameters."""
+    takes the seed and the deadline as two more arguments when seeded is
+    set, and the vertex count of the graph it builds from the same ones."""
 
     params: tuple[type, ...]
     build: Callable[..., Graph]
@@ -410,20 +412,21 @@ FAMILIES: dict[str, Family] = {
     "figure1": Family((int,), lambda copies: figure_family(copies)[0],
                       lambda copies: 15 * copies + 1),
     "random": Family((int, float), random_connected_graph, lambda n, p: n, seeded=True),
-    "rtree": Family((int,), random_tree, lambda n: n, seeded=True),
-    "rblock": Family((int,), random_block_graph, lambda n: n, seeded=True),
+    "rtree": Family((int,), lambda n, s, _: random_tree(n, s), lambda n: n, seeded=True),
+    "rblock": Family((int,), lambda n, s, _: random_block_graph(n, s), lambda n: n, seeded=True),
 }
 
 
-def generate(spec: FamilySpec, seed: int = 0) -> Graph:
+def generate(spec: FamilySpec, seed: int = 0, deadline: float | None = None) -> Graph:
     """Materialize a family spec; seed drives the random families and is
-    ignored by the others.  figure1 returns the graph only (see
-    figure_family for the labeled vertices).  A spec of more than
-    MAX_FILE_VERTICES vertices raises TooLargeError before it is built."""
+    ignored by the others, and random: specs check the request deadline
+    before each sample.  figure1 returns the graph only (see figure_family
+    for the labeled vertices).  A spec of more than MAX_FILE_VERTICES
+    vertices raises TooLargeError before it is built."""
     family = FAMILIES[spec.family]
     n = family.vertices(*spec.args)
     if n > MAX_FILE_VERTICES:
         raise TooLargeError(f"{spec} has n={n}, above the limit of {MAX_FILE_VERTICES} vertices")
     if family.seeded:
-        return family.build(*spec.args, seed)
+        return family.build(*spec.args, seed, deadline)
     return family.build(*spec.args)

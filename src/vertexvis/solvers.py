@@ -29,7 +29,8 @@ to a root of the same value.  Twins are joined at once; any other root x is
 joined to the smallest root r of its colour-refinement cell only through an
 automorphism sigma with sigma(r) = x that an individualization-refinement
 search with a node budget found and that maps every edge to an edge,
-checked edge by edge against adj_mask.  Each class minimum x then gets an
+checked edge by edge against adj_mask; each node extends a map, backing up
+at most BACKUPS times, before it refines.  Each class minimum x then gets an
 upper bound from its BFS: n - 1 minus, per layer, a greedy packing of
 pairwise disjoint constraints.  Class minima are solved in descending
 bound, ties to the smaller id, until the bound falls below the best value,
@@ -475,6 +476,9 @@ def vv_exact(g: Graph, deadline: float | None = None) -> SolveResult:
 # expand what is left, so a graph without useful symmetry pays little
 SEARCH_NODES = 16
 
+# back-ups that one _extend call may make before it gives up
+BACKUPS = 16
+
 
 def _root_classes(g: Graph, roots: list[int], deadline) -> list[int]:
     """For every vertex, the smallest id of its class, where classes are
@@ -490,7 +494,7 @@ def _root_classes(g: Graph, roots: list[int], deadline) -> list[int]:
     of x's cell (always the minimum of its own class), and joins v with
     sigma(v) for every v.  Searching ends once failed searches have spent
     SEARCH_NODES nodes.  Which roots stay minima depends on the graph only:
-    the search counts nodes, not seconds."""
+    the search counts nodes and back-ups, not seconds."""
     link = list(range(g.n))
 
     def find(a: int) -> int:
@@ -533,7 +537,7 @@ def _refine(g: Graph, colourings: list[list[int]], deadline) -> list[list[int]] 
         check_deadline(deadline, "symmetry search")
         table: dict = {}
         colourings = [
-            [table.setdefault((c[v], tuple(sorted([c[w] for w in nb]))), len(table))
+            [table.setdefault((c[v], tuple(sorted(map(c.__getitem__, nb)))), len(table))
              for v, nb in enumerate(g.adj)]
             for c in colourings
         ]
@@ -555,20 +559,24 @@ def _individualize(ca: list[int], cb: list[int], da: list[int], db: list[int]):
 
 
 def _extend(g: Graph, ca: list[int], cb: list[int], order: list[int]) -> list[int] | None:
-    """Greedy map sending each colour class of ca into the same class of cb,
-    vertex by vertex in order (each vertex after some neighbour).  v goes to
-    an unused vertex w of its class whose neighbours among the images so far
+    """Map sending each colour class of ca into the same class of cb, vertex
+    by vertex in order (each vertex after some neighbour).  v goes to an
+    unused vertex w of its class whose neighbours among the images so far
     are exactly the images of v's neighbours so far: v itself when it
-    qualifies, else the smallest such w.  None at a vertex with no such w,
-    and None when the finished map fails _is_automorphism."""
+    qualifies, else the smallest such w.  At a vertex with no such w the map
+    backs up to the latest placed vertex with an untried image and resumes
+    there, at most BACKUPS times; None after that, or when the finished map
+    fails _is_automorphism."""
     adj_mask = g.adj_mask
     free: dict[int, int] = {}
     for w, c in enumerate(cb):
         free[c] = free.get(c, 0) | 1 << w
     sigma = [-1] * len(ca)
-    images = 0
-    for v in order:
-        cand = free.get(ca[v], 0)
+    untried = [-1] * len(order)     # images left to try per position; -1: all
+    images, backups, i = 0, BACKUPS, 0
+    while i < len(order):
+        v = order[i]
+        cand = free.get(ca[v], 0) & untried[i]
         need = 0
         for u in g.adj[v]:
             s = sigma[u]
@@ -581,11 +589,25 @@ def _extend(g: Graph, ca: list[int], cb: list[int], order: list[int]) -> list[in
             cand ^= low
             if adj_mask[low.bit_length() - 1] & images == need:
                 w = low.bit_length() - 1
-        if w < 0:
+        if w >= 0:
+            sigma[v] = w
+            images |= 1 << w
+            free[ca[v]] ^= 1 << w
+            untried[i] = cand & ~(1 << w)
+            i += 1
+            continue
+        j = i - 1
+        while j >= 0 and not untried[j]:
+            j -= 1
+        if j < 0 or not backups:
             return None
-        sigma[v] = w
-        images |= 1 << w
-        free[ca[v]] ^= 1 << w
+        backups -= 1
+        untried[j + 1:i + 1] = [-1] * (i - j)
+        for u in order[j:i]:
+            images ^= 1 << sigma[u]
+            free[ca[u]] ^= 1 << sigma[u]
+            sigma[u] = -1
+        i = j
     return sigma if _is_automorphism(g, sigma) else None
 
 
@@ -609,12 +631,12 @@ def _automorphism(g: Graph, cells: list[int], r: int, x: int, budget: int, deadl
     Individualization-refinement (McKay and Piperno, "Practical graph
     isomorphism, II", 2014) on two colourings at once: the cells seen from r
     and from x.  An individualized vertex is seeded with its BFS distances.
-    A node first tries the identity branch in one step, the map _extend
-    builds from its colourings in BFS order from r, then refines them and
-    tries again, and then branches on its largest non-singleton class (the
-    first met on ties): the smallest vertex v of that class goes to v itself
-    first, then to the other members in ascending order.  _extend returns
-    only maps that _is_automorphism accepts."""
+    A node first tries the identity branch (the map _extend builds from its
+    colourings in BFS order from r, backing up at most BACKUPS times), then
+    refines them and tries again, then branches on its largest non-singleton
+    class (the first met on ties): the smallest vertex v of that class goes
+    to v itself first, then to the other members in ascending order.
+    _extend returns only maps that _is_automorphism accepts."""
     nodes = 0
     dr, order = bfs_distances(g, r)
 

@@ -1,4 +1,5 @@
 import random
+import time
 import tracemalloc
 
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from vertexvis.errors import (
     InvalidParameterError,
     IsolatedVertexError,
+    SolveTimeoutError,
     TooLargeError,
     UnsupportedFamilyError,
 )
@@ -302,6 +304,22 @@ def test_random_connected_graph_gives_up_after_1000_samples():
         with pytest.raises(InvalidParameterError,
                            match=r"no connected sample in 1000 tries for n=60, p=0\.03"):
             random_connected_graph(60, 0.03, seed)
+
+
+def test_generation_checks_the_deadline_before_each_sample():
+    # seed 0 of random:2000,0.003 draws hundreds of disconnected samples,
+    # each of about two million numbers
+    start = time.monotonic()
+    with pytest.raises(SolveTimeoutError, match="graph generation"):
+        generate(parse_family_spec("random:2000,0.003"), 0, deadline=start + 0.3)
+    assert time.monotonic() - start < 2
+    # a deadline that does not fire leaves every seeded graph as it was
+    later = time.monotonic() + 60
+    for spec, build in (("random:30,0.2", lambda seed: random_connected_graph(30, 0.2, seed)),
+                        ("rtree:30", lambda seed: random_tree(30, seed)),
+                        ("rblock:30", lambda seed: random_block_graph(30, seed))):
+        for seed in (0, 1):
+            assert generate(parse_family_spec(spec), seed, later) == build(seed), (spec, seed)
 
 
 def test_random_generators_deterministic():

@@ -152,6 +152,33 @@ def test_root_bound_is_at_least_the_value(name):
     assert sharp > 0
 
 
+# class minima of every families-vv graph: which roots the symmetry search
+# joins depends on the graph only
+CLASS_MINIMA = {
+    **dict(zip((f"grid:{n}" for n in range(4, 13)), (3, 6, 6, 10, 10, 15, 15, 21, 21))),
+    **dict(zip((f"prism:{n}" for n in range(4, 10)), (2, 3, 3, 4, 4, 5))),
+    **{f"torus:{n}": 1 for n in range(4, 10)},
+    **{f"figure1:{k}": 5 for k in range(1, 5)},
+    "cocktail:6": 1,
+    "kxk:5,4": 1,
+}
+
+
+def class_minima(g: Graph) -> int:
+    roots = roots_of(g)
+    rep = _root_classes(g, roots, None)
+    return sum(rep[x] == x for x in roots)
+
+
+def test_class_minima_are_pinned():
+    assert sorted(CLASS_MINIMA) == sorted(FAMILIES_VV)
+    for spec, count in CLASS_MINIMA.items():
+        assert class_minima(spec_graph(spec)) == count, spec
+    for spec in [f"torus:{n}" for n in range(5, 10)] + ["cocktail:6", "kxk:5,4"]:
+        for seed in (1, 2, 3):
+            assert class_minima(relabelled(spec_graph(spec), seed)) == 1, (spec, seed)
+
+
 def test_search_returns_only_automorphisms():
     graphs = [spec_graph(s) for s in ("torus:6", "grid:6", "prism:5", "figure1:2",
                                       "kxk:3,4", "cocktail:5", "rblock:40", "rtree:40")]
@@ -272,7 +299,16 @@ REGULAR_10 = Graph(10, [(0, 3), (0, 4), (0, 6), (0, 8), (1, 2), (1, 3), (1, 7), 
 
 
 def test_search_stops_when_its_budget_is_spent():
+    assert _automorphism(REGULAR_10, cells_of(REGULAR_10), 0, 2, 1, None) == (None, 1)
+
+
+def test_extension_backs_up_at_the_first_node(monkeypatch):
+    # the one-shot greedy map from 0 to 5 fails on torus:5; backing up
+    # finds an automorphism without refining or branching
     g = spec_graph("torus:5")
+    sigma, nodes = _automorphism(g, cells_of(g), 0, 5, 1, None)
+    assert nodes == 1 and sigma[0] == 5 and _is_automorphism(g, sigma)
+    monkeypatch.setattr(solvers, "BACKUPS", 0)
     assert _automorphism(g, cells_of(g), 0, 5, 1, None) == (None, 1)
 
 
