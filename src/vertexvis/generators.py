@@ -309,7 +309,8 @@ def np_gadget(g: Graph) -> ReductionResult:
 
 def _sample_gnp(n: int, p: float, seed: int, accept, what: str, deadline=None) -> Graph:
     """Erdos-Renyi G(n, p), resampled until accept(graph) holds, at most
-    1000 times, checking the deadline before each sample.  Refused before
+    1000 times, checking the deadline before each block of 64 rows (the
+    pairs (u, v), u < v, of 64 consecutive u) of a sample.  Refused before
     any draw when p n (n - 1) / 2 expected edges exceed MAX_DENSE_EDGES, or
     when n (1 - p)^(n - 1) expected isolated vertices reach MAX_ISOLATED:
     then a sample without one has probability about e^-MAX_ISOLATED."""
@@ -329,13 +330,11 @@ def _sample_gnp(n: int, p: float, seed: int, accept, what: str, deadline=None) -
         )
     rng = random.Random(seed)
     for _ in range(1000):
-        check_deadline(deadline, "graph generation")
-        edges = [
-            (u, v)
-            for u in range(n)
-            for v in range(u + 1, n)
-            if rng.random() < p
-        ]
+        edges = []
+        for top in range(0, n, 64):
+            check_deadline(deadline, "graph generation")
+            edges += [(u, v) for u in range(top, min(top + 64, n))
+                      for v in range(u + 1, n) if rng.random() < p]
         g = Graph(n, edges)
         if accept(g):
             return g
@@ -420,9 +419,9 @@ FAMILIES: dict[str, Family] = {
 def generate(spec: FamilySpec, seed: int = 0, deadline: float | None = None) -> Graph:
     """Materialize a family spec; seed drives the random families and is
     ignored by the others, and random: specs check the request deadline
-    before each sample.  figure1 returns the graph only (see figure_family
-    for the labeled vertices).  A spec of more than MAX_FILE_VERTICES
-    vertices raises TooLargeError before it is built."""
+    every 64 rows of each sample.  figure1 returns the graph only (see
+    figure_family for the labeled vertices).  A spec of more than
+    MAX_FILE_VERTICES vertices raises TooLargeError before it is built."""
     family = FAMILIES[spec.family]
     n = family.vertices(*spec.args)
     if n > MAX_FILE_VERTICES:

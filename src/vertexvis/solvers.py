@@ -29,8 +29,9 @@ to a root of the same value.  Twins are joined at once; any other root x is
 joined to the smallest root r of its colour-refinement cell only through an
 automorphism sigma with sigma(r) = x that an individualization-refinement
 search with a node budget found and that maps every edge to an edge,
-checked edge by edge against adj_mask; each node extends a map, backing up
-at most BACKUPS times, before it refines.  Each class minimum x then gets an
+checked edge by edge against adj_mask.  Each search node does three steps,
+each once: extend (build a map, backing up at most BACKUPS times); else
+refine, then branch in ascending order.  Each class minimum x then gets an
 upper bound from its BFS: n - 1 minus, per layer, a greedy packing of
 pairwise disjoint constraints.  Class minima are solved in descending
 bound, ties to the smaller id, until the bound falls below the best value,
@@ -445,10 +446,7 @@ def vv_exact(g: Graph, deadline: float | None = None) -> SolveResult:
     symmetry search, the bound of each class minimum and every solve.
     Connectivity comes from the view of vertex 0, reused if 0 is a root."""
     _require_solvable(g, 0)
-    if g.n == 2:
-        roots = [0]
-    else:
-        roots = [v for v in range(g.n) if g.degree(v) > 1]
+    roots = [v for v in range(g.n) if g.degree(v) > 1] or [0]
     rep = _root_classes(g, roots, deadline)
     bounds = []
     for x in roots:
@@ -510,7 +508,8 @@ def _root_classes(g: Graph, roots: list[int], deadline) -> list[int]:
     for masks in (g.adj_mask, [mask | 1 << v for v, mask in enumerate(g.adj_mask)]):
         twin: dict[int, int] = {}
         for v, mask in enumerate(masks):
-            join(twin.setdefault(mask, v), v)
+            if twin.setdefault(mask, v) != v:
+                join(twin[mask], v)
     cells = _refine(g, [[len(nb) for nb in g.adj]], deadline)[0]
     first: dict[int, int] = {}
     budget = SEARCH_NODES
@@ -522,7 +521,8 @@ def _root_classes(g: Graph, roots: list[int], deadline) -> list[int]:
                 budget -= max(nodes, 1)
             else:
                 for v, w in enumerate(sigma):
-                    join(v, w)
+                    if v != w:
+                        join(v, w)
     return [find(v) for v in range(g.n)]
 
 
@@ -631,12 +631,14 @@ def _automorphism(g: Graph, cells: list[int], r: int, x: int, budget: int, deadl
     Individualization-refinement (McKay and Piperno, "Practical graph
     isomorphism, II", 2014) on two colourings at once: the cells seen from r
     and from x.  An individualized vertex is seeded with its BFS distances.
-    A node first tries the identity branch (the map _extend builds from its
-    colourings in BFS order from r, backing up at most BACKUPS times), then
-    refines them and tries again, then branches on its largest non-singleton
-    class (the first met on ties): the smallest vertex v of that class goes
-    to v itself first, then to the other members in ascending order.
-    _extend returns only maps that _is_automorphism accepts."""
+    A node does three steps, each once: extend; else refine, then branch in
+    ascending order.  It extends its colourings to a map (_extend, in BFS
+    order from r, backing up at most BACKUPS times, and preferring v -> v
+    vertex by vertex); if that fails it refines them, failing when the
+    refinement does, and branches on its largest class (the first met on
+    ties): the smallest vertex of that class goes to each member in
+    ascending order.  _extend returns only maps that _is_automorphism
+    accepts."""
     nodes = 0
     dr, order = bfs_distances(g, r)
 
@@ -647,7 +649,6 @@ def _automorphism(g: Graph, cells: list[int], r: int, x: int, budget: int, deadl
         sigma = _extend(g, ca, cb, order)
         if sigma is not None:
             return sigma
-        classes = len(set(ca))
         refined = _refine(g, [ca, cb], deadline)
         if refined is None:
             return None
@@ -655,18 +656,9 @@ def _automorphism(g: Graph, cells: list[int], r: int, x: int, budget: int, deadl
         sizes: dict[int, int] = {}
         for c in ca:
             sizes[c] = sizes.get(c, 0) + 1
-        if len(sizes) > classes:
-            sigma = _extend(g, ca, cb, order)
-            if sigma is not None:
-                return sigma
         colour = max(sizes, key=sizes.__getitem__)
-        v = ca.index(colour)
-        targets = [w for w, c in enumerate(cb) if c == colour]
-        if cb[v] == colour:
-            targets.remove(v)
-            targets.insert(0, v)
-        dv = bfs_distances(g, v)[0]
-        for t in targets:
+        dv = bfs_distances(g, ca.index(colour))[0]
+        for t in (w for w, c in enumerate(cb) if c == colour):
             if nodes >= budget:
                 return None
             split = _individualize(ca, cb, dv, bfs_distances(g, t)[0])

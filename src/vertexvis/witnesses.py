@@ -157,20 +157,6 @@ def prism_witness(n: int) -> WitnessResult:
     return _finish("prism", n, target, g, x, members)
 
 
-# Torus quadrant parities, keyed by n mod 4.  The upper quadrants alternate
-# from their top row and the lower ones from their bottom row (the pattern is
-# symmetric under rotating the picture around the root); for n = 2 mod 4 the
-# split is left/right instead.  Chosen so the verification gate passes for
-# every n in 4..16; other parities fail, e.g. all-from-top at n = 6 leaves a
-# member with every predecessor selected.
-_TORUS_PARITIES = {
-    0: {1: True, 2: True, 3: False, 4: False},
-    1: {1: True, 2: True, 3: False, 4: False},
-    2: {1: True, 2: False, 3: False, 4: True},
-    3: {1: True, 2: True, 3: False, 4: False},
-}
-
-
 def _torus_extras(n: int, c: int) -> list[tuple[int, int]]:
     if n % 4 == 1:
         return []
@@ -189,7 +175,15 @@ def torus_witness(n: int) -> WitnessResult:
     g = torus_graph(n)
     c = (n + 1) // 2
     x = _coord_id(n, c, c)
-    members = _selection(g, n, x, _TORUS_PARITIES[n % 4])
+    # Quadrant parities: the upper quadrants (1, 2) alternate from their top
+    # row and the lower ones from their bottom row (the pattern is symmetric
+    # under rotating the picture around the root), except for n = 2 mod 4,
+    # where the split is left/right instead (1, 4 from the top).  Chosen so
+    # the verification gate passes for every n in 4..16; other parities fail,
+    # e.g. all-from-top at n = 6 leaves a member with every predecessor
+    # selected.
+    top = (1, 4) if n % 4 == 2 else (1, 2)
+    members = _selection(g, n, x, {q: q in top for q in range(1, 5)})
     for k, l in _torus_extras(n, c):
         members.add(_coord_id(n, k, l))
     return _finish("torus", n, target, g, x, members)

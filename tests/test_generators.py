@@ -322,6 +322,28 @@ def test_generation_checks_the_deadline_before_each_sample():
             assert generate(parse_family_spec(spec), seed, later) == build(seed), (spec, seed)
 
 
+def test_generation_checks_the_deadline_within_a_sample():
+    # one G(20000, 0.0006) sample draws about 2 * 10^8 numbers; the deadline
+    # is checked every 64 rows of it
+    start = time.monotonic()
+    with pytest.raises(SolveTimeoutError, match="graph generation"):
+        random_connected_graph(20000, 0.0006, 1, deadline=start + 0.2)
+    assert time.monotonic() - start < 1
+
+
+def test_sampling_in_blocks_draws_the_numbers_of_one_pass():
+    # the pairs (u, v), u < v, take rng.random() in row order, across the
+    # 64-row blocks too, so every seeded graph is the one-pass draw
+    for n, p, seed in ((65, 0.1, 0), (130, 0.05, 1), (200, 0.04, 2)):
+        rng = random.Random(seed)
+        while True:
+            g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                          if rng.random() < p])
+            if is_connected(g):
+                break
+        assert random_connected_graph(n, p, seed) == g, (n, p, seed)
+
+
 def test_random_generators_deterministic():
     a = random_connected_graph(8, 0.4, seed=42)
     b = random_connected_graph(8, 0.4, seed=42)

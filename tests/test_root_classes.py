@@ -177,6 +177,12 @@ def test_class_minima_are_pinned():
     for spec in [f"torus:{n}" for n in range(5, 10)] + ["cocktail:6", "kxk:5,4"]:
         for seed in (1, 2, 3):
             assert class_minima(relabelled(spec_graph(spec), seed)) == 1, (spec, seed)
+    # a search node's branching joins the Foster graph's 90 vertices, and its
+    # refinement and branching both join relabelled figure1:3
+    foster = nx.LCF_graph(90, [17, -9, 37, -37, 9, -17], 15)
+    assert class_minima(from_nx(foster)) == 1
+    for seed in range(1, 6):
+        assert class_minima(relabelled(spec_graph("figure1:3"), seed)) == 5, seed
 
 
 def test_search_returns_only_automorphisms():
