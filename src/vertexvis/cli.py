@@ -59,7 +59,7 @@ def _load_graph(where: str, seed: int, deadline) -> Graph:
     name, sep, _ = where.partition(":")
     if sep and name in FAMILIES:
         return generate(parse_family_spec(where), seed, deadline)
-    return read_graph_file(where)
+    return read_graph_file(where, deadline)
 
 
 def _read_set_file(path: str, n: int):

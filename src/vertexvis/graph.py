@@ -23,6 +23,7 @@ from .errors import (
     InvalidParameterError,
     SelfLoopError,
     TooLargeError,
+    check_deadline,
 )
 
 __all__ = [
@@ -368,6 +369,7 @@ def to_external_ids(vertices) -> list[int]:
 # line ends of str.splitlines(), besides "\n", that str.split() takes as spaces
 _LINE_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 _SLICE_CHARS = 1 << 16  # body split at a time: a few thousand lines
+_BLOCK_LINES = 1 << 12  # lines the line loop reads between deadline checks
 # a vertex of degree >= n / _ROW_DEGREE reads its mask from one byte row: at
 # n = 300 the row costs about what the bit-table sum does at degree n/8 and
 # 0.65-0.8x above n/4; at n = 2,000 it is cheaper from about n/16 on
@@ -375,7 +377,7 @@ _SLICE_CHARS = 1 << 16  # body split at a time: a few thousand lines
 _ROW_DEGREE = 8
 
 
-def parse_graph(text: str) -> Graph:
+def parse_graph(text: str, deadline=None) -> Graph:
     """Parse the `p`/`e` file format.
 
     A file in the layout format_graph writes (``c`` lines, the ``p`` line,
@@ -389,35 +391,38 @@ def parse_graph(text: str) -> Graph:
     Sparser files (where that per-vertex work costs more than the
     split saves), other layouts and files failing a check go to the line
     loop, the only one to word errors; both routes build the same graphs.
+    Each slice, and each block of _BLOCK_LINES lines of the line loop,
+    first checks the deadline.
     """
     pos = 0
     while text.startswith("c", pos):
         pos = text.find("\n", pos) + 1 or len(text)
     end = text.find("\n", pos)
     if end < 0 or not text.startswith("p ", pos) or any(c in text for c in _LINE_BREAKS):
-        return _parse_lines(text)
+        return _parse_lines(text, deadline)
     try:
         n, m = _file_header(text[pos:end].split(), 0)
     except GraphFormatError:  # worded by the line loop, with its line number
-        return _parse_lines(text)
+        return _parse_lines(text, deadline)
     pos = end + 1
     lines_ok = text.startswith("e ", pos) and text.count("\ne ", pos) == m - 1
     if m < 2 * n or text.count("\n", pos) != m or not (lines_ok and text.endswith("\n")):
-        return _parse_lines(text)
+        return _parse_lines(text, deadline)
     vertex = {str(i + 1): i for i in range(n)}.__getitem__
     neighbors = [[] for _ in range(n)]
     try:
         while pos < len(text):
+            check_deadline(deadline, "graph parsing")
             end = text.find("\n", pos + _SLICE_CHARS) + 1 or len(text)
             tokens = text[pos:end].split()
             if len(tokens) != 3 * text.count("\n", pos, end):
-                return _parse_lines(text)
+                return _parse_lines(text, deadline)
             pos = end
             for u, v in zip(map(vertex, tokens[1::3]), map(vertex, tokens[2::3])):
                 neighbors[u].append(v)
                 neighbors[v].append(u)
     except KeyError:
-        return _parse_lines(text)
+        return _parse_lines(text, deadline)
     bits = [1 << i for i in range(n)]
     zeros = b"0" * n
     masks = []
@@ -431,57 +436,61 @@ def parse_graph(text: str) -> Graph:
             row.reverse()  # bit w is character n - 1 - w of the base-2 spelling
             masks.append(int(row, 2))
     if any(mask.bit_count() != len(nb) for mask, nb in zip(masks, neighbors)):
-        return _parse_lines(text)
+        return _parse_lines(text, deadline)
     return Graph._from_lists(neighbors, masks)
 
 
-def _parse_lines(text: str) -> Graph:
+def _parse_lines(text: str, deadline=None) -> Graph:
     """The line loop: each edge is checked and set in the lists and masks as
     its line arrives.  Ids not spelled "1".."n" go through ``int()`` (``01``,
-    ``+2``).  Every rejected line raises ``line N: ...`` with 1-based ids."""
+    ``+2``).  Every rejected line raises ``line N: ...`` with 1-based ids.
+    The deadline is checked before each block of _BLOCK_LINES lines."""
     n = None
     declared_m = 0
     ids: dict[str, int] = {}
     neighbors: list[list[int]] = []
     masks: list[int] = []
     m = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        parts = raw.split()
-        if parts and parts[0] == "e":
-            if n is None:
-                raise GraphFormatError(f"line {lineno}: edge before 'p' header")
-            if len(parts) != 3:
-                raise GraphFormatError(f"line {lineno}: expected 'e <u> <v>'")
-            u = ids.get(parts[1])
-            if u is None:
-                u = _file_id(parts[1], n, lineno)
-            v = ids.get(parts[2])
-            if v is None:
-                v = _file_id(parts[2], n, lineno)
-            if u == v:
-                raise GraphFormatError(f"line {lineno}: self-loop at vertex {u + 1}")
-            bit = 1 << v
-            mu = masks[u]
-            if mu & bit:
-                raise GraphFormatError(
-                    f"line {lineno}: duplicate edge ({min(u, v) + 1},{max(u, v) + 1})"
-                )
-            masks[u] = mu | bit
-            masks[v] |= 1 << u
-            neighbors[u].append(v)
-            neighbors[v].append(u)
-            m += 1
-        elif not parts or parts[0][0] == "c":
-            continue
-        elif parts[0] == "p":
-            if n is not None:
-                raise GraphFormatError(f"line {lineno}: second 'p' header")
-            n, declared_m = _file_header(parts, lineno)
-            ids = {str(i + 1): i for i in range(n)}
-            neighbors = [[] for _ in range(n)]
-            masks = [0] * n
-        else:
-            raise GraphFormatError(f"line {lineno}: unknown record {parts[0]!r}")
+    lines = text.splitlines()
+    for first in range(0, len(lines), _BLOCK_LINES):
+        check_deadline(deadline, "graph parsing")
+        for lineno, raw in enumerate(lines[first:first + _BLOCK_LINES], start=first + 1):
+            parts = raw.split()
+            if parts and parts[0] == "e":
+                if n is None:
+                    raise GraphFormatError(f"line {lineno}: edge before 'p' header")
+                if len(parts) != 3:
+                    raise GraphFormatError(f"line {lineno}: expected 'e <u> <v>'")
+                u = ids.get(parts[1])
+                if u is None:
+                    u = _file_id(parts[1], n, lineno)
+                v = ids.get(parts[2])
+                if v is None:
+                    v = _file_id(parts[2], n, lineno)
+                if u == v:
+                    raise GraphFormatError(f"line {lineno}: self-loop at vertex {u + 1}")
+                bit = 1 << v
+                mu = masks[u]
+                if mu & bit:
+                    raise GraphFormatError(
+                        f"line {lineno}: duplicate edge ({min(u, v) + 1},{max(u, v) + 1})"
+                    )
+                masks[u] = mu | bit
+                masks[v] |= 1 << u
+                neighbors[u].append(v)
+                neighbors[v].append(u)
+                m += 1
+            elif not parts or parts[0][0] == "c":
+                continue
+            elif parts[0] == "p":
+                if n is not None:
+                    raise GraphFormatError(f"line {lineno}: second 'p' header")
+                n, declared_m = _file_header(parts, lineno)
+                ids = {str(i + 1): i for i in range(n)}
+                neighbors = [[] for _ in range(n)]
+                masks = [0] * n
+            else:
+                raise GraphFormatError(f"line {lineno}: unknown record {parts[0]!r}")
     if n is None:
         raise GraphFormatError("missing 'p <n> <m>' header")
     if declared_m != m:
@@ -544,8 +553,8 @@ def read_text(path) -> str:
     return text[1:] if text.startswith("\ufeff") else text
 
 
-def read_graph_file(path) -> Graph:
-    return parse_graph(read_text(path))
+def read_graph_file(path, deadline=None) -> Graph:
+    return parse_graph(read_text(path), deadline)
 
 
 def write_graph_file(path, g: Graph, comment: str | None = None) -> None:

@@ -17,7 +17,9 @@ greedy cover and a smallest cover, in _solve_root.  Any other is solved
 from its greedy cover (all that vx_greedy keeps) as the incumbent of a
 branch and bound over bitmasks: take or exclude the candidate covering the
 most uncovered constraints, with unit propagation, a dominance rule, a
-disjoint-candidate-set lower bound and smallest-id tie-breaking.  On a
+disjoint-candidate-set lower bound and smallest-id tie-breaking.  Each pass
+of a node propagates, bounds, scans the live candidates, drops the
+dominated ones and branches, so a node the bound prunes pays no scan.  On a
 vertex-cover group this is the take-a-vertex-or-its-neighbours rule.
 Every solver returns a certificate, never a bare number: a witness set that
 re-verifies through the visibility module, and a parent map realizing the
@@ -248,15 +250,20 @@ def _min_group_cover(sets: list[int], covers: list[int], deadline) -> int:
     Then it takes, or else excludes, the candidate covering the most
     uncovered constraints, smallest id on ties.
 
+    Each pass runs in this order: propagate, bound, scan, drop, branch.
     Only an exclusion can leave a constraint one allowed candidate or none,
     so propagation reads the constraints in touched: those of the
     candidates excluded since the last pass, and every one at the root.
-    One scan over the last pass's live candidates (not chosen, not
-    excluded, covering something uncovered) gives this pass's, the ones
-    covering two or more, and the pick.  Each uncovered constraint then has
-    two or more live candidates, so the bound is at most live // 2, and its
-    constraint scan is skipped when that could not prune.  The deadline is
-    checked every 256 search nodes."""
+    Every allowed candidate of an uncovered constraint covers it, so it was
+    live at the last pass (not chosen, not excluded, covering something
+    uncovered): the last pass's live less the excluded gives the bound
+    without a scan.  The packing walks the uncovered constraints upwards: it
+    packs the first one left, drops from the walk every constraint of its
+    candidates, and returns once the bound prunes.  Each uncovered constraint has two
+    or more live candidates, so the bound is at most live // 2, and the
+    packing is skipped when that could not prune.  Then one scan over live
+    gives this pass's live candidates, the ones covering two or more, and
+    the pick.  The deadline is checked every 256 search nodes."""
     full = (1 << len(sets)) - 1
     best_mask = _greedy_group(sets, covers)
     best_size = best_mask.bit_count()
@@ -269,12 +276,13 @@ def _min_group_cover(sets: list[int], covers: list[int], deadline) -> int:
             check_deadline(deadline, "exact visibility solve")
         while True:
             uncovered = full & ~covered
+            free = ~excluded
             forced = 0
             rest = touched & uncovered
             while rest:
                 low = rest & -rest
                 rest ^= low
-                allowed = sets[low.bit_length() - 1] & ~excluded
+                allowed = sets[low.bit_length() - 1] & free
                 if allowed & (allowed - 1) == 0:
                     if not allowed:
                         return
@@ -294,9 +302,24 @@ def _min_group_cover(sets: list[int], covers: list[int], deadline) -> int:
                 if size < best_size:
                     best_size, best_mask = size, chosen
                 return
-            # live only shrinks, so the last pass's live holds this pass's
+            # live only shrinks, so the last pass's live, less the excluded,
+            # holds every allowed candidate of an uncovered constraint
+            live &= free
+            if size + live.bit_count() // 2 >= best_size:
+                # pack uncovered constraints with pairwise disjoint candidates
+                lb = 0
+                rest = uncovered
+                while rest:
+                    allowed = sets[(rest & -rest).bit_length() - 1] & live
+                    lb += 1
+                    if size + lb >= best_size:
+                        return
+                    while allowed:
+                        low = allowed & -allowed
+                        allowed ^= low
+                        rest &= ~covers[low.bit_length() - 1]
             pick, pick_gain = -1, 1
-            rest = live & ~excluded
+            rest = live
             live = twice = 0
             while rest:
                 low = rest & -rest
@@ -308,19 +331,6 @@ def _min_group_cover(sets: list[int], covers: list[int], deadline) -> int:
                         twice |= low
                         if gain > pick_gain:
                             pick, pick_gain = low.bit_length() - 1, gain
-            # uncovered constraints with pairwise disjoint candidates
-            if size + live.bit_count() // 2 >= best_size:
-                used = lb = 0
-                rest = uncovered
-                while rest:
-                    low = rest & -rest
-                    rest ^= low
-                    allowed = sets[low.bit_length() - 1] & live
-                    if not allowed & used:
-                        lb += 1
-                        used |= allowed
-                if size + lb >= best_size:
-                    return
             touched = 0
             rest = live & ~twice
             while rest:

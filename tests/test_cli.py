@@ -279,6 +279,14 @@ def test_the_request_clock_starts_before_the_graph_is_loaded(tmp_path, capsys, m
             assert (code, out) == (1, "") and "time budget" in err, argv
 
 
+def test_a_graph_file_is_parsed_under_the_request_deadline(tmp_path, capsys):
+    path = tmp_path / "grid5.gr"
+    path.write_text(format_graph(generate(parse_family_spec("grid:5"))))
+    code, out, err = run(capsys, "vx", str(path), "--root", "1", "--timeout", "0")
+    assert (code, out) == (1, "")
+    assert err == "error: graph parsing exceeded its time budget\n"
+
+
 def test_removed_options_are_usage_errors(capsys):
     for argv in (("gen", "path:3", "--format", "json"), ("witness", "grid:5", "--seed", "1"),
                  ("table", "grid", "--range", "4..5", "--seed", "1")):

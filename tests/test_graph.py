@@ -1,5 +1,6 @@
 import random
 import re
+import time
 
 import networkx as nx
 import pytest
@@ -13,6 +14,7 @@ from vertexvis.errors import (
     GraphFormatError,
     IdOutOfRangeError,
     SelfLoopError,
+    SolveTimeoutError,
     TooLargeError,
     VertexVisError,
 )
@@ -656,6 +658,37 @@ def test_parse_errors_in_the_last_lines_of_a_canonical_file(last, message):
     head = "".join(MID_FILE.splitlines(keepends=True)[:359])
     with pytest.raises(GraphFormatError, match=f"^{re.escape(message)}$"):
         parse_graph(head + last)
+
+
+# MID_FILE has m >= 2n and takes the token route; SPARSE_FILE has m < 2n
+SPARSE_FILE = format_graph(Graph(120, [(i, (i + 1) % 120) for i in range(120)]))
+
+
+@pytest.mark.parametrize("text", [MID_FILE, SPARSE_FILE], ids=["token-route", "line-loop"])
+def test_parse_refuses_an_expired_deadline(monkeypatch, text):
+    if text == MID_FILE:  # the token route must raise itself, not hand over
+        monkeypatch.setattr(graph, "_parse_lines", None)
+    with pytest.raises(SolveTimeoutError, match="^graph parsing exceeded its time budget$"):
+        parse_graph(text, time.monotonic() - 1)
+
+
+@pytest.mark.parametrize("text", [MID_FILE, SPARSE_FILE], ids=["token-route", "line-loop"])
+def test_parse_without_a_deadline_builds_the_same_graph(tmp_path, text):
+    path = tmp_path / "g.gr"
+    path.write_text(text, encoding="utf-8")
+    g = parse_graph(text)
+    far = time.monotonic() + 3600
+    for h in (parse_graph(text, None), _parse_lines(text, None), read_graph_file(path, None),
+              parse_graph(text, far), _parse_lines(text, far)):
+        assert (h.n, h.m, h.adj, h.adj_mask) == (g.n, g.m, g.adj, g.adj_mask)
+
+
+def test_the_line_loop_checks_the_deadline_once_per_block(monkeypatch):
+    checks = []
+    monkeypatch.setattr(graph, "check_deadline", lambda deadline, what: checks.append(what))
+    monkeypatch.setattr(graph, "_BLOCK_LINES", 50)
+    _parse_lines(SPARSE_FILE)  # 121 lines: blocks of 50, 50 and 21
+    assert checks == ["graph parsing"] * 3
 
 
 def test_parse_reads_noncanonical_ids_like_int():

@@ -149,6 +149,12 @@ def test_kernel_matches_the_reference_on_graph_groups():
         red = np_gadget(random_connected_graph(n, (3 + seed % 4) / (n - 1), seed))
         graphs.append(red.gprime)
         roots.append([red.apex])
+    # and of gadget-vx's shape, bases n = 46-50 of average degree 8-10; of
+    # seeds 0-11 these take the most search nodes (122-211)
+    for n, d, seed in ((46, 10, 6), (48, 8, 10), (50, 9, 9), (50, 10, 9)):
+        red = np_gadget(random_connected_graph(n, d / (n - 1), seed))
+        graphs.append(red.gprime)
+        roots.append([red.apex])
     groups = shared = 0
     for g, xs in zip(graphs, roots):
         for x in xs:
