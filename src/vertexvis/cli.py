@@ -22,7 +22,6 @@ from .errors import (
     GraphFormatError,
     IdOutOfRangeError,
     InvalidParameterError,
-    TooLargeError,
     VertexVisError,
     WitnessRejectedError,
     check_deadline,
@@ -35,8 +34,8 @@ from .generators import (
     parse_family_spec,
 )
 from .graph import (
-    MAX_FILE_VERTICES,
     Graph,
+    check_vertex_count,
     format_graph,
     read_graph_file,
     read_text,
@@ -222,9 +221,7 @@ def _cmd_table(args, _g, _x) -> int:
     if lo_n > hi_n:
         raise InvalidParameterError(f"range {args.range} is empty")
     top = FAMILIES[args.family].vertices(hi_n)
-    if top > MAX_FILE_VERTICES:
-        raise TooLargeError(f"{args.family}:{hi_n} has n={top}, above the limit of "
-                            f"{MAX_FILE_VERTICES} vertices")
+    check_vertex_count(top, f"{args.family}:{hi_n}")
     rows = []
     notes: set[str] = set()
     for n in range(lo_n, hi_n + 1):

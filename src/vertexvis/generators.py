@@ -19,7 +19,7 @@ from .errors import (
     UnsupportedFamilyError,
     check_deadline,
 )
-from .graph import MAX_FILE_VERTICES, Graph, check_vertex_count, is_connected
+from .graph import Graph, check_vertex_count, is_connected
 
 __all__ = [
     "FAMILIES",
@@ -424,8 +424,7 @@ def generate(spec: FamilySpec, seed: int = 0, deadline: float | None = None) -> 
     MAX_FILE_VERTICES vertices raises TooLargeError before it is built."""
     family = FAMILIES[spec.family]
     n = family.vertices(*spec.args)
-    if n > MAX_FILE_VERTICES:
-        raise TooLargeError(f"{spec} has n={n}, above the limit of {MAX_FILE_VERTICES} vertices")
+    check_vertex_count(n, spec)
     if family.seeded:
         return family.build(*spec.args, seed, deadline)
     return family.build(*spec.args)

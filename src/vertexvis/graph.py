@@ -52,9 +52,11 @@ __all__ = [
 MAX_FILE_VERTICES = 20_000
 
 
-def check_vertex_count(n: int) -> None:
+def check_vertex_count(n: int, spec=None) -> None:
+    """Refuse n above MAX_FILE_VERTICES, naming the spec when one is given."""
     if n > MAX_FILE_VERTICES:
-        raise TooLargeError(f"n={n} above the limit of {MAX_FILE_VERTICES} vertices")
+        head = f"n={n}" if spec is None else f"{spec} has n={n},"
+        raise TooLargeError(f"{head} above the limit of {MAX_FILE_VERTICES} vertices")
 
 
 class Graph:

@@ -251,19 +251,22 @@ def _min_group_cover(sets: list[int], covers: list[int], deadline) -> int:
     uncovered constraints, smallest id on ties.
 
     Each pass runs in this order: propagate, bound, scan, drop, branch.
-    Only an exclusion can leave a constraint one allowed candidate or none,
-    so propagation reads the constraints in touched: those of the
-    candidates excluded since the last pass, and every one at the root.
-    Every allowed candidate of an uncovered constraint covers it, so it was
-    live at the last pass (not chosen, not excluded, covering something
-    uncovered): the last pass's live less the excluded gives the bound
-    without a scan.  The packing walks the uncovered constraints upwards: it
-    packs the first one left, drops from the walk every constraint of its
-    candidates, and returns once the bound prunes.  Each uncovered constraint has two
-    or more live candidates, so the bound is at most live // 2, and the
-    packing is skipped when that could not prune.  Then one scan over live
-    gives this pass's live candidates, the ones covering two or more, and
-    the pick.  The deadline is checked every 256 search nodes."""
+    Every uncovered constraint keeps an allowed candidate: each starts with
+    one, a drop keeps its smallest one-constraint candidate or one covering
+    two or more, and a branch excludes one of two or more.  Only an
+    exclusion can leave it just one, so propagation reads the constraints in
+    touched: those of the candidates excluded since the last pass, and every
+    one at the root.  Every allowed candidate of an uncovered constraint
+    covers it, so it was live at the last pass (not chosen, not excluded,
+    covering something uncovered): the last pass's live less the excluded
+    gives the bound without a scan.  The packing walks the uncovered
+    constraints upwards: it packs the first one left, drops from the walk
+    every constraint of its candidates, and returns once the bound prunes.
+    Each uncovered constraint has two or more live candidates, so the bound
+    is at most live // 2, and the packing is skipped when that could not
+    prune.  Then one scan over live gives this pass's live candidates, the
+    ones covering two or more, and the pick.  The deadline is checked every
+    256 search nodes."""
     full = (1 << len(sets)) - 1
     best_mask = _greedy_group(sets, covers)
     best_size = best_mask.bit_count()
@@ -284,8 +287,6 @@ def _min_group_cover(sets: list[int], covers: list[int], deadline) -> int:
                 rest ^= low
                 allowed = sets[low.bit_length() - 1] & free
                 if allowed & (allowed - 1) == 0:
-                    if not allowed:
-                        return
                     forced |= allowed
             if forced:
                 # a chosen candidate's constraints are covered, so none is forced
@@ -454,9 +455,9 @@ def vv_exact(g: Graph, deadline: float | None = None) -> SolveResult:
     so the answer is the vx_exact result of the same root as over all
     roots: same value, root, witness and tree.  The one deadline bounds the
     symmetry search, the bound of each class minimum and every solve.
-    Connectivity comes from the view of vertex 0, reused if 0 is a root."""
-    _require_solvable(g, 0)
+    Connectivity comes from the view of the smallest root, a class minimum."""
     roots = [v for v in range(g.n) if g.degree(v) > 1] or [0]
+    _require_solvable(g, roots[0])
     rep = _root_classes(g, roots, deadline)
     bounds = []
     for x in roots:
@@ -464,14 +465,14 @@ def vv_exact(g: Graph, deadline: float | None = None) -> SolveResult:
             check_deadline(deadline, "vertex visibility solve")
             bounds.append((-_root_bound(bfs_root_view(g, x)), x))
     bounds.sort()
-    best = None
-    for neg_bound, x in bounds:
+    best = vx_exact(g, bounds[0][1], deadline)
+    for neg_bound, x in bounds[1:]:
         # no later root can win either: bounds only fall, and ids only rise
         # among equal bounds
-        if best is not None and (-neg_bound, -x) < (best.value, -best.root):
+        if (-neg_bound, -x) < (best.value, -best.root):
             break
         res = vx_exact(g, x, deadline)
-        if best is None or (res.value, -res.root) > (best.value, -best.root):
+        if (res.value, -res.root) > (best.value, -best.root):
             best = res
     return best
 

@@ -5,7 +5,8 @@ from operator import and_
 
 import pytest
 
-from vertexvis.errors import DisconnectedError, SolveTimeoutError, TooLargeError
+from vertexvis.errors import (DisconnectedError, InvalidParameterError, SolveTimeoutError,
+                              TooLargeError)
 from vertexvis.generators import (
     cartesian_product,
     complete_graph,
@@ -20,7 +21,7 @@ from vertexvis.generators import (
     random_connected_graph,
     star_graph,
 )
-from vertexvis import solvers
+from vertexvis import graph as graph_module, solvers
 from vertexvis.graph import Graph, bfs_root_view
 from vertexvis.solvers import (
     BRUTE_CAP,
@@ -147,12 +148,42 @@ def test_vv_skips_leaves():
     assert g.degree(res.root) > 1
 
 
-def test_solvers_reject_disconnected():
+def test_vv_builds_root_views_only_of_its_roots(monkeypatch):
+    # bfs_root_view discovers through graph.bfs_distances; the symmetry
+    # search calls solvers' own binding, which this does not record
+    graphs = [generate(parse_family_spec(spec))
+              for spec in ("figure1:1", "figure1:2", "figure1:3", "figure1:4",
+                           "grid:5", "kxk:5,4")]
+    seen = []
+    real = graph_module.bfs_distances
+    monkeypatch.setattr(graph_module, "bfs_distances",
+                        lambda g, x: seen.append((g, x)) or real(g, x))
+    for g in graphs:
+        vv_exact(g)
+    assert seen and all(g.degree(x) > 1 for g, x in seen)
+
+
+def test_solvers_reject_disconnected(monkeypatch):
     g = Graph(4, [(0, 1), (2, 3)])
     with pytest.raises(DisconnectedError):
         vx_exact(g, 0)
     with pytest.raises(DisconnectedError):
         max_leaf_spanning_tree(g)
+    # vv checks its smallest root: every degree above is 1, so the roots
+    # fall back to [0]; the second graph's smallest root is 2
+    refusals = [(g, DisconnectedError, "connected"),
+                (Graph(5, [(1, 2), (2, 3)]), DisconnectedError, "connected"),
+                (Graph(1, []), InvalidParameterError, "need at least 2 vertices")]
+
+    def fail(*args):
+        raise AssertionError("root classes searched before the refusal")
+
+    for patched in (False, True):
+        if patched:
+            monkeypatch.setattr(solvers, "_root_classes", fail)
+        for h, error, message in refusals:
+            with pytest.raises(error, match=message):
+                vv_exact(h)
 
 
 def test_max_leaf_examples():
