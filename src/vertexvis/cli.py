@@ -5,7 +5,9 @@ spec like grid:5 or kxk:3,2 (a name from generators.FAMILIES, a colon, and
 the parameters; seeded families draw from --seed).  All ids in files, flags,
 and output are 1-based.  Exit codes: 0 success, 1 computation error
 (disconnected input, caps, timeouts), 2 usage error, 3 verification failure
-(the verify and witness verbs).
+(the verify and witness verbs).  Each verb returns (exit_code, payload,
+lines) and main prints one of them: the payload as JSON with --format json,
+else the text lines.
 """
 
 from __future__ import annotations
@@ -81,69 +83,42 @@ def _read_set_file(path: str, n: int):
     return frozenset(members)
 
 
-def _emit(args, payload: dict, text_lines: list[str]) -> None:
-    """Print text_lines, or with --format json the payload as one compact
-    line with sorted keys: without indent, json.dumps runs its C encoder."""
-    if args.format == "json":
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        for line in text_lines:
-            print(line)
-
-
-def _cmd_gen(args, g: Graph, _x) -> int:
+def _cmd_gen(args, g: Graph, _x):
     comment = f"generated from {args.input}"
     if args.output:
         write_graph_file(args.output, g, comment)
-    else:
-        sys.stdout.write(format_graph(g, comment))
-    return 0
+        return 0, None, []
+    return 0, None, [format_graph(g, comment).rstrip("\n")]
 
 
-def _cmd_vx(args, g: Graph, x: int) -> int:
+def _cmd_vx(args, g: Graph, x: int):
     solver = {"exact": vx_exact, "brute": vx_brute, "greedy": vx_greedy}[args.method]
     res = solver(g, x, args.deadline)
     at_least = ">= " if args.method == "greedy" else ""
-    _emit(
-        args,
-        res.to_json_dict(),
-        [
-            f"root {args.root}: visibility number {at_least}{res.value} ({res.method})",
-            f"witness: {to_external_ids(res.witness)}",
-        ],
-    )
-    return 0
+    return 0, res.to_json_dict(), [
+        f"root {args.root}: visibility number {at_least}{res.value} ({res.method})",
+        f"witness: {to_external_ids(res.witness)}",
+    ]
 
 
-def _cmd_vv(args, g: Graph, _x) -> int:
+def _cmd_vv(args, g: Graph, _x):
     res = vv_exact(g, args.deadline)
-    _emit(
-        args,
-        res.to_json_dict(),
-        [
-            f"vertex visibility number {res.value}, attained at root {res.root + 1}",
-            f"witness: {to_external_ids(res.witness)}",
-        ],
-    )
-    return 0
+    return 0, res.to_json_dict(), [
+        f"vertex visibility number {res.value}, attained at root {res.root + 1}",
+        f"witness: {to_external_ids(res.witness)}",
+    ]
 
 
-def _cmd_verify(args, g: Graph, x: int) -> int:
+def _cmd_verify(args, g: Graph, x: int):
     members = _read_set_file(args.set, g.n)
     ok = is_x_visibility_set(g, x, members)
-    _emit(
-        args,
-        {"root": args.root, "size": len(members), "visible": ok},
-        [
-            f"set of size {len(members)} is"
-            + ("" if ok else " NOT")
-            + f" a visibility set for root {args.root}"
-        ],
-    )
-    return 0 if ok else 3
+    return 0 if ok else 3, {"root": args.root, "size": len(members), "visible": ok}, [
+        f"set of size {len(members)} is" + ("" if ok else " NOT")
+        + f" a visibility set for root {args.root}"
+    ]
 
 
-def _cmd_bounds(args, g: Graph, x: int | None) -> int:
+def _cmd_bounds(args, g: Graph, x: int | None):
     report = bounds_report(
         g,
         x=x,
@@ -161,11 +136,10 @@ def _cmd_bounds(args, g: Graph, x: int | None) -> int:
         lines.append(
             f"  exact: {report.exact_value} at root {report.exact_root + 1}"
         )
-    _emit(args, report.to_json_dict(), lines)
-    return 0
+    return 0, report.to_json_dict(), lines
 
 
-def _cmd_reduce(args, g: Graph, _x) -> int:
+def _cmd_reduce(args, g: Graph, _x):
     red = np_gadget(g)
     comment = (
         f"visibility gadget of {args.input}; apex {red.apex + 1}; "
@@ -183,36 +157,27 @@ def _cmd_reduce(args, g: Graph, _x) -> int:
             f"{u + 1}-{v + 1}": ev + 1 for (u, v), ev in sorted(red.edge_vertex_map.items())
         },
     }
-    lines = [
+    return 0, payload, [
         f"gadget: n={red.gprime.n} m={red.gprime.m} apex={red.apex + 1} "
         f"threshold offset={red.k_offset}",
+        f"graph written to {args.output}" if args.output
+        else format_graph(red.gprime, comment).rstrip("\n"),
     ]
-    if not args.output:
-        lines.append(format_graph(red.gprime, comment).rstrip("\n"))
-    else:
-        lines.append(f"graph written to {args.output}")
-    _emit(args, payload, lines)
-    return 0
 
 
-def _cmd_witness(args, _g, _x) -> int:
+def _cmd_witness(args, _g, _x):
     spec = parse_family_spec(args.spec)
     w = witness_for(spec.family, spec.args[0])
     row, col = w.root_coords()
     notes = closed_form_notes(spec)
-    _emit(
-        args,
-        {**w.to_json_dict(), "notes": list(notes)},
-        [
-            f"{spec}: witness of size {w.claimed_size} at root "
-            f"({row},{col}) id {w.root + 1}; verified",
-            f"set: {to_external_ids(w.members)}",
-        ] + [f"note: {note}" for note in notes],
-    )
-    return 0
+    return 0, {**w.to_json_dict(), "notes": list(notes)}, [
+        f"{spec}: witness of size {w.claimed_size} at root "
+        f"({row},{col}) id {w.root + 1}; verified",
+        f"set: {to_external_ids(w.members)}",
+    ] + [f"note: {note}" for note in notes]
 
 
-def _cmd_table(args, _g, _x) -> int:
+def _cmd_table(args, _g, _x):
     lo, _, hi = args.range.partition("..")
     try:
         lo_n, hi_n = int(lo), int(hi)
@@ -239,29 +204,21 @@ def _cmd_table(args, _g, _x) -> int:
     for r in rows:
         exact = "-" if r["exact"] is None else str(r["exact"])
         lines.append(f"  {r['n']:3d}  {r['closed_form']:6d}  {r['witness']:6d}  {exact:>5}")
-    for note in sorted(notes):
-        lines.append(f"note: {note}")
-    _emit(args, {"family": args.family, "rows": rows, "notes": sorted(notes)}, lines)
-    return 0
+    lines += [f"note: {note}" for note in sorted(notes)]
+    return 0, {"family": args.family, "rows": rows, "notes": sorted(notes)}, lines
 
 
-def _cmd_maxleaf(args, g: Graph, _x) -> int:
+def _cmd_maxleaf(args, g: Graph, _x):
     res = max_leaf_spanning_tree(g, args.deadline)
-    _emit(
-        args,
-        res.to_json_dict(),
-        [
-            f"maximum spanning-tree leaf count: {res.value}",
-            f"leaves: {to_external_ids(res.leaves)}",
-        ],
-    )
-    return 0
+    return 0, res.to_json_dict(), [
+        f"maximum spanning-tree leaf count: {res.value}",
+        f"leaves: {to_external_ids(res.leaves)}",
+    ]
 
 
-def _cmd_mu(args, g: Graph, _x) -> int:
+def _cmd_mu(args, g: Graph, _x):
     value = mu_brute(g, args.deadline)
-    _emit(args, {"mu": value}, [f"mutual visibility number: {value}"])
-    return 0
+    return 0, {"mu": value}, [f"mutual visibility number: {value}"]
 
 
 def _seconds(text: str) -> float:
@@ -350,7 +307,9 @@ def main(argv=None) -> int:
     budget (the one deadline every timed step of the request checks), load
     the graph of a verb that takes one, check its 1-based --root, and only
     then run the verb, which gets the graph and the 0-based root (None for
-    a verb without them)."""
+    a verb without them) and returns (exit_code, payload, lines); print the
+    payload as one JSON line with --format json, else the lines, and return
+    the exit code.  An error, in printing too, is one stderr line."""
     args = build_parser().parse_args(argv)
     timeout = getattr(args, "timeout", None)
     args.deadline = None if timeout is None else time.monotonic() + timeout
@@ -359,7 +318,15 @@ def main(argv=None) -> int:
         root = getattr(args, "root", None)
         if root is not None and not 1 <= root <= g.n:
             raise IdOutOfRangeError(f"root {root} outside 1..{g.n}")
-        return args.func(args, g, None if root is None else root - 1)
+        code, payload, lines = args.func(args, g, None if root is None else root - 1)
+        # one compact line with sorted keys: without indent, json.dumps runs
+        # its C encoder
+        if getattr(args, "format", "text") == "json":
+            print(json.dumps(payload, sort_keys=True))
+        else:
+            for line in lines:
+                print(line)
+        return code
     except WitnessRejectedError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 3

@@ -52,10 +52,10 @@ __all__ = [
 # is refused up front (complete:20000 would build 2e8 edge tuples)
 MAX_DENSE_EDGES = 1_000_000
 
-# a G(n, p) sample expecting this many isolated vertices or more is refused
-# before any draw: far below the connectivity threshold, 1000 tries would
-# all fail (random:200,0.001 expects 164 and took 2.2 s to say so)
-MAX_ISOLATED = 50
+# a G(n, p) spec expecting more draws is refused before any draw: about 95 s
+# at 95 ns a draw, as measured on a 2-core x86-64 VM (random:2000,0.0025
+# expects 7e5 samples of 2e6 draws each)
+MAX_DRAWS = 10**9
 
 
 def _check_dense(what: str, m: int) -> None:
@@ -305,15 +305,16 @@ def np_gadget(g: Graph) -> ReductionResult:
 
 
 # ---------------------------------------------------------------------------
-# seeded random graphs (test plumbing)
+# seeded random graphs (the random, rtree and rblock specs)
 
 def _sample_gnp(n: int, p: float, seed: int, accept, what: str, deadline=None) -> Graph:
     """Erdos-Renyi G(n, p), resampled until accept(graph) holds, at most
     1000 times, checking the deadline before each block of 64 rows (the
     pairs (u, v), u < v, of 64 consecutive u) of a sample.  Refused before
     any draw when p n (n - 1) / 2 expected edges exceed MAX_DENSE_EDGES, or
-    when n (1 - p)^(n - 1) expected isolated vertices reach MAX_ISOLATED:
-    then a sample without one has probability about e^-MAX_ISOLATED."""
+    when its expected draws exceed MAX_DRAWS: a sample without isolated
+    vertices, of I = n (1 - p)^(n - 1) expected, takes about e^I samples of
+    n (n - 1) / 2 draws each (compared in log space: exp overflows above 709)."""
     if not 0 < p <= 1:
         raise InvalidParameterError(f"edge probability must lie in (0, 1], got {p}")
     expected = p * n * (n - 1) / 2
@@ -322,11 +323,13 @@ def _sample_gnp(n: int, p: float, seed: int, accept, what: str, deadline=None) -
             f"G({n}, {p}) expects {expected:.0f} edges, above the limit of {MAX_DENSE_EDGES}"
         )
     isolated = n * (1 - p) ** (n - 1)
-    if isolated >= MAX_ISOLATED:
+    pairs = n * (n - 1) // 2
+    if isolated + math.log(max(pairs, 1)) > math.log(MAX_DRAWS):
         raise InvalidParameterError(
-            f"G({n}, {p}) expects {isolated:.0f} isolated vertices, so no {what} "
-            f"sample is likely; p must be near or above the connectivity "
-            f"threshold ln(n)/n = {math.log(n) / n:.4g}"
+            f"G({n}, {p}) expects {isolated:.0f} isolated vertices, so a {what} "
+            f"sample takes about e^{isolated:.1f} samples of {pairs} draws each, "
+            f"above the limit of {MAX_DRAWS} draws; p must be near or above the "
+            f"connectivity threshold ln(n)/n = {math.log(n) / n:.4g}"
         )
     rng = random.Random(seed)
     for _ in range(1000):

@@ -735,7 +735,8 @@ def _min_cds(g: Graph, deadline) -> int:
         if size + 1 >= best_size:
             return
         allowed = full & ~s_mask & ~excluded
-        frontier = neighborhood(s_mask) & allowed
+        # dominated is the closed neighborhood of s_mask, which allowed excludes
+        frontier = dominated & allowed
         if frontier == 0:
             return
         # allowed vertices reachable from the frontier without leaving allowed

@@ -369,6 +369,58 @@ def test_text_output_is_unchanged(capsys):
         assert run(capsys, *argv) == (0, text, ""), argv
 
 
+REDUCE_PATH3_TEXT = "gadget: n=6 m=10 apex=4 threshold offset=2\n"
+REDUCE_PATH3_JSON = ('{"apex": 4, "edge_vertices": {"1-2": 5, "2-3": 6}, "k_offset": 2, '
+                     '"m": 10, "n": 6, "original_vertices": [1, 2, 3]}\n')
+TABLE_GRID_4_5 = ("table", "grid", "--range", "4..5", "--exact-max", "4")
+
+
+EVERY_VERB_OUTPUT = [
+    (("gen", "path:3"), 0, "c generated from path:3\np 3 2\ne 1 2\ne 2 3\n"),
+    (("verify", "path:4", "--root", "1", "--set", "{dir}/one.txt"), 0,
+     "set of size 1 is a visibility set for root 1\n"),
+    (("verify", "path:4", "--root", "1", "--set", "{dir}/one.txt", "--format", "json"), 0,
+     '{"root": 1, "size": 1, "visible": true}\n'),
+    (("verify", "path:4", "--root", "1", "--set", "{dir}/two.txt"), 3,
+     "set of size 2 is NOT a visibility set for root 1\n"),
+    (("verify", "path:4", "--root", "1", "--set", "{dir}/two.txt", "--format", "json"), 3,
+     '{"root": 1, "size": 2, "visible": false}\n'),
+    (("reduce", "path:3"), 0,
+     REDUCE_PATH3_TEXT + "c visibility gadget of path:3; apex 4; threshold offset 2\n"
+     "p 6 10\ne 1 2\ne 1 4\ne 1 5\ne 2 3\ne 2 4\ne 2 5\ne 2 6\ne 3 4\ne 3 6\ne 5 6\n"),
+    (("reduce", "path:3", "--format", "json"), 0, REDUCE_PATH3_JSON),
+    (("reduce", "path:3", "-o", "{dir}/g.gr"), 0,
+     REDUCE_PATH3_TEXT + "graph written to {dir}/g.gr\n"),
+    (("reduce", "path:3", "-o", "{dir}/g.gr", "--format", "json"), 0, REDUCE_PATH3_JSON),
+    (("witness", "grid:4"), 0,
+     "grid:4: witness of size 9 at root (2,2) id 6; verified\n"
+     "set: [1, 3, 4, 5, 9, 11, 12, 13, 16]\n"),
+    (("witness", "grid:4", "--format", "json"), 0,
+     '{"claimed_size": 9, "family": "grid", "n": 4, "notes": [], '
+     '"root": {"col": 2, "id": 6, "row": 2}, "set": [1, 3, 4, 5, 9, 11, 12, 13, 16], '
+     '"verified": true}\n'),
+    (TABLE_GRID_4_5, 0,
+     "grid: n, closed form, witness size, exact\n"
+     "    4       9       9      9\n"
+     "    5      14      14      -\n"),
+    ((*TABLE_GRID_4_5, "--format", "json"), 0,
+     '{"family": "grid", "notes": [], "rows": [{"closed_form": 9, "exact": 9, "n": 4, '
+     '"witness": 9}, {"closed_form": 14, "exact": null, "n": 5, "witness": 14}]}\n'),
+    (("mu", "path:4"), 0, "mutual visibility number: 2\n"),
+    (("mu", "path:4", "--format", "json"), 0, '{"mu": 2}\n'),
+]
+
+
+@pytest.mark.parametrize("argv, code, stdout", EVERY_VERB_OUTPUT,
+                         ids=[" ".join(argv) for argv, _, _ in EVERY_VERB_OUTPUT])
+def test_every_verb_prints_exactly(argv, code, stdout, tmp_path, capsys):
+    # the set {4} is visible from an end of path:4; {2, 4} blocks it (exit 3)
+    (tmp_path / "one.txt").write_text("4\n")
+    (tmp_path / "two.txt").write_text("2\n4\n")
+    argv = [arg.replace("{dir}", str(tmp_path)) for arg in argv]
+    assert run(capsys, *argv) == (code, stdout.replace("{dir}", str(tmp_path)), "")
+
+
 def test_text_and_json_agree(capsys):
     code, stdout, _ = run(capsys, "vv", "cocktail:3")
     assert code == 0

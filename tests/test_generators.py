@@ -331,6 +331,15 @@ def test_generation_checks_the_deadline_within_a_sample():
     assert time.monotonic() - start < 1
 
 
+def test_gnp_expecting_too_many_draws_is_refused_before_the_first():
+    # 13.4 isolated vertices expected: about e^13.4 = 7e5 samples of 1,999,000
+    # draws each, far above MAX_DRAWS, where 1000 tries would take 190 s
+    start = time.monotonic()
+    with pytest.raises(InvalidParameterError, match=r"about e\^13\.4 samples of 1999000 draws"):
+        generate(parse_family_spec("random:2000,0.0025"), 0, start + 5)
+    assert time.monotonic() - start < 1
+
+
 def test_sampling_in_blocks_draws_the_numbers_of_one_pass():
     # the pairs (u, v), u < v, take rng.random() in row order, across the
     # 64-row blocks too, so every seeded graph is the one-pass draw
