@@ -408,22 +408,27 @@ def parse_graph(text: str, deadline=None) -> Graph:
         return _parse_lines(text, deadline)
     pos = end + 1
     lines_ok = text.startswith("e ", pos) and text.count("\ne ", pos) == m - 1
-    if m < 2 * n or text.count("\n", pos) != m or not (lines_ok and text.endswith("\n")):
+    if m < 2 * n or not (lines_ok and text.endswith("\n")):
         return _parse_lines(text, deadline)
     vertex = {str(i + 1): i for i in range(n)}.__getitem__
     neighbors = [[] for _ in range(n)]
+    lines = 0
     try:
         while pos < len(text):
             check_deadline(deadline, "graph parsing")
             end = text.find("\n", pos + _SLICE_CHARS) + 1 or len(text)
             tokens = text[pos:end].split()
-            if len(tokens) != 3 * text.count("\n", pos, end):
+            count = text.count("\n", pos, end)
+            if len(tokens) != 3 * count:
                 return _parse_lines(text, deadline)
+            lines += count
             pos = end
             for u, v in zip(map(vertex, tokens[1::3]), map(vertex, tokens[2::3])):
                 neighbors[u].append(v)
                 neighbors[v].append(u)
     except KeyError:
+        return _parse_lines(text, deadline)
+    if lines != m:
         return _parse_lines(text, deadline)
     bits = [1 << i for i in range(n)]
     zeros = b"0" * n

@@ -19,8 +19,11 @@ branch and bound over bitmasks: take or exclude the candidate covering the
 most uncovered constraints, with unit propagation, a dominance rule, a
 disjoint-candidate-set lower bound and smallest-id tie-breaking.  Each pass
 of a node propagates, bounds, scans the live candidates, drops the
-dominated ones and branches, so a node the bound prunes pays no scan.  On a
-vertex-cover group this is the take-a-vertex-or-its-neighbours rule.
+dominated ones and branches, so a node the bound prunes pays no scan.  A
+packed constraint with no excluded candidate clears its neighbourhood, a
+mask memoized per group on first use, and the walks whose order cannot
+matter run from the top bit down.  On a vertex-cover group this is the
+take-a-vertex-or-its-neighbours rule.
 Every solver returns a certificate, never a bare number: a witness set that
 re-verifies through the visibility module, and a parent map realizing the
 matching shortest-path tree.
@@ -262,15 +265,24 @@ def _min_group_cover(sets: list[int], covers: list[int], deadline) -> int:
     gives the bound without a scan.  The packing walks the uncovered
     constraints upwards: it packs the first one left, drops from the walk
     every constraint of its candidates, and returns once the bound prunes.
-    Each uncovered constraint has two or more live candidates, so the bound
-    is at most live // 2, and the packing is skipped when that could not
-    prune.  Then one scan over live gives this pass's live candidates, the
-    ones covering two or more, and the pick.  The deadline is checked every
-    256 search nodes."""
+    A packed constraint with no excluded candidate has all its candidates
+    live, so it drops its neighbourhood, the constraints of its candidates,
+    as one mask memoized on first use; one with an excluded candidate walks
+    its live candidates.  Each uncovered constraint has two or more live
+    candidates, so the bound is at most live // 2, and the packing is
+    skipped when that could not prune.  Then one scan over live gives this
+    pass's live candidates, the ones covering two or more, and the pick.
+    Every other walk (units, forced picks, scan, drops) has an order that
+    cannot matter and runs from the top bit down; the scan takes the last
+    of equal gains, the smallest id.  The deadline is checked every 256
+    search nodes."""
     full = (1 << len(sets)) - 1
     best_mask = _greedy_group(sets, covers)
     best_size = best_mask.bit_count()
     node_budget = 0
+    # nbhd[j]: the constraints of j's candidates, filled on first use; it
+    # holds j, so 0 means not yet filled
+    nbhd = [0] * len(sets)
 
     def search(chosen: int, size: int, excluded: int, covered: int, live: int, touched: int):
         nonlocal best_mask, best_size, node_budget
@@ -283,9 +295,9 @@ def _min_group_cover(sets: list[int], covers: list[int], deadline) -> int:
             forced = 0
             rest = touched & uncovered
             while rest:
-                low = rest & -rest
-                rest ^= low
-                allowed = sets[low.bit_length() - 1] & free
+                i = rest.bit_length() - 1
+                rest ^= 1 << i
+                allowed = sets[i] & free
                 if allowed & (allowed - 1) == 0:
                     forced |= allowed
             if forced:
@@ -295,9 +307,9 @@ def _min_group_cover(sets: list[int], covers: list[int], deadline) -> int:
                     return
                 chosen |= forced
                 while forced:
-                    low = forced & -forced
-                    covered |= covers[low.bit_length() - 1]
-                    forced ^= low
+                    i = forced.bit_length() - 1
+                    forced ^= 1 << i
+                    covered |= covers[i]
                 uncovered = full & ~covered
             if not uncovered:
                 if size < best_size:
@@ -311,33 +323,50 @@ def _min_group_cover(sets: list[int], covers: list[int], deadline) -> int:
                 lb = 0
                 rest = uncovered
                 while rest:
-                    allowed = sets[(rest & -rest).bit_length() - 1] & live
+                    j = (rest & -rest).bit_length() - 1
                     lb += 1
                     if size + lb >= best_size:
                         return
-                    while allowed:
-                        low = allowed & -allowed
-                        allowed ^= low
-                        rest &= ~covers[low.bit_length() - 1]
+                    allowed = sets[j]
+                    if allowed & excluded:
+                        allowed &= live
+                        while allowed:
+                            low = allowed & -allowed
+                            allowed ^= low
+                            rest &= ~covers[low.bit_length() - 1]
+                        continue
+                    # j is uncovered, so none of its candidates is chosen, and
+                    # each one covered j at every scan: all of them are live
+                    nb = nbhd[j]
+                    if not nb:
+                        while allowed:
+                            i = allowed.bit_length() - 1
+                            allowed ^= 1 << i
+                            nb |= covers[i]
+                        nbhd[j] = nb
+                    rest &= ~nb
             pick, pick_gain = -1, 1
             rest = live
             live = twice = 0
             while rest:
-                low = rest & -rest
+                i = rest.bit_length() - 1
+                low = 1 << i
                 rest ^= low
-                gain = (covers[low.bit_length() - 1] & uncovered).bit_count()
+                gain = (covers[i] & uncovered).bit_count()
                 if gain:
                     live |= low
                     if gain > 1:
                         twice |= low
-                        if gain > pick_gain:
-                            pick, pick_gain = low.bit_length() - 1, gain
+                        # top-down, so >= leaves the smallest id of the largest gain
+                        if gain >= pick_gain:
+                            pick, pick_gain = i, gain
             touched = 0
             rest = live & ~twice
             while rest:
-                low = rest & -rest
+                i = rest.bit_length() - 1
+                low = 1 << i
                 rest ^= low
-                one = covers[low.bit_length() - 1] & uncovered
+                one = covers[i] & uncovered
                 if sets[one.bit_length() - 1] & live & (twice | (low - 1)):
                     excluded |= low
                     touched |= one

@@ -660,6 +660,28 @@ def test_parse_errors_in_the_last_lines_of_a_canonical_file(last, message):
         parse_graph(head + last)
 
 
+@pytest.mark.parametrize("extra, outcome", [
+    ("x 1 2", "unknown record 'x'"),
+    ("x 1 60", "unknown record 'x'"),  # would add a new edge (1,60)
+    ("", None),
+])
+@pytest.mark.parametrize("line", [181, 362], ids=["middle", "end"])
+def test_parse_gives_the_line_loop_outcome_with_one_extra_line(extra, outcome, line):
+    """One line more than a canonical file's header declares.  An `x` line
+    keeps every count the token route checks but the number of lines; a
+    blank one leaves a slice short of three tokens a line.  Either way
+    parse_graph gives what the line loop gives."""
+    lines = MID_FILE.splitlines()
+    lines.insert(line - 1, extra)
+    text = "\n".join(lines) + "\n"
+    got = parse_outcome(parse_graph, text)
+    assert got == parse_outcome(_parse_lines, text)
+    if outcome is None:
+        assert got == parse_outcome(parse_graph, MID_FILE)
+    else:
+        assert got == f"line {line}: {outcome}"
+
+
 # MID_FILE has m >= 2n and takes the token route; SPARSE_FILE has m < 2n
 SPARSE_FILE = format_graph(Graph(120, [(i, (i + 1) % 120) for i in range(120)]))
 

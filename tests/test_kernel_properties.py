@@ -185,6 +185,19 @@ def _random_group(rng: random.Random):
     return sets, covers
 
 
+def test_kernel_matches_the_reference_on_seeded_groups():
+    # constraints of 2-4 candidates over hundreds of nodes, so the packing
+    # meets constraints with an excluded candidate and reuses the
+    # neighbourhoods of the others; and groups of equal gains, where the
+    # smallest-id rule decides many picks
+    groups = [_random_group(random.Random(seed)) for seed in range(40)]
+    rng = random.Random(31)
+    groups += [_tied_group(rng) for _ in range(500)]
+    for sets, covers in groups:
+        assert _min_group_cover(sets, covers, None) == min_group_cover_reference(sets, covers), \
+            len(covers)
+
+
 def test_kernel_size_matches_milp():
     # HiGHS on min sum(x) subject to one covering row per constraint, x
     # binary: an oracle sharing no code with the kernel, on groups far past
