@@ -17,12 +17,9 @@ greedy cover and a smallest cover, in _solve_root.  Any other is solved
 from its greedy cover (all that vx_greedy keeps) as the incumbent of a
 branch and bound over bitmasks: take or exclude the candidate covering the
 most uncovered constraints, with unit propagation, a dominance rule, a
-disjoint-candidate-set lower bound and smallest-id tie-breaking.  Each pass
-of a node propagates, bounds, scans the live candidates, drops the
-dominated ones and branches, so a node the bound prunes pays no scan.  A
-packed constraint with no excluded candidate clears its neighbourhood, a
-mask memoized per group on first use, and the walks whose order cannot
-matter run from the top bit down.  On a vertex-cover group this is the
+disjoint-candidate-set lower bound and smallest-id tie-breaking.  The
+order of these prunings within a node is stated once, in the docstring of
+_min_group_cover.  On a vertex-cover group this is the
 take-a-vertex-or-its-neighbours rule.
 Every solver returns a certificate, never a bare number: a witness set that
 re-verifies through the visibility module, and a parent map realizing the
@@ -766,8 +763,6 @@ def _min_cds(g: Graph, deadline) -> int:
         allowed = full & ~s_mask & ~excluded
         # dominated is the closed neighborhood of s_mask, which allowed excludes
         frontier = dominated & allowed
-        if frontier == 0:
-            return
         # allowed vertices reachable from the frontier without leaving allowed
         reach = frontier
         while True:

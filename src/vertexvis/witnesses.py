@@ -3,11 +3,11 @@
 Each construction fixes a root, partitions the coordinate quadrants around
 it into equal-distance diagonals, takes ceil(|D|/2) alternating vertices
 from every diagonal D, and appends a residue-dependent handful of axis
-vertices.  The result is verified on the spot: a construction that fails the
-visibility check raises WitnessRejectedError rather than returning quietly,
-and its size is checked against the family's closed-form target.  Each
-builder takes that target before it builds anything, so an n below the
-closed form's range is refused there.
+vertices.  It reads one root view, which the visibility check then reuses.
+A construction that fails that check raises WitnessRejectedError rather
+than returning quietly, and its size is checked against the family's
+closed-form target, which each builder takes before it builds anything, so
+an n below the closed form's range is refused there.
 
 Coordinates are 1-based (row k, column l) with vertex id (k-1)*n + (l-1),
 matching the product id convention from the generators module.
@@ -20,7 +20,7 @@ from typing import NamedTuple
 from .bounds import closed_form
 from .errors import InvalidParameterError, InvalidRegionError, WitnessRejectedError
 from .generators import FamilySpec, grid_graph, prism_graph, torus_graph
-from .graph import Graph, bfs_distances, to_external_ids
+from .graph import Graph, bfs_distances, bfs_root_view, to_external_ids
 from .visibility import is_x_visibility_set
 
 __all__ = [
@@ -62,45 +62,40 @@ def _coord_id(n: int, k: int, l: int) -> int:
     return (k - 1) * n + (l - 1)
 
 
+def _diagonals(n: int, dist, x: int, quadrant: int) -> list[list[int]]:
+    # walking the quadrant's own rows in order lists each diagonal by row
+    xr, xc = divmod(x, n)
+    rows = range(xr) if quadrant in (1, 2) else range(xr + 1, n)
+    cols = range(xc) if quadrant in (1, 4) else range(xc + 1, n)
+    groups: dict[int, list[int]] = {}
+    for r in rows:
+        for v in range(r * n + cols.start, r * n + cols.stop):
+            groups.setdefault(dist[v], []).append(v)
+    return [groups[d] for d in sorted(groups)]
+
+
 def quadrant_diagonals(g: Graph, n: int, x: int, quadrant: int) -> list[list[int]]:
     """Diagonals of one coordinate quadrant around x.
 
     Quadrant 1 is above-left of x (smaller row, smaller column), then 2
     above-right, 3 below-right, 4 below-left.  A diagonal collects the
     quadrant vertices at one graph distance from x, listed by increasing
-    row; diagonals are returned by increasing distance.
+    row; diagonals are returned by increasing distance.  No root view is built.
     """
     if g.n != n * n:
         raise InvalidRegionError("graph is not an n-by-n product")
     g.check_vertex(x)
     if quadrant not in (1, 2, 3, 4):
         raise InvalidRegionError(f"quadrant must be 1..4, got {quadrant}")
-    xr, xc = x // n + 1, x % n + 1
-    dist = bfs_distances(g, x)[0]
-    groups: dict[int, list[int]] = {}
-    for k in range(1, n + 1):
-        if (quadrant in (1, 2)) != (k < xr):
-            continue
-        if k == xr:
-            continue
-        for l in range(1, n + 1):
-            if (quadrant in (1, 4)) != (l < xc):
-                continue
-            if l == xc:
-                continue
-            v = _coord_id(n, k, l)
-            groups.setdefault(dist[v], []).append(v)
-    out = []
-    for d in sorted(groups):
-        diag = sorted(groups[d], key=lambda v: v // n)
-        out.append(diag)
-    return out
+    return _diagonals(n, bfs_distances(g, x)[0], x, quadrant)
 
 
 def _selection(g, n, x, parities: dict[int, bool]) -> set[int]:
+    # one root view: _finish's visibility check finds it cached
+    dist = bfs_root_view(g, x).dist
     out: set[int] = set()
     for quadrant, from_top in parities.items():
-        for diag in quadrant_diagonals(g, n, x, quadrant):
+        for diag in _diagonals(n, dist, x, quadrant):
             # ceil(|D|/2) alternating vertices, from the smallest row when
             # from_top, else from the largest; odd-length diagonals keep
             # both ends either way
@@ -179,7 +174,7 @@ def torus_witness(n: int) -> WitnessResult:
     # row and the lower ones from their bottom row (the pattern is symmetric
     # under rotating the picture around the root), except for n = 2 mod 4,
     # where the split is left/right instead (1, 4 from the top).  Chosen so
-    # the verification gate passes for every n in 4..16; other parities fail,
+    # the verification gate passes for every n in 4..24; other parities fail,
     # e.g. all-from-top at n = 6 leaves a member with every predecessor
     # selected.
     top = (1, 4) if n % 4 == 2 else (1, 2)

@@ -1,5 +1,8 @@
+import hashlib
+
 import pytest
 
+from vertexvis import graph, witnesses
 from vertexvis.bounds import closed_form
 from vertexvis.errors import InvalidParameterError, InvalidRegionError
 from vertexvis.generators import FamilySpec, grid_graph, torus_graph
@@ -74,6 +77,30 @@ def test_witness_is_tight_at_desk_scale(family, n):
     w = witness_for(family, n)
     assert vx_exact(w.graph, w.root).value == w.claimed_size
     assert vv_exact(w.graph).value == w.claimed_size
+
+
+def test_each_witness_runs_one_bfs(monkeypatch):
+    # the diagonals and the visibility check read one root view of the root,
+    # also on a fresh graph
+    calls = []
+    real = graph.bfs_distances
+    for module in (graph, witnesses):
+        monkeypatch.setattr(module, "bfs_distances", lambda g, x: calls.append(x) or real(g, x))
+    for family in ("grid", "prism", "torus"):
+        for n in range(4, 10):
+            calls.clear()
+            w = witness_for(family, n)
+            assert calls == [w.root], (family, n)
+
+
+def test_witness_sets_are_pinned():
+    # one digest over every construction of the three families at n = 4..24
+    h = hashlib.sha256()
+    for family in ("grid", "prism", "torus"):
+        for n in range(4, 25):
+            w = witness_for(family, n)
+            h.update(repr((family, n, w.root, sorted(w.members))).encode())
+    assert h.hexdigest() == "da4136afb580b8cacaddad231bed19d0e654d4af0e781e79024dd5478b1b6396"
 
 
 def test_witness_examples():
