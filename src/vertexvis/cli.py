@@ -145,8 +145,15 @@ def _cmd_reduce(args, g: Graph, _x):
         f"visibility gadget of {args.input}; apex {red.apex + 1}; "
         f"threshold offset {red.k_offset}"
     )
+    lines = [
+        f"gadget: n={red.gprime.n} m={red.gprime.m} apex={red.apex + 1} "
+        f"threshold offset={red.k_offset}"
+    ]
     if args.output:
         write_graph_file(args.output, red.gprime, comment)
+        lines.append(f"graph written to {args.output}")
+    elif args.format == "text":  # main prints the payload alone with --format json
+        lines.append(format_graph(red.gprime, comment).rstrip("\n"))
     payload = {
         "n": red.gprime.n,
         "m": red.gprime.m,
@@ -157,12 +164,7 @@ def _cmd_reduce(args, g: Graph, _x):
             f"{u + 1}-{v + 1}": ev + 1 for (u, v), ev in sorted(red.edge_vertex_map.items())
         },
     }
-    return 0, payload, [
-        f"gadget: n={red.gprime.n} m={red.gprime.m} apex={red.apex + 1} "
-        f"threshold offset={red.k_offset}",
-        f"graph written to {args.output}" if args.output
-        else format_graph(red.gprime, comment).rstrip("\n"),
-    ]
+    return 0, payload, lines
 
 
 def _cmd_witness(args, _g, _x):

@@ -272,9 +272,11 @@ def np_gadget(g: Graph) -> ReductionResult:
 
     The apex-visibility number of the result equals m(g) plus the maximum
     independent set size of g.  Built a vertex at a time from g's lists and
-    masks, in O(n + m) big-int steps.  Rejects graphs with isolated
-    vertices, named by 1-based id, and gadgets over MAX_DENSE_EDGES edges
-    before any edge is built.
+    masks, in O(n + m) big-int steps: each vertex's neighbor tuple is built
+    in sorted order (an original vertex's neighbors, the apex, then its edge
+    vertices by id) and Graph takes it as it is.  Rejects graphs with
+    isolated vertices, named by 1-based id, and gadgets over MAX_DENSE_EDGES
+    edges before any edge is built.
     """
     for v in range(g.n):
         if not g.adj[v]:
@@ -283,20 +285,24 @@ def np_gadget(g: Graph) -> ReductionResult:
     _check_dense(f"visibility gadget of a graph with {m} edges",
                  m + n + 2 * m + m * (m - 1) // 2)
     apex = n
-    clique = list(range(n + 1, n + 1 + m))
+    clique = tuple(range(n + 1, n + 1 + m))
     edge_ids = dict(zip(g.edges(), clique))
-    neighbors = [[*nb, apex] for nb in g.adj] + [list(range(n))]
+    incident = [[] for _ in range(n)]
     masks = [mask | 1 << apex for mask in g.adj_mask] + [(1 << n) - 1]
     clique_mask = ((1 << m) - 1) << (n + 1)
+    edge_rows = []
     for i, ((u, v), ev) in enumerate(edge_ids.items()):
         bit = 1 << ev
         for w in (u, v):
-            neighbors[w].append(ev)
+            incident[w].append(ev)
             masks[w] |= bit
-        neighbors.append([u, v, *clique[:i], *clique[i + 1:]])
+        edge_rows.append((u, v, *clique[:i], *clique[i + 1:]))
         masks.append(clique_mask ^ bit | 1 << u | 1 << v)
+    # edges are numbered in sorted order, so each incident list is ascending
+    adj = [(*nb, apex, *evs) for nb, evs in zip(g.adj, incident)]
+    adj.append(tuple(range(n)))
     return ReductionResult(
-        gprime=Graph._from_lists(neighbors, masks),
+        gprime=Graph._from_sorted(tuple(adj + edge_rows), masks),
         apex=apex,
         original_map=tuple(range(n)),
         edge_vertex_map=edge_ids,

@@ -13,6 +13,7 @@ heavily.
 from __future__ import annotations
 
 from bisect import bisect_right
+from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import (
@@ -94,22 +95,29 @@ class Graph:
             masks[v] |= 1 << u
             neighbors[u].append(v)
             neighbors[v].append(u)
-        self._set_adjacency(neighbors, masks)
+        for nb in neighbors:
+            nb.sort()
+        self._set_adjacency(tuple(map(tuple, neighbors)), masks)
 
     @classmethod
     def _from_lists(cls, neighbors: list[list[int]], masks: list[int]) -> Graph:
-        """A graph over checked neighbor lists and masks, as _set_adjacency takes them."""
-        g = cls.__new__(cls)
-        g._set_adjacency(neighbors, masks)
-        return g
-
-    def _set_adjacency(self, neighbors: list[list[int]], masks: list[int]) -> None:
-        """Take over checked neighbor lists and their masks (sorts the lists)."""
+        """A graph over checked neighbor lists and masks (sorts the lists)."""
         for nb in neighbors:
             nb.sort()
-        self.n = len(neighbors)
-        self.m = sum(map(len, neighbors)) // 2
-        self.adj = tuple(map(tuple, neighbors))
+        return cls._from_sorted(tuple(map(tuple, neighbors)), masks)
+
+    @classmethod
+    def _from_sorted(cls, adj: tuple[tuple[int, ...], ...], masks) -> Graph:
+        """A graph over checked sorted neighbor tuples and masks, taken as they are."""
+        g = cls.__new__(cls)
+        g._set_adjacency(adj, masks)
+        return g
+
+    def _set_adjacency(self, adj: tuple[tuple[int, ...], ...], masks) -> None:
+        """Take over checked sorted neighbor tuples and their masks."""
+        self.n = len(adj)
+        self.m = sum(map(len, adj)) // 2
+        self.adj = adj
         self.adj_mask = tuple(masks)
         self._view: RootView | None = None
         self._connected: bool | None = None
@@ -536,8 +544,9 @@ def _file_id(token: str, n: int, lineno: int) -> int:
 
 
 def format_graph(g: Graph, comment: str | None = None) -> str:
-    """The file text of g, a vertex at a time: the neighbors above u, one
-    slice of its sorted list, are joined under one ``e u `` head."""
+    """The file text of g, a vertex at a time: the ids of the neighbors
+    above u, one slice of its sorted list, are gathered by one itemgetter
+    call and joined under one ``e u `` head."""
     lines = [f"c {part}" for part in comment.splitlines()] if comment else []
     lines.append(f"p {g.n} {g.m}")
     ids = [str(v + 1) for v in range(g.n)]
@@ -545,8 +554,13 @@ def format_graph(g: Graph, comment: str | None = None) -> str:
         above = nb[bisect_right(nb, u):]
         if above:
             head = f"e {ids[u]} "
-            lines.append(head + ("\n" + head).join(map(ids.__getitem__, above)))
-    return "\n".join(lines) + "\n"
+            # with one index, itemgetter returns the id itself, not a tuple
+            found = itemgetter(*above)(ids)
+            if len(above) > 1:
+                found = ("\n" + head).join(found)
+            lines.append(head + found)
+    lines.append("")
+    return "\n".join(lines)
 
 
 def read_text(path) -> str:

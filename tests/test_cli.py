@@ -200,6 +200,18 @@ def test_reduce_prints_the_gadget_without_an_output_file(capsys):
     assert (g.n, g.m) == (10, 23)
 
 
+def test_json_reduce_formats_no_file(capsys, monkeypatch):
+    # with --format json and no -o, main prints the payload alone, so the
+    # gadget's file text is never built
+    def refuse(*_):
+        raise AssertionError("format_graph called")
+
+    monkeypatch.setattr(cli, "format_graph", refuse)
+    assert run(capsys, "reduce", "path:5", "--format", "json") == (0, (
+        '{"apex": 6, "edge_vertices": {"1-2": 7, "2-3": 8, "3-4": 9, "4-5": 10}, '
+        '"k_offset": 4, "m": 23, "n": 10, "original_vertices": [1, 2, 3, 4, 5]}\n'), "")
+
+
 def test_witness_command(capsys):
     code, stdout, _ = run(capsys, "witness", "grid:6", "--format", "json")
     assert code == 0
