@@ -28,11 +28,11 @@ from .generators import FamilySpec
 from .graph import Graph, connected_view, is_block_graph, require_connected
 from .solvers import mu_brute, vv_exact, vx_exact
 from .visibility import (
+    _maximally_distant_mask,
+    _stress_mask,
     has_spanning_double_star,
     has_universal_vertex,
-    maximally_distant,
     simplicial_vertices,
-    stress_vertices,
 )
 
 __all__ = [
@@ -108,11 +108,12 @@ def bounds_report(
     """Assemble every applicable bound; per-root entries appear only when a
     root is given.  The mutual-visibility entry is exponential to evaluate
     and therefore opt-in; when skipped it is reported as not applicable
-    rather than estimated.  connected_view checks a root before any work,
-    and the per-root entries read its view of x.  Its mu and exact solves
-    and the stress-vertex pass share the one deadline."""
+    rather than estimated.  connected_view checks a root before any work
+    and returns its view, which the report holds: the per-root entries
+    read it, and an exact solve at x builds its own.  Its mu and exact
+    solves and the stress-vertex pass share the one deadline."""
     if x is not None:
-        ecc = connected_view(g, x).ecc
+        rv = connected_view(g, x)
     require_connected(g)
     if g.n < 2:
         raise InvalidParameterError("bounds need at least two vertices")
@@ -166,13 +167,11 @@ def bounds_report(
         )
     )
     if x is not None:
-        md = maximally_distant(g, x)
-        stress = stress_vertices(g, x, deadline)
         entries.append(
             BoundEntry(
                 "max_distant_lower",
                 "lower",
-                len(md),
+                _maximally_distant_mask(rv).bit_count(),
                 True,
                 "some maximum visibility set for the root contains every "
                 "maximally distant vertex",
@@ -183,7 +182,7 @@ def bounds_report(
             BoundEntry(
                 "stress_upper",
                 "upper",
-                n - len(stress) - 1,
+                n - _stress_mask(rv, deadline).bit_count() - 1,
                 True,
                 "no maximum visibility set for the root needs a stress vertex",
                 "vx",
@@ -193,7 +192,7 @@ def bounds_report(
             BoundEntry(
                 "eccentricity_lower",
                 "lower",
-                math.ceil((n - 1) / ecc),
+                math.ceil((n - 1) / rv.ecc),
                 True,
                 "a largest distance layer is a visibility set from the root",
                 "vx",
@@ -203,7 +202,7 @@ def bounds_report(
             BoundEntry(
                 "eccentricity_upper",
                 "upper",
-                n - ecc,
+                n - rv.ecc,
                 True,
                 "a geodesic to an eccentric vertex meets a visibility set at "
                 "most once",

@@ -65,11 +65,11 @@ class Graph:
 
     Instances are immutable after construction.  ``adj_mask[v]`` is the
     neighborhood of v as a bitmask; the exponential solvers work on these
-    masks directly.  ``_view`` caches the latest root view that
-    bfs_root_view built, so a graph holds at most one.
+    masks directly.  It holds no per-root state: a root view is a value its
+    caller keeps.  ``_connected`` caches connectivity, a whole-graph fact.
     """
 
-    __slots__ = ("n", "m", "adj", "adj_mask", "_view", "_connected")
+    __slots__ = ("n", "m", "adj", "adj_mask", "_connected")
 
     def __init__(self, n: int, edges):
         """Build from 0-based edge pairs in one pass.
@@ -119,7 +119,6 @@ class Graph:
         self.m = sum(map(len, adj)) // 2
         self.adj = adj
         self.adj_mask = tuple(masks)
-        self._view: RootView | None = None
         self._connected: bool | None = None
 
     def degree(self, v: int) -> int:
@@ -182,7 +181,7 @@ def bfs_distances(g: Graph, x: int) -> tuple[list[int], list[int]]:
     """(dist, order) of a BFS from x: dist[v] is the hop distance, -1 when v
     is unreachable, and order lists the reachable vertices by nondecreasing
     distance, x first, each after a neighbor one step closer.  The package's
-    one discovery loop; nothing is cached."""
+    one discovery loop; it keeps nothing."""
     g.check_vertex(x)
     n = g.n
     dist = [-1] * n
@@ -200,17 +199,13 @@ def bfs_distances(g: Graph, x: int) -> tuple[list[int], list[int]]:
 
 
 def bfs_root_view(g: Graph, x: int) -> RootView:
-    """BFS artifact rooted at x.  The graph caches only the latest view:
-    asking again for its root returns it, and any other root replaces it.
-    A caller needing several views at once keeps them itself; one needing
-    only distances calls bfs_distances.
+    """BFS artifact rooted at x, built anew on every call.  The view is a
+    value: a caller that reads it twice keeps it and passes it on, and one
+    needing only distances calls bfs_distances.
 
     After bfs_distances, one walk over ``order`` builds each layer's mask
     and gives v the neighbors inside the layer above it, so no edge is
     scanned twice."""
-    cached = g._view
-    if cached is not None and cached.root == x:
-        return cached
     dist, order = bfs_distances(g, x)
     adj_mask = g.adj_mask
     dag_in_mask = [0] * g.n
@@ -223,7 +218,7 @@ def bfs_root_view(g: Graph, x: int) -> RootView:
         layer |= 1 << v
         dag_in_mask[v] = adj_mask[v] & above
     starts.append(len(order))
-    view = RootView(
+    return RootView(
         root=x,
         dist=tuple(dist),
         ecc=d,
@@ -231,8 +226,6 @@ def bfs_root_view(g: Graph, x: int) -> RootView:
         starts=tuple(starts),
         dag_in_mask=tuple(dag_in_mask),
     )
-    g._view = view
-    return view
 
 
 def is_connected(g: Graph) -> bool:

@@ -481,15 +481,16 @@ def vv_exact(g: Graph, deadline: float | None = None) -> SolveResult:
     so the answer is the vx_exact result of the same root as over all
     roots: same value, root, witness and tree.  The one deadline bounds the
     symmetry search, the bound of each class minimum and every solve.
-    Connectivity comes from the view of the smallest root, a class minimum."""
+    The view of the smallest root, a class minimum, gives connectivity and its bound."""
     roots = [v for v in range(g.n) if g.degree(v) > 1] or [0]
-    _require_solvable(g, roots[0])
+    first = _require_solvable(g, roots[0])
     rep = _root_classes(g, roots, deadline)
     bounds = []
     for x in roots:
         if rep[x] == x:
             check_deadline(deadline, "vertex visibility solve")
-            bounds.append((-_root_bound(bfs_root_view(g, x)), x))
+            rv = first if x == roots[0] else bfs_root_view(g, x)
+            bounds.append((-_root_bound(rv), x))
     bounds.sort()
     best = vx_exact(g, bounds[0][1], deadline)
     for neg_bound, x in bounds[1:]:

@@ -151,8 +151,13 @@ def stress_vertices(g: Graph, x: int, deadline: float | None = None) -> frozense
     algorithm", 2001) with BFS distances as the ranks.  The answer is the
     union of the strict dominators of those z, without x.
     """
-    rv = connected_view(g, x)
-    dist, idom = rv.dist, [x] * g.n
+    return mask_to_set(_stress_mask(connected_view(g, x), deadline))
+
+
+def _stress_mask(rv: RootView, deadline) -> int:
+    """Bitmask of the stress vertices for rv.root (see stress_vertices)."""
+    x = rv.root
+    dist, idom = rv.dist, [x] * len(rv.dist)
     for i, v in enumerate(rv.order[1:]):
         if not i & 0xFF:
             check_deadline(deadline, "stress-vertex pass")
@@ -178,7 +183,7 @@ def stress_vertices(g: Graph, x: int, deadline: float | None = None) -> frozense
         while not (out >> y) & 1:
             out |= 1 << y
             y = idom[y]
-    return mask_to_set(out ^ (1 << x))
+    return out ^ (1 << x)
 
 
 def simplicial_vertices(g: Graph) -> frozenset[int]:

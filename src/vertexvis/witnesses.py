@@ -3,11 +3,12 @@
 Each construction fixes a root, partitions the coordinate quadrants around
 it into equal-distance diagonals, takes ceil(|D|/2) alternating vertices
 from every diagonal D, and appends a residue-dependent handful of axis
-vertices.  It reads one root view, which the visibility check then reuses.
-A construction that fails that check raises WitnessRejectedError rather
-than returning quietly, and its size is checked against the family's
-closed-form target, which each builder takes before it builds anything, so
-an n below the closed form's range is refused there.
+vertices.  Each builder makes one root view and holds it: the selection
+reads its distances and the visibility check sweeps it.  A construction
+that fails that check raises WitnessRejectedError rather than returning
+quietly, and its size is checked against the family's closed-form target,
+which each builder takes before it builds anything, so an n below the
+closed form's range is refused there.
 
 Coordinates are 1-based (row k, column l) with vertex id (k-1)*n + (l-1),
 matching the product id convention from the generators module.
@@ -20,8 +21,8 @@ from typing import NamedTuple
 from .bounds import closed_form
 from .errors import InvalidParameterError, InvalidRegionError, WitnessRejectedError
 from .generators import FamilySpec, grid_graph, prism_graph, torus_graph
-from .graph import Graph, bfs_distances, bfs_root_view, to_external_ids
-from .visibility import is_x_visibility_set
+from .graph import Graph, RootView, bfs_distances, bfs_root_view, to_external_ids
+from .visibility import _members_all_visible
 
 __all__ = [
     "WitnessResult",
@@ -90,12 +91,10 @@ def quadrant_diagonals(g: Graph, n: int, x: int, quadrant: int) -> list[list[int
     return _diagonals(n, bfs_distances(g, x)[0], x, quadrant)
 
 
-def _selection(g, n, x, parities: dict[int, bool]) -> set[int]:
-    # one root view: _finish's visibility check finds it cached
-    dist = bfs_root_view(g, x).dist
+def _selection(rv: RootView, n, parities: dict[int, bool]) -> set[int]:
     out: set[int] = set()
     for quadrant, from_top in parities.items():
-        for diag in _diagonals(n, dist, x, quadrant):
+        for diag in _diagonals(n, rv.dist, rv.root, quadrant):
             # ceil(|D|/2) alternating vertices, from the smallest row when
             # from_top, else from the largest; odd-length diagonals keep
             # both ends either way
@@ -103,19 +102,19 @@ def _selection(g, n, x, parities: dict[int, bool]) -> set[int]:
     return out
 
 
-def _finish(family: str, n: int, target: int, g: Graph, x: int,
+def _finish(family: str, n: int, target: int, g: Graph, rv: RootView,
             members: set[int]) -> WitnessResult:
     if len(members) != target:
         raise WitnessRejectedError(
             f"{family}({n}) witness has size {len(members)}, wanted {target}"
         )
-    if not is_x_visibility_set(g, x, members):
+    if not _members_all_visible(rv, sum(1 << v for v in members)):
         raise WitnessRejectedError(f"{family}({n}) witness failed verification")
     return WitnessResult(
         family=family,
         n=n,
         graph=g,
-        root=x,
+        root=rv.root,
         members=frozenset(members),
         claimed_size=target,
         verified=True,
@@ -128,11 +127,11 @@ def grid_witness(n: int) -> WitnessResult:
     of the lower-right quadrant."""
     target = closed_form(FamilySpec("grid", (n,)))
     g = grid_graph(n)
-    x = _coord_id(n, 2, 2)
+    rv = bfs_root_view(g, _coord_id(n, 2, 2))
     members = {_coord_id(n, k, 1) for k in range(1, n + 1)}
     members |= {_coord_id(n, 1, l) for l in range(1, n + 1) if l != 2}
-    members |= _selection(g, n, x, {3: True})
-    return _finish("grid", n, target, g, x, members)
+    members |= _selection(rv, n, {3: True})
+    return _finish("grid", n, target, g, rv, members)
 
 
 def prism_witness(n: int) -> WitnessResult:
@@ -143,13 +142,13 @@ def prism_witness(n: int) -> WitnessResult:
     target = closed_form(FamilySpec("prism", (n,)))
     g = prism_graph(n)
     c = (n + 1) // 2
-    x = _coord_id(n, 2, c)
+    rv = bfs_root_view(g, _coord_id(n, 2, c))
     members = {_coord_id(n, 1, l) for l in range(1, n + 1) if l != c}
-    members |= _selection(g, n, x, {3: True, 4: True})
+    members |= _selection(rv, n, {3: True, 4: True})
     members.add(_coord_id(n, 1, c))
     if n % 4 == 1:
         members.add(_coord_id(n, n, c))
-    return _finish("prism", n, target, g, x, members)
+    return _finish("prism", n, target, g, rv, members)
 
 
 def _torus_extras(n: int, c: int) -> list[tuple[int, int]]:
@@ -169,7 +168,7 @@ def torus_witness(n: int) -> WitnessResult:
     target = closed_form(FamilySpec("torus", (n,)))
     g = torus_graph(n)
     c = (n + 1) // 2
-    x = _coord_id(n, c, c)
+    rv = bfs_root_view(g, _coord_id(n, c, c))
     # Quadrant parities: the upper quadrants (1, 2) alternate from their top
     # row and the lower ones from their bottom row (the pattern is symmetric
     # under rotating the picture around the root), except for n = 2 mod 4,
@@ -178,10 +177,10 @@ def torus_witness(n: int) -> WitnessResult:
     # e.g. all-from-top at n = 6 leaves a member with every predecessor
     # selected.
     top = (1, 4) if n % 4 == 2 else (1, 2)
-    members = _selection(g, n, x, {q: q in top for q in range(1, 5)})
+    members = _selection(rv, n, {q: q in top for q in range(1, 5)})
     for k, l in _torus_extras(n, c):
         members.add(_coord_id(n, k, l))
-    return _finish("torus", n, target, g, x, members)
+    return _finish("torus", n, target, g, rv, members)
 
 
 WITNESS_BUILDERS = {"grid": grid_witness, "prism": prism_witness, "torus": torus_witness}

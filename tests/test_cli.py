@@ -239,7 +239,7 @@ def test_witness_carries_the_closed_form_notes(capsys):
 
 
 def test_witness_that_fails_its_own_gate_exits_3(capsys, monkeypatch):
-    monkeypatch.setattr(witnesses, "is_x_visibility_set", lambda g, x, members: False)
+    monkeypatch.setattr(witnesses, "_members_all_visible", lambda rv, s_mask: False)
     code, out, err = run(capsys, "witness", "grid:5")
     assert (code, out) == (3, "")
     assert err == "verification failure: grid(5) witness failed verification\n"

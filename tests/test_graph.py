@@ -241,13 +241,15 @@ def test_is_connected_matches_bfs_and_builds_no_root_view():
         p = rng.choice((0.5, 1.0, 2.0, 4.0, 8.0)) / n
         edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
         g = Graph(n, edges)
+        before = live_root_views()
         connected = is_connected(g)
+        assert live_root_views() == before
         assert connected == (len(bfs_dist(g, 0)) == n), (n, edges)
-        assert g._view is None
         # connected_view reads the same answer off the view it returns
         h = Graph(n, edges)
         if connected:
-            assert connected_view(h, n - 1) is h._view and h._connected
+            view = connected_view(h, n - 1)
+            assert view.root == n - 1 and len(view.order) == n and h._connected
         else:
             with pytest.raises(DisconnectedError):
                 connected_view(h, n - 1)
@@ -300,17 +302,14 @@ def test_geodetic_adds_no_root_view():
     assert not is_geodetic(h) and live_root_views() <= before + 1
 
 
-def test_interval_keeps_one_root_view():
-    # interval reads distances only: it builds no root view and leaves the
-    # graph's one cached view in place
+def test_interval_builds_no_root_view():
+    # interval reads distances only: it builds no root view
     g = random_tree(300, seed=0)
     view = bfs_root_view(g, 7)
     before = live_root_views()
     for v in range(g.n - 1):
         assert interval(g, v, v + 1) == interval(g, v + 1, v)
     assert live_root_views() <= before
-    assert g._view is view
-    assert bfs_root_view(g, 7) is view
 
 
 def test_block_graph_examples():

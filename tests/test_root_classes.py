@@ -8,6 +8,7 @@ import pytest
 from networkx.algorithms.isomorphism import GraphMatcher
 
 from vertexvis import solvers
+from vertexvis.bounds import bounds_report
 from vertexvis.generators import (
     cocktail_party,
     generate,
@@ -26,6 +27,7 @@ from vertexvis.solvers import (
     vx_brute,
     vx_exact,
 )
+from vertexvis.witnesses import witness_for
 
 from oracles import live_root_views, vv_all_roots
 
@@ -269,11 +271,15 @@ def test_torus_solves_one_root(monkeypatch):
         assert solved == [0]
 
 
-def test_vv_keeps_at_most_one_root_view():
+def test_no_root_view_outlives_a_call():
+    # a graph keeps no root view: each call drops the views it built
     g = random_connected_graph(80, 0.06, 5)
-    before = live_root_views()
-    vv_exact(g)
-    assert live_root_views() <= before + 1
+    x = max(range(g.n), key=g.degree)
+    for call in (lambda: vv_exact(g), lambda: vx_exact(g, x),
+                 lambda: bounds_report(g, x), lambda: witness_for("torus", 6)):
+        before = live_root_views()
+        call()
+        assert live_root_views() == before
 
 
 def test_a_pendant_root_is_below_its_support_vertex():

@@ -393,9 +393,10 @@ def test_tree_solves_check_the_deadline_per_group(monkeypatch):
 
 
 def test_timeout_fires_inside_the_bound_pass(monkeypatch):
-    # the first root view of the bound pass outlives the request's deadline;
-    # the pass checks it again before the next class minimum's view, before
-    # any root is solved
+    # the smallest root's bound reads the view its connectivity check built;
+    # the next class minimum's view outlives the request's deadline, and the
+    # pass checks it again before the view after that, before any root is
+    # solved
     g = random_connected_graph(40, 0.15, 1)
     roots = [v for v in range(g.n) if g.degree(v) > 1]
     rep = solvers._root_classes(g, roots, None)
@@ -413,7 +414,7 @@ def test_timeout_fires_inside_the_bound_pass(monkeypatch):
     monkeypatch.setattr(solvers, "vx_exact", lambda g, x, deadline: solved.append(x))
     with pytest.raises(SolveTimeoutError, match="vertex visibility solve"):
         vv_exact(g, deadline)
-    assert viewed == roots[:1] and not solved
+    assert viewed == roots[1:2] and not solved
 
 
 def test_timeout_fires_inside_the_symmetry_search(monkeypatch):

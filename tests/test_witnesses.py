@@ -20,11 +20,14 @@ def coord(n, k, l):
     return (k - 1) * n + (l - 1)
 
 
-def test_quadrant_diagonal_sizes_grid6():
+def test_quadrant_diagonal_sizes_grid6(monkeypatch):
+    def no_view(g, x):
+        raise AssertionError("distances only: no root view is built")
+
+    monkeypatch.setattr(witnesses, "bfs_root_view", no_view)
     g = grid_graph(6)
     diags = quadrant_diagonals(g, 6, coord(6, 2, 2), 3)
     assert [len(d) for d in diags] == [1, 2, 3, 4, 3, 2, 1]
-    assert g._view is None  # distances only: no root view is built
 
 
 def test_quadrant_diagonal_sizes_grid4():
