@@ -25,8 +25,8 @@ from .errors import (
     UnsupportedFamilyError,
 )
 from .generators import FamilySpec
-from .graph import Graph, connected_view, is_block_graph, require_connected
-from .solvers import mu_brute, vv_exact, vx_exact
+from .graph import Graph, is_block_graph, require_connected
+from .solvers import _require_solvable, mu_brute, vv_exact, vx_exact
 from .visibility import (
     _maximally_distant_mask,
     _stress_mask,
@@ -108,15 +108,12 @@ def bounds_report(
     """Assemble every applicable bound; per-root entries appear only when a
     root is given.  The mutual-visibility entry is exponential to evaluate
     and therefore opt-in; when skipped it is reported as not applicable
-    rather than estimated.  connected_view checks a root before any work
-    and returns its view, which the report holds: the per-root entries
-    read it, and an exact solve at x builds its own.  Its mu and exact
-    solves and the stress-vertex pass share the one deadline."""
-    if x is not None:
-        rv = connected_view(g, x)
-    require_connected(g)
-    if g.n < 2:
-        raise InvalidParameterError("bounds need at least two vertices")
+    rather than estimated.  _require_solvable checks the graph, and a
+    root, before any work and returns the root's view (vertex 0's without
+    one): the per-root entries read it, and an exact solve at x builds its
+    own.  Its mu and exact solves and the stress-vertex pass share the one
+    deadline."""
+    rv = _require_solvable(g, 0 if x is None else x)
     n, delta = g.n, g.max_degree()
     entries: list[BoundEntry] = []
     entries.append(
@@ -232,9 +229,7 @@ def characterize_extremal(g: Graph) -> str:
     """Classify the graph: "top" when the maximum visibility number is n-1
     (exactly the graphs with a universal vertex), "second" when it is n-2
     (no universal vertex but a spanning double star), else "other"."""
-    require_connected(g)
-    if g.n < 2:
-        raise InvalidParameterError("need at least two vertices")
+    _require_solvable(g, 0)
     if has_universal_vertex(g) is not None:
         return "top"
     if has_spanning_double_star(g):

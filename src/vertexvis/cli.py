@@ -6,8 +6,9 @@ the parameters; seeded families draw from --seed).  All ids in files, flags,
 and output are 1-based.  Exit codes: 0 success, 1 computation error
 (disconnected input, caps, timeouts), 2 usage error, 3 verification failure
 (the verify and witness verbs).  Each verb returns (exit_code, payload,
-lines) and main prints one of them: the payload as JSON with --format json,
-else the text lines.
+text): the payload is the request's one report, with ids already 1-based,
+and text() formats its lines from that payload alone.  main prints the
+payload as JSON with --format json and calls text() only for text output.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ from .graph import (
     format_graph,
     read_graph_file,
     read_text,
-    to_external_ids,
     write_graph_file,
 )
 from .solvers import (
@@ -87,74 +87,59 @@ def _cmd_gen(args, g: Graph, _x):
     comment = f"generated from {args.input}"
     if args.output:
         write_graph_file(args.output, g, comment)
-        return 0, None, []
-    return 0, None, [format_graph(g, comment).rstrip("\n")]
+        return 0, None, lambda: []
+    return 0, None, lambda: [format_graph(g, comment).rstrip("\n")]
 
 
 def _cmd_vx(args, g: Graph, x: int):
     solver = {"exact": vx_exact, "brute": vx_brute, "greedy": vx_greedy}[args.method]
-    res = solver(g, x, args.deadline)
-    at_least = ">= " if args.method == "greedy" else ""
-    return 0, res.to_json_dict(), [
-        f"root {args.root}: visibility number {at_least}{res.value} ({res.method})",
-        f"witness: {to_external_ids(res.witness)}",
+    p = solver(g, x, args.deadline).to_json_dict()
+    at_least = ">= " if p["method"] == "greedy" else ""
+    return 0, p, lambda: [
+        f"root {p['root']}: visibility number {at_least}{p['value']} ({p['method']})",
+        f"witness: {p['witness']}",
     ]
 
 
 def _cmd_vv(args, g: Graph, _x):
-    res = vv_exact(g, args.deadline)
-    return 0, res.to_json_dict(), [
-        f"vertex visibility number {res.value}, attained at root {res.root + 1}",
-        f"witness: {to_external_ids(res.witness)}",
+    p = vv_exact(g, args.deadline).to_json_dict()
+    return 0, p, lambda: [
+        f"vertex visibility number {p['value']}, attained at root {p['root']}",
+        f"witness: {p['witness']}",
     ]
 
 
 def _cmd_verify(args, g: Graph, x: int):
     members = _read_set_file(args.set, g.n)
     ok = is_x_visibility_set(g, x, members)
-    return 0 if ok else 3, {"root": args.root, "size": len(members), "visible": ok}, [
-        f"set of size {len(members)} is" + ("" if ok else " NOT")
-        + f" a visibility set for root {args.root}"
+    p = {"root": args.root, "size": len(members), "visible": ok}
+    return 0 if ok else 3, p, lambda: [
+        f"set of size {p['size']} is" + ("" if p["visible"] else " NOT")
+        + f" a visibility set for root {p['root']}"
     ]
 
 
 def _cmd_bounds(args, g: Graph, x: int | None):
-    report = bounds_report(
-        g,
-        x=x,
-        compute_mu=args.mu,
-        compute_exact=args.exact,
-        deadline=args.deadline,
-    )
-    lines = [f"n={report.n} m={report.m} delta={report.delta}"]
-    for e in report.entries:
-        flag = "" if e.applicable else " (not applicable)"
-        lines.append(f"  [{e.scope}] {e.name}: {e.kind} {e.value}{flag}")
-    if report.mu is not None:
-        lines.append(f"  mutual visibility number: {report.mu}")
-    if report.exact_value is not None:
-        lines.append(
-            f"  exact: {report.exact_value} at root {report.exact_root + 1}"
-        )
-    return 0, report.to_json_dict(), lines
+    p = bounds_report(g, x=x, compute_mu=args.mu, compute_exact=args.exact,
+                      deadline=args.deadline).to_json_dict()
+
+    def text():
+        lines = ["n={n} m={m} delta={delta}".format_map(p["graph"])]
+        for e in p["bounds"]:
+            flag = "" if e["applicable"] else " (not applicable)"
+            lines.append("  [{scope}] {name}: {kind} {value}".format_map(e) + flag)
+        if p["mu"] is not None:
+            lines.append(f"  mutual visibility number: {p['mu']}")
+        if p["exact"] is not None:
+            lines.append("  exact: {value} at root {root}".format_map(p["exact"]))
+        return lines
+
+    return 0, p, text
 
 
 def _cmd_reduce(args, g: Graph, _x):
     red = np_gadget(g)
-    comment = (
-        f"visibility gadget of {args.input}; apex {red.apex + 1}; "
-        f"threshold offset {red.k_offset}"
-    )
-    lines = [
-        f"gadget: n={red.gprime.n} m={red.gprime.m} apex={red.apex + 1} "
-        f"threshold offset={red.k_offset}"
-    ]
-    if args.output:
-        write_graph_file(args.output, red.gprime, comment)
-        lines.append(f"graph written to {args.output}")
-    elif args.format == "text":  # main prints the payload alone with --format json
-        lines.append(format_graph(red.gprime, comment).rstrip("\n"))
-    payload = {
+    p = {
         "n": red.gprime.n,
         "m": red.gprime.m,
         "apex": red.apex + 1,
@@ -164,19 +149,28 @@ def _cmd_reduce(args, g: Graph, _x):
             f"{u + 1}-{v + 1}": ev + 1 for (u, v), ev in sorted(red.edge_vertex_map.items())
         },
     }
-    return 0, payload, lines
+    comment = (
+        f"visibility gadget of {args.input}; apex {p['apex']}; "
+        f"threshold offset {p['k_offset']}"
+    )
+    if args.output:
+        write_graph_file(args.output, red.gprime, comment)
+    return 0, p, lambda: [
+        "gadget: n={n} m={m} apex={apex} threshold offset={k_offset}".format_map(p),
+        f"graph written to {args.output}" if args.output
+        else format_graph(red.gprime, comment).rstrip("\n"),
+    ]
 
 
 def _cmd_witness(args, _g, _x):
     spec = parse_family_spec(args.spec)
     w = witness_for(spec.family, spec.args[0])
-    row, col = w.root_coords()
-    notes = closed_form_notes(spec)
-    return 0, {**w.to_json_dict(), "notes": list(notes)}, [
-        f"{spec}: witness of size {w.claimed_size} at root "
-        f"({row},{col}) id {w.root + 1}; verified",
-        f"set: {to_external_ids(w.members)}",
-    ] + [f"note: {note}" for note in notes]
+    p = {**w.to_json_dict(), "notes": list(closed_form_notes(spec))}
+    return 0, p, lambda: [
+        f"{p['family']}:{p['n']}: witness of size {p['claimed_size']} at root "
+        f"({p['root']['row']},{p['root']['col']}) id {p['root']['id']}; verified",
+        f"set: {p['set']}",
+    ] + [f"note: {note}" for note in p["notes"]]
 
 
 def _cmd_table(args, _g, _x):
@@ -202,25 +196,29 @@ def _cmd_table(args, _g, _x):
             exact = vv_exact(w.graph, args.deadline).value
         rows.append({"n": n, "closed_form": w.claimed_size, "witness": len(w.members),
                      "exact": exact})
-    lines = [f"{args.family}: n, closed form, witness size, exact"]
-    for r in rows:
-        exact = "-" if r["exact"] is None else str(r["exact"])
-        lines.append(f"  {r['n']:3d}  {r['closed_form']:6d}  {r['witness']:6d}  {exact:>5}")
-    lines += [f"note: {note}" for note in sorted(notes)]
-    return 0, {"family": args.family, "rows": rows, "notes": sorted(notes)}, lines
+    p = {"family": args.family, "rows": rows, "notes": sorted(notes)}
+
+    def text():
+        lines = [f"{p['family']}: n, closed form, witness size, exact"]
+        for r in p["rows"]:
+            exact = "-" if r["exact"] is None else str(r["exact"])
+            lines.append(f"  {r['n']:3d}  {r['closed_form']:6d}  {r['witness']:6d}  {exact:>5}")
+        return lines + [f"note: {note}" for note in p["notes"]]
+
+    return 0, p, text
 
 
 def _cmd_maxleaf(args, g: Graph, _x):
-    res = max_leaf_spanning_tree(g, args.deadline)
-    return 0, res.to_json_dict(), [
-        f"maximum spanning-tree leaf count: {res.value}",
-        f"leaves: {to_external_ids(res.leaves)}",
+    p = max_leaf_spanning_tree(g, args.deadline).to_json_dict()
+    return 0, p, lambda: [
+        f"maximum spanning-tree leaf count: {p['value']}",
+        f"leaves: {p['leaves']}",
     ]
 
 
 def _cmd_mu(args, g: Graph, _x):
-    value = mu_brute(g, args.deadline)
-    return 0, {"mu": value}, [f"mutual visibility number: {value}"]
+    p = {"mu": mu_brute(g, args.deadline)}
+    return 0, p, lambda: [f"mutual visibility number: {p['mu']}"]
 
 
 def _seconds(text: str) -> float:
@@ -309,9 +307,10 @@ def main(argv=None) -> int:
     budget (the one deadline every timed step of the request checks), load
     the graph of a verb that takes one, check its 1-based --root, and only
     then run the verb, which gets the graph and the 0-based root (None for
-    a verb without them) and returns (exit_code, payload, lines); print the
-    payload as one JSON line with --format json, else the lines, and return
-    the exit code.  An error, in printing too, is one stderr line."""
+    a verb without them) and returns (exit_code, payload, text); print the
+    payload as one JSON line with --format json, else call text() and print
+    its lines, and return the exit code.  An error, in printing too, is one
+    stderr line."""
     args = build_parser().parse_args(argv)
     timeout = getattr(args, "timeout", None)
     args.deadline = None if timeout is None else time.monotonic() + timeout
@@ -320,13 +319,13 @@ def main(argv=None) -> int:
         root = getattr(args, "root", None)
         if root is not None and not 1 <= root <= g.n:
             raise IdOutOfRangeError(f"root {root} outside 1..{g.n}")
-        code, payload, lines = args.func(args, g, None if root is None else root - 1)
+        code, payload, text = args.func(args, g, None if root is None else root - 1)
         # one compact line with sorted keys: without indent, json.dumps runs
         # its C encoder
         if getattr(args, "format", "text") == "json":
             print(json.dumps(payload, sort_keys=True))
         else:
-            for line in lines:
+            for line in text():
                 print(line)
         return code
     except WitnessRejectedError as exc:

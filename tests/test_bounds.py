@@ -161,7 +161,7 @@ def test_characterize_examples():
     assert characterize_extremal(star_graph(4)) == "top"
     assert characterize_extremal(path_graph(4)) == "second"
     assert characterize_extremal(cycle_graph(6)) == "other"
-    with pytest.raises(InvalidParameterError, match="at least two vertices"):
+    with pytest.raises(InvalidParameterError, match="at least 2 vertices"):
         characterize_extremal(path_graph(1))
 
 

@@ -1,14 +1,16 @@
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 import time
+from types import SimpleNamespace
 
 import pytest
 
 import vertexvis
-from vertexvis import cli, generators, witnesses
+from vertexvis import cli, generators, graph, solvers, witnesses
 from vertexvis.bounds import TORUS_EVEN_NOTE, bounds_report
 from vertexvis.cli import main
 from vertexvis.graph import format_graph, parse_graph, read_graph_file
@@ -198,18 +200,6 @@ def test_reduce_prints_the_gadget_without_an_output_file(capsys):
     assert header == "gadget: n=10 m=23 apex=6 threshold offset=4"
     g = parse_graph(text)
     assert (g.n, g.m) == (10, 23)
-
-
-def test_json_reduce_formats_no_file(capsys, monkeypatch):
-    # with --format json and no -o, main prints the payload alone, so the
-    # gadget's file text is never built
-    def refuse(*_):
-        raise AssertionError("format_graph called")
-
-    monkeypatch.setattr(cli, "format_graph", refuse)
-    assert run(capsys, "reduce", "path:5", "--format", "json") == (0, (
-        '{"apex": 6, "edge_vertices": {"1-2": 7, "2-3": 8, "3-4": 9, "4-5": 10}, '
-        '"k_offset": 4, "m": 23, "n": 10, "original_vertices": [1, 2, 3, 4, 5]}\n'), "")
 
 
 def test_witness_command(capsys):
@@ -433,12 +423,147 @@ def test_every_verb_prints_exactly(argv, code, stdout, tmp_path, capsys):
     assert run(capsys, *argv) == (code, stdout.replace("{dir}", str(tmp_path)), "")
 
 
+# every verb with --format json; stdout is pinned where a case needs it
+JSON_REQUESTS = [
+    (("vx", "grid:5", "--root", "13"), None),
+    (("vx", "grid:5", "--root", "13", "--method", "greedy"), None),
+    (("vv", "cocktail:3"), None),
+    (("verify", "path:4", "--root", "1", "--set", "{dir}/one.txt"), None),
+    (("bounds", "grid:4", "--root", "6", "--exact"), None),
+    (("reduce", "path:5"),
+     '{"apex": 6, "edge_vertices": {"1-2": 7, "2-3": 8, "3-4": 9, "4-5": 10}, '
+     '"k_offset": 4, "m": 23, "n": 10, "original_vertices": [1, 2, 3, 4, 5]}\n'),
+    (("witness", "grid:4"), None),
+    (TABLE_GRID_4_5, None),
+    (("maxleaf", "figure1:1"), None),
+    (("mu", "path:4"), None),
+]
+
+
+@pytest.mark.parametrize("argv, stdout", JSON_REQUESTS,
+                         ids=[" ".join(argv) for argv, _ in JSON_REQUESTS])
+def test_json_builds_no_text(argv, stdout, tmp_path, capsys, monkeypatch):
+    # a JSON request prints the payload its verb built and formats no text:
+    # the verb hands main its lines as a function that main never calls,
+    # ids are sorted and made 1-based once, in the payload, and reduce
+    # builds no gadget file text
+    def refuse(*_):
+        raise AssertionError("text formatted for a JSON request")
+
+    parser, payloads, converted = cli.build_parser(), [], []
+
+    def parse_args(argv):
+        args = parser.parse_args(argv)
+        verb = args.func
+
+        def func(*rest):
+            code, payload, text = verb(*rest)
+            assert callable(text)
+            payloads.append(payload)
+            return code, payload, refuse
+
+        args.func = func
+        return args
+
+    def to_external_ids(vertices):
+        converted.append(vertices)
+        return graph.to_external_ids(vertices)
+
+    monkeypatch.setattr(cli, "build_parser", lambda: SimpleNamespace(parse_args=parse_args))
+    monkeypatch.setattr(cli, "format_graph", refuse)
+    for module in (cli, solvers, witnesses):
+        monkeypatch.setattr(module, "to_external_ids", to_external_ids, raising=False)
+    (tmp_path / "one.txt").write_text("4\n")
+    argv = [arg.replace("{dir}", str(tmp_path)) for arg in argv]
+    code, out, err = run(capsys, *argv, "--format", "json")
+    [payload] = payloads
+    assert (code, err) == (0, "")
+    assert out == json.dumps(payload, sort_keys=True) + "\n"
+    assert stdout in (None, out)
+    assert len(converted) <= 1
+
+
+def _fields(pattern, text):
+    m = re.fullmatch(pattern, text)
+    assert m, text
+    return m
+
+
+def _read_text(verb, text):
+    """Every value, root and id list a text report prints, read back into
+    the shape of the verb's JSON payload."""
+    if verb == "vx":
+        m = _fields(r"root (\d+): visibility number (>= )?(\d+) \((\w+)\)\n"
+                    r"witness: (\[.*\])\n", text)
+        assert (m[2] is not None) == (m[4] == "greedy"), text
+        return {"root": int(m[1]), "value": int(m[3]), "method": m[4],
+                "witness": json.loads(m[5])}
+    if verb == "vv":
+        m = _fields(r"vertex visibility number (\d+), attained at root (\d+)\n"
+                    r"witness: (\[.*\])\n", text)
+        return {"value": int(m[1]), "root": int(m[2]), "witness": json.loads(m[3])}
+    if verb == "maxleaf":
+        m = _fields(r"maximum spanning-tree leaf count: (\d+)\nleaves: (\[.*\])\n", text)
+        return {"value": int(m[1]), "leaves": json.loads(m[2])}
+    if verb == "witness":
+        m = _fields(r"(\w+):(\d+): witness of size (\d+) at root \((\d+),(\d+)\) id (\d+); "
+                    r"verified\nset: (\[.*\])\n((?:note: .*\n)*)", text)
+        return {"family": m[1], "n": int(m[2]), "claimed_size": int(m[3]),
+                "root": {"row": int(m[4]), "col": int(m[5]), "id": int(m[6])},
+                "set": json.loads(m[7]), "notes": re.findall(r"note: (.*)\n", m[8])}
+    if verb == "bounds":
+        m = _fields(r"n=(\d+) m=(\d+) delta=(\d+)\n((?:  \[.*\n)*)"
+                    r"  exact: (\d+) at root (\d+)\n", text)
+        entries = re.findall(r"  \[(\w+)\] (\w+): (\w+) (\d+)( \(not applicable\))?\n", m[4])
+        assert len(entries) == m[4].count("\n"), text
+        return {"graph": {"n": int(m[1]), "m": int(m[2]), "delta": int(m[3])},
+                "bounds": [{"scope": scope, "name": name, "kind": kind, "value": int(value),
+                            "applicable": not na} for scope, name, kind, value, na in entries],
+                "exact": {"value": int(m[5]), "root": int(m[6])}}
+    assert verb == "table", verb
+    m = _fields(r"(\w+): n, closed form, witness size, exact\n"
+                r"((?: +\d+ +\d+ +\d+ +(?:\d+|-)\n)*)((?:note: .*\n)*)", text)
+    return {"family": m[1],
+            "rows": [{"n": int(n), "closed_form": int(c), "witness": int(w),
+                      "exact": None if e == "-" else int(e)}
+                     for n, c, w, e in re.findall(r" +(\d+) +(\d+) +(\d+) +(\d+|-)\n", m[2])],
+            "notes": re.findall(r"note: (.*)\n", m[3])}
+
+
+def _within(part, whole):
+    """Whether every field of part, nested, equals that field of whole."""
+    if isinstance(part, dict):
+        return all(k in whole and _within(v, whole[k]) for k, v in part.items())
+    if isinstance(part, list):
+        return len(part) == len(whole) and all(map(_within, part, whole))
+    return part == whole
+
+
+AGREE_REQUESTS = [
+    ("vx", "grid:5", "--root", "13"),
+    ("vx", "figure1:1", "--root", "16"),
+    ("vx", "grid:5", "--root", "13", "--method", "greedy"),
+    ("vx", "figure1:1", "--root", "16", "--method", "greedy"),
+    ("vv", "cocktail:3"),
+    ("vv", "grid:4"),
+    ("maxleaf", "figure1:1"),
+    ("maxleaf", "grid:4"),
+    ("witness", "prism:7"),
+    ("witness", "torus:8"),
+    ("bounds", "grid:4", "--root", "6", "--exact"),
+    ("bounds", "figure1:1", "--root", "16", "--exact"),
+    TABLE_GRID_4_5,
+    ("table", "torus", "--range", "7..8"),
+]
+
+
 def test_text_and_json_agree(capsys):
-    code, stdout, _ = run(capsys, "vv", "cocktail:3")
-    assert code == 0
-    assert "4" in stdout
-    code, payload, _ = run(capsys, "vv", "cocktail:3", "--format", "json")
-    assert json.loads(payload)["value"] == 4
+    for argv in AGREE_REQUESTS:
+        code, text, err = run(capsys, *argv)
+        assert (code, err) == (0, ""), argv
+        code, out, err = run(capsys, *argv, "--format", "json")
+        assert (code, err) == (0, ""), argv
+        assert _within(_read_text(argv[0], text), json.loads(out)), argv
 
 
 def test_error_exit_codes(tmp_path, capsys):
