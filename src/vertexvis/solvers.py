@@ -56,6 +56,7 @@ from itertools import combinations
 from typing import NamedTuple
 
 from .errors import InvalidParameterError, TooLargeError, check_deadline
+from .generators import np_gadget
 from .graph import (Graph, RootView, bfs_distances, bfs_root_view, connected_view,
                     mask_to_set, require_connected, to_external_ids)
 from .visibility import _members_all_visible, _pairwise_visible
@@ -856,7 +857,7 @@ def max_leaf_spanning_tree(g: Graph, deadline: float | None = None) -> MaxLeafRe
 
 
 # ---------------------------------------------------------------------------
-# brute-force mutual visibility and independence numbers
+# brute-force mutual visibility; the independence number through the gadget
 
 def mu_brute(g: Graph, deadline: float | None = None) -> int:
     """Largest mutual-visibility set size by descending-size enumeration;
@@ -879,48 +880,11 @@ def mu_brute(g: Graph, deadline: float | None = None) -> int:
 
 
 def alpha_brute(g: Graph, deadline: float | None = None) -> int:
-    """Maximum independent set size by branching on a highest-degree vertex.
-    Not exported: it is the independence-number reference of the tests."""
+    """Maximum independent set size through the paper's hardness gadget:
+    the apex of np_gadget(g) has visibility number m(g) + alpha(g).  Refuses
+    n > ALPHA_CAP, then (in np_gadget) a graph with an isolated vertex.  Not
+    exported; it stays here because the benchmark's oracle test calls it."""
     if g.n > ALPHA_CAP:
         raise TooLargeError(f"independence brute force capped at n={ALPHA_CAP}")
-    adj_mask = g.adj_mask
-    best = 0
-    calls = 0
-
-    def search(allowed: int, count: int):
-        nonlocal best, calls
-        calls += 1
-        if calls & 0x3FF == 0:
-            check_deadline(deadline, "independence brute force")
-        total = allowed.bit_count()
-        if count + total <= best:
-            return
-        if allowed == 0:
-            best = max(best, count)
-            return
-        pick, pick_deg = -1, -1
-        rest = allowed
-        while rest:
-            low = rest & -rest
-            v = low.bit_length() - 1
-            rest ^= low
-            deg = (adj_mask[v] & allowed).bit_count()
-            if deg > pick_deg:
-                pick, pick_deg = v, deg
-        if pick_deg <= 1:
-            # each remaining component is a vertex or an edge
-            edges = 0
-            rest = allowed
-            while rest:
-                low = rest & -rest
-                v = low.bit_length() - 1
-                rest ^= low
-                edges += (adj_mask[v] & allowed).bit_count()
-            best = max(best, count + total - edges // 2)
-            return
-        vbit = 1 << pick
-        search(allowed & ~(adj_mask[pick] | vbit), count + 1)
-        search(allowed & ~vbit, count)
-
-    search((1 << g.n) - 1, 0)
-    return best
+    red = np_gadget(g)
+    return vx_exact(red.gprime, red.apex, deadline).value - red.k_offset

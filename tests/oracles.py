@@ -9,6 +9,8 @@ import gc
 from collections import deque
 from itertools import combinations
 
+import networkx as nx
+
 from vertexvis.errors import DuplicateEdgeError, IdOutOfRangeError, SelfLoopError
 from vertexvis.graph import Graph, RootView, mask_to_set
 
@@ -170,6 +172,14 @@ def min_cds_size(g: Graph) -> int:
 
 def diameter(g: Graph) -> int:
     return max(max(bfs_dist(g, x).values()) for x in range(g.n))
+
+
+def independence_number(g: Graph) -> int:
+    """Maximum independent set size, as networkx's maximum clique of the
+    complement."""
+    h = nx.Graph(list(g.edges()))
+    h.add_nodes_from(range(g.n))
+    return nx.max_weight_clique(nx.complement(h), weight=None)[1]
 
 
 def adjacency_by_pair_set(n: int, edges):

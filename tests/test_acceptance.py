@@ -33,7 +33,6 @@ from vertexvis.generators import (
 )
 from vertexvis.graph import bfs_root_view, is_geodetic
 from vertexvis.solvers import (
-    alpha_brute,
     max_leaf_spanning_tree,
     mu_brute,
     vv_exact,
@@ -48,7 +47,7 @@ from vertexvis.visibility import (
 )
 from vertexvis.witnesses import witness_for
 
-from oracles import diameter
+from oracles import diameter, independence_number
 
 _exact_cache: dict[int, list[int]] = {}
 
@@ -202,7 +201,7 @@ def test_criterion_5_reduction_identity():
         red = np_gadget(g)
         assert diameter(red.gprime) == 2
         apex_value = vx_exact(red.gprime, red.apex).value
-        want = g.m + alpha_brute(g)
+        want = g.m + independence_number(g)
         assert apex_value == want, (i, g.n, apex_value, want)
     print(
         "[criterion 5] PASS - apex visibility equals edge count plus "

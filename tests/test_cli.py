@@ -513,13 +513,15 @@ def _read_text(verb, text):
                 "set": json.loads(m[7]), "notes": re.findall(r"note: (.*)\n", m[8])}
     if verb == "bounds":
         m = _fields(r"n=(\d+) m=(\d+) delta=(\d+)\n((?:  \[.*\n)*)"
-                    r"  exact: (\d+) at root (\d+)\n", text)
+                    r"(?:  mutual visibility number: (\d+)\n)?"
+                    r"(?:  exact: (\d+) at root (\d+)\n)?", text)
         entries = re.findall(r"  \[(\w+)\] (\w+): (\w+) (\d+)( \(not applicable\))?\n", m[4])
         assert len(entries) == m[4].count("\n"), text
         return {"graph": {"n": int(m[1]), "m": int(m[2]), "delta": int(m[3])},
                 "bounds": [{"scope": scope, "name": name, "kind": kind, "value": int(value),
                             "applicable": not na} for scope, name, kind, value, na in entries],
-                "exact": {"value": int(m[5]), "root": int(m[6])}}
+                "mu": m[5] and int(m[5]),
+                "exact": m[6] and {"value": int(m[6]), "root": int(m[7])}}
     assert verb == "table", verb
     m = _fields(r"(\w+): n, closed form, witness size, exact\n"
                 r"((?: +\d+ +\d+ +\d+ +(?:\d+|-)\n)*)((?:note: .*\n)*)", text)
@@ -552,6 +554,8 @@ AGREE_REQUESTS = [
     ("witness", "torus:8"),
     ("bounds", "grid:4", "--root", "6", "--exact"),
     ("bounds", "figure1:1", "--root", "16", "--exact"),
+    ("bounds", "cocktail:3", "--mu"),
+    ("bounds", "grid:3", "--root", "5", "--mu"),
     TABLE_GRID_4_5,
     ("table", "torus", "--range", "7..8"),
 ]

@@ -233,7 +233,11 @@ def test_is_connected():
     assert is_connected(cycle_graph(5))
 
 
-def test_is_connected_matches_bfs_and_builds_no_root_view():
+def test_is_connected_matches_bfs_and_builds_no_root_view(monkeypatch):
+    # every root view is built by graph.bfs_root_view; count its calls
+    built = []
+    monkeypatch.setattr(graph, "bfs_root_view",
+                        lambda g, x: built.append(x) or bfs_root_view(g, x))
     rng = random.Random(20261018)
     outcomes = {True: 0, False: 0}
     for _ in range(300):
@@ -241,11 +245,11 @@ def test_is_connected_matches_bfs_and_builds_no_root_view():
         p = rng.choice((0.5, 1.0, 2.0, 4.0, 8.0)) / n
         edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
         g = Graph(n, edges)
-        before = live_root_views()
+        built.clear()
         connected = is_connected(g)
-        assert live_root_views() == before
+        assert built == []
         assert connected == (len(bfs_dist(g, 0)) == n), (n, edges)
-        # connected_view reads the same answer off the view it returns
+        # connected_view reads the same answer off the one view it builds
         h = Graph(n, edges)
         if connected:
             view = connected_view(h, n - 1)
@@ -254,6 +258,7 @@ def test_is_connected_matches_bfs_and_builds_no_root_view():
             with pytest.raises(DisconnectedError):
                 connected_view(h, n - 1)
             assert h._connected is False
+        assert built == [n - 1]
         outcomes[connected] += 1
     assert min(outcomes.values()) >= 50, outcomes
 

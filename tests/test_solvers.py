@@ -5,8 +5,8 @@ from operator import and_
 
 import pytest
 
-from vertexvis.errors import (DisconnectedError, InvalidParameterError, SolveTimeoutError,
-                              TooLargeError)
+from vertexvis.errors import (DisconnectedError, InvalidParameterError, IsolatedVertexError,
+                              SolveTimeoutError, TooLargeError)
 from vertexvis.generators import (
     cartesian_product,
     complete_graph,
@@ -19,10 +19,11 @@ from vertexvis.generators import (
     parse_family_spec,
     path_graph,
     random_connected_graph,
+    random_graph_no_isolated,
     star_graph,
 )
 from vertexvis import graph as graph_module, solvers
-from vertexvis.graph import Graph, bfs_root_view
+from vertexvis.graph import Graph, bfs_root_view, is_connected
 from vertexvis.solvers import (
     BRUTE_CAP,
     MCDS_CAP,
@@ -39,6 +40,7 @@ from vertexvis.visibility import is_x_visibility_set
 from oracles import (
     connected_graphs_upto,
     encoded_groups,
+    independence_number,
     min_cds_size,
     vx_brute_reference,
     vx_by_paths,
@@ -261,6 +263,20 @@ def test_alpha_examples():
     assert alpha_brute(Graph(4, [(0, 1), (2, 3)])) == 2
     with pytest.raises(TooLargeError, match="capped at n=30"):
         alpha_brute(path_graph(31))
+    # alpha is read off the hardness gadget, which refuses an isolated vertex
+    with pytest.raises(IsolatedVertexError, match="vertex 3 is isolated"):
+        alpha_brute(Graph(3, [(0, 1)]))
+    with pytest.raises(SolveTimeoutError):
+        alpha_brute(random_connected_graph(20, 0.3, 1), deadline=time.monotonic() - 1)
+    # seeded G(n, p) graphs without isolated vertices, disconnected ones included
+    rng = random.Random(20261021)
+    disconnected = 0
+    for seed in range(100):
+        n = rng.randint(2, 22)
+        g = random_graph_no_isolated(n, min(1.0, rng.choice((1.5, 2.0, 3.0, 5.0)) / n), seed)
+        disconnected += not is_connected(g)
+        assert alpha_brute(g) == independence_number(g), (seed, n, list(g.edges()))
+    assert disconnected >= 10, disconnected
 
 
 def test_greedy_examples():
