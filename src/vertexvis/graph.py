@@ -368,9 +368,9 @@ def to_external_ids(vertices) -> list[int]:
 # ---------------------------------------------------------------------------
 # graph file format: `p <n> <m>` header, `e <u> <v>` lines, 1-based ids,
 # comment records (first token starting with `c`) and blank lines ignored.
+# Every line ends at "\n"; any other whitespace, the "\r" of CRLF included,
+# only separates tokens.
 
-# line ends of str.splitlines(), besides "\n", that str.split() takes as spaces
-_LINE_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 _SLICE_CHARS = 1 << 16  # body split at a time: a few thousand lines
 _BLOCK_LINES = 1 << 12  # lines the line loop reads between deadline checks
 # a vertex of degree >= n / _ROW_DEGREE reads its mask from one byte row: at
@@ -383,31 +383,21 @@ _ROW_DEGREE = 8
 def parse_graph(text: str, deadline=None) -> Graph:
     """Parse the `p`/`e` file format.
 
-    A file in the layout format_graph writes (``c`` lines, the ``p`` line,
-    then m >= 2n lines starting ``e `` and ending "\\n") is split a slice at
-    a time.  With three tokens per line, the second and third of them ids
-    spelled "1".."n", the ``e`` starting each line falls on every third
-    token, so each line is one edge.  A vertex of degree >= n/8 reads its
-    mask from one byte row (a "1" per neighbor, read by ``int(row, 2)``);
-    the others sum a table of bits.  Either way a repeated edge or self-loop
-    leaves fewer bits than list entries, which one bit-count check finds.
-    Sparser files (where that per-vertex work costs more than the
-    split saves), other layouts and files failing a check go to the line
-    loop, the only one to word errors; both routes build the same graphs.
-    Each slice, and each block of _BLOCK_LINES lines of the line loop,
-    first checks the deadline.
+    Both routes read the lines up to the ``p`` record with _header.  A body
+    in the layout format_graph writes (m >= 2n lines starting ``e ``, the
+    last ending "\\n") is split a slice at a time.  With three tokens per
+    line, the second and third of them ids spelled "1".."n", the ``e``
+    starting each line falls on every third token, so each line is one
+    edge.  A vertex of degree >= n/8 reads its mask from one byte row (a
+    "1" per neighbor, read by ``int(row, 2)``); the others sum a table of
+    bits.  Either way a repeated edge or self-loop leaves fewer bits than
+    list entries, which one bit-count check finds.  Sparser bodies (where
+    that per-vertex work costs more than the split saves), other layouts
+    and bodies failing a check go to the line loop, the only one to word
+    body errors; both routes build the same graphs.  Each slice, and each
+    block of _BLOCK_LINES lines of the line loop, first checks the deadline.
     """
-    pos = 0
-    while text.startswith("c", pos):
-        pos = text.find("\n", pos) + 1 or len(text)
-    end = text.find("\n", pos)
-    if end < 0 or not text.startswith("p ", pos) or any(c in text for c in _LINE_BREAKS):
-        return _parse_lines(text, deadline)
-    try:
-        n, m = _file_header(text[pos:end].split(), 0)
-    except GraphFormatError:  # worded by the line loop, with its line number
-        return _parse_lines(text, deadline)
-    pos = end + 1
+    n, m, pos, _ = _header(text, deadline)
     lines_ok = text.startswith("e ", pos) and text.count("\ne ", pos) == m - 1
     if m < 2 * n or not (lines_ok and text.endswith("\n")):
         return _parse_lines(text, deadline)
@@ -448,25 +438,60 @@ def parse_graph(text: str, deadline=None) -> Graph:
     return Graph._from_lists(neighbors, masks)
 
 
+def _header(text: str, deadline=None) -> tuple[int, int, int, int]:
+    """(n, m, pos, lineno) of the ``p`` record: its checked counts, refused
+    before any allocation, where the line after it starts, and its 1-based
+    line number.  The lines before it may only be blank or comments.  The
+    deadline is checked before each further block of _BLOCK_LINES lines."""
+    pos = lineno = 0
+    while pos < len(text):
+        if lineno and not lineno % _BLOCK_LINES:
+            check_deadline(deadline, "graph parsing")
+        lineno += 1
+        end = text.find("\n", pos) + 1 or len(text)
+        parts = text[pos:end].split()
+        pos = end
+        if not parts or parts[0][0] == "c":
+            continue
+        if parts[0] == "e":
+            raise GraphFormatError(f"line {lineno}: edge before 'p' header")
+        if parts[0] != "p":
+            raise GraphFormatError(f"line {lineno}: unknown record {parts[0]!r}")
+        if len(parts) != 3:
+            raise GraphFormatError(f"line {lineno}: expected 'p <n> <m>'")
+        try:
+            n, m = int(parts[1]), int(parts[2])
+        except ValueError as exc:
+            raise GraphFormatError(f"line {lineno}: bad header numbers") from exc
+        if not 1 <= n <= MAX_FILE_VERTICES:
+            raise GraphFormatError(
+                f"line {lineno}: n={n} outside 1..{MAX_FILE_VERTICES}"
+            )
+        if not 0 <= m <= n * (n - 1) // 2:
+            raise GraphFormatError(
+                f"line {lineno}: m={m} outside 0..{n * (n - 1) // 2} for n={n}"
+            )
+        return n, m, pos, lineno
+    raise GraphFormatError("missing 'p <n> <m>' header")
+
+
 def _parse_lines(text: str, deadline=None) -> Graph:
-    """The line loop: each edge is checked and set in the lists and masks as
-    its line arrives.  Ids not spelled "1".."n" go through ``int()`` (``01``,
-    ``+2``).  Every rejected line raises ``line N: ...`` with 1-based ids.
-    The deadline is checked before each block of _BLOCK_LINES lines."""
-    n = None
-    declared_m = 0
-    ids: dict[str, int] = {}
-    neighbors: list[list[int]] = []
-    masks: list[int] = []
+    """The line loop: after _header, each edge is checked and set in the
+    lists and masks as its line arrives.  Ids not spelled "1".."n" go
+    through ``int()`` (``01``, ``+2``).  Every rejected line raises
+    ``line N: ...`` with 1-based ids.  The deadline is checked before each
+    block of _BLOCK_LINES lines after the header."""
+    n, declared_m, pos, p_line = _header(text, deadline)
+    ids = {str(i + 1): i for i in range(n)}
+    neighbors = [[] for _ in range(n)]
+    masks = [0] * n
     m = 0
-    lines = text.splitlines()
+    lines = text[pos:].split("\n")
     for first in range(0, len(lines), _BLOCK_LINES):
         check_deadline(deadline, "graph parsing")
-        for lineno, raw in enumerate(lines[first:first + _BLOCK_LINES], start=first + 1):
+        for lineno, raw in enumerate(lines[first:first + _BLOCK_LINES], start=p_line + 1 + first):
             parts = raw.split()
             if parts and parts[0] == "e":
-                if n is None:
-                    raise GraphFormatError(f"line {lineno}: edge before 'p' header")
                 if len(parts) != 3:
                     raise GraphFormatError(f"line {lineno}: expected 'e <u> <v>'")
                 u = ids.get(parts[1])
@@ -491,38 +516,12 @@ def _parse_lines(text: str, deadline=None) -> Graph:
             elif not parts or parts[0][0] == "c":
                 continue
             elif parts[0] == "p":
-                if n is not None:
-                    raise GraphFormatError(f"line {lineno}: second 'p' header")
-                n, declared_m = _file_header(parts, lineno)
-                ids = {str(i + 1): i for i in range(n)}
-                neighbors = [[] for _ in range(n)]
-                masks = [0] * n
+                raise GraphFormatError(f"line {lineno}: second 'p' header")
             else:
                 raise GraphFormatError(f"line {lineno}: unknown record {parts[0]!r}")
-    if n is None:
-        raise GraphFormatError("missing 'p <n> <m>' header")
     if declared_m != m:
         raise GraphFormatError(f"header declares {declared_m} edges, file has {m}")
     return Graph._from_lists(neighbors, masks)
-
-
-def _file_header(parts: list[str], lineno: int) -> tuple[int, int]:
-    """Checked (n, m) of a `p` record, refused before any allocation."""
-    if len(parts) != 3:
-        raise GraphFormatError(f"line {lineno}: expected 'p <n> <m>'")
-    try:
-        n, m = int(parts[1]), int(parts[2])
-    except ValueError as exc:
-        raise GraphFormatError(f"line {lineno}: bad header numbers") from exc
-    if not 1 <= n <= MAX_FILE_VERTICES:
-        raise GraphFormatError(
-            f"line {lineno}: n={n} outside 1..{MAX_FILE_VERTICES}"
-        )
-    if not 0 <= m <= n * (n - 1) // 2:
-        raise GraphFormatError(
-            f"line {lineno}: m={m} outside 0..{n * (n - 1) // 2} for n={n}"
-        )
-    return n, m
 
 
 def _file_id(token: str, n: int, lineno: int) -> int:

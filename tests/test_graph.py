@@ -405,7 +405,7 @@ def test_parse_round_trip_through_noise(g, data):
 
 MUTATION_PIECES = [*"0123456789 \t\r\n\x0b\x1cepcq-+_x.\u0661", "1", "2", "01", "-1", "20001", "e", "p"]
 MUTATIONS = ("insert", "delete", "replace", "token", "repeat line")
-# characters that end a line for str.splitlines() but not for a "\n" count
+# line ends of str.splitlines() that a graph file reads as token separators
 LINE_BREAK_PIECES = ["\x0c", "\x1d", "\x1e", "\x85", "\u2028"]
 
 
@@ -600,6 +600,7 @@ def test_parse_words_mask_faults_like_the_line_loop(text):
     ("p 3 1\ne 1 4\n", "line 2: edge id 4 outside 1..3"),
     ("p 3 1\ne 0 1\n", "line 2: edge id 0 outside 1..3"),
     ("p 3 1\n\ne 3 3\n", "line 3: self-loop at vertex 3"),
+    ("p 3 2\ne 1 2\x0b\ne 3 3\n", "line 3: self-loop at vertex 3"),
     ("p 3 2\ne 1 2\ne 2 1\n", "line 3: duplicate edge (1,2)"),
     ("p 3 3\ne 2 3\nc x\ne 1 2\ne 03 +2\n", "line 5: duplicate edge (2,3)"),
     ("p 3 1\nq 1 2\n", "line 2: unknown record 'q'"),
@@ -622,13 +623,17 @@ def test_parse_reads_dense_format_graph_output_without_the_line_loop(monkeypatch
         for comment in (None, "two\ncomment lines"):
             h = parse_graph(format_graph(g, comment))
             assert h == g and h.adj_mask == g.adj_mask and h.m == g.m
+    # the header is read alike on both routes, so the body alone picks one
+    for text in (MID_FILE.replace("\n", "\r\n"), "\n  c indented\n" + MID_FILE):
+        h = parse_graph(text)
+        assert h == dense[2] and h.adj_mask == dense[2].adj_mask
 
 
 @pytest.mark.parametrize("line, fault, message", [
     (181, "e 1", "line 181: expected 'e <u> <v>'"),
     (181, "e 1 2 3", "line 181: expected 'e <u> <v>'"),
-    (181, "e 1\x0c60", "line 181: expected 'e <u> <v>'"),
-    (181, "e 1 60\u20283", "line 182: unknown record '3'"),
+    (181, "e 1\x0c2", "line 181: duplicate edge (1,2)"),
+    (181, "e 1 60\u20283", "line 181: expected 'e <u> <v>'"),
     (181, "e 1 x", "line 181: bad edge id 'x'"),
     (181, "e 1 e", "line 181: bad edge id 'e'"),
     (181, "e 1 121", "line 181: edge id 121 outside 1..120"),
@@ -668,12 +673,14 @@ def test_parse_errors_in_the_last_lines_of_a_canonical_file(last, message):
     ("x 1 2", "unknown record 'x'"),
     ("x 1 60", "unknown record 'x'"),  # would add a new edge (1,60)
     ("", None),
+    *((f"c note{c}more", None) for c in "\u2028\x85\u2029"),
 ])
-@pytest.mark.parametrize("line", [181, 362], ids=["middle", "end"])
+@pytest.mark.parametrize("line", [1, 181, 362], ids=["start", "middle", "end"])
 def test_parse_gives_the_line_loop_outcome_with_one_extra_line(extra, outcome, line):
     """One line more than a canonical file's header declares.  An `x` line
     keeps every count the token route checks but the number of lines; a
-    blank one leaves a slice short of three tokens a line.  Either way
+    blank one leaves a slice short of three tokens a line, and a comment
+    holding U+2028, U+0085 or U+2029 stays one line.  Either way
     parse_graph gives what the line loop gives."""
     lines = MID_FILE.splitlines()
     lines.insert(line - 1, extra)
