@@ -476,52 +476,50 @@ def _header(text: str, deadline=None) -> tuple[int, int, int, int]:
 
 
 def _parse_lines(text: str, deadline=None) -> Graph:
-    """The line loop: after _header, each edge is checked and set in the
-    lists and masks as its line arrives.  Ids not spelled "1".."n" go
-    through ``int()`` (``01``, ``+2``).  Every rejected line raises
-    ``line N: ...`` with 1-based ids.  The deadline is checked before each
-    block of _BLOCK_LINES lines after the header."""
+    """The line loop: after _header it reads lines, and Graph(n, edges)
+    checks each edge it yields.  Ids not spelled "1".."n" go through
+    ``int()`` (``01``, ``+2``).  Every rejected line raises ``line N: ...``
+    with 1-based ids, Graph's refusals worded from the last edge yielded.
+    The deadline is checked before each block of _BLOCK_LINES lines."""
     n, declared_m, pos, p_line = _header(text, deadline)
     ids = {str(i + 1): i for i in range(n)}
-    neighbors = [[] for _ in range(n)]
-    masks = [0] * n
-    m = 0
     lines = text[pos:].split("\n")
-    for first in range(0, len(lines), _BLOCK_LINES):
-        check_deadline(deadline, "graph parsing")
-        for lineno, raw in enumerate(lines[first:first + _BLOCK_LINES], start=p_line + 1 + first):
-            parts = raw.split()
-            if parts and parts[0] == "e":
-                if len(parts) != 3:
-                    raise GraphFormatError(f"line {lineno}: expected 'e <u> <v>'")
-                u = ids.get(parts[1])
-                if u is None:
-                    u = _file_id(parts[1], n, lineno)
-                v = ids.get(parts[2])
-                if v is None:
-                    v = _file_id(parts[2], n, lineno)
-                if u == v:
-                    raise GraphFormatError(f"line {lineno}: self-loop at vertex {u + 1}")
-                bit = 1 << v
-                mu = masks[u]
-                if mu & bit:
-                    raise GraphFormatError(
-                        f"line {lineno}: duplicate edge ({min(u, v) + 1},{max(u, v) + 1})"
-                    )
-                masks[u] = mu | bit
-                masks[v] |= 1 << u
-                neighbors[u].append(v)
-                neighbors[v].append(u)
-                m += 1
-            elif not parts or parts[0][0] == "c":
-                continue
-            elif parts[0] == "p":
-                raise GraphFormatError(f"line {lineno}: second 'p' header")
-            else:
-                raise GraphFormatError(f"line {lineno}: unknown record {parts[0]!r}")
-    if declared_m != m:
-        raise GraphFormatError(f"header declares {declared_m} edges, file has {m}")
-    return Graph._from_lists(neighbors, masks)
+    lineno = u = v = 0  # the line and pair of the last edge yielded
+
+    def edges():
+        nonlocal lineno, u, v
+        for first in range(0, len(lines), _BLOCK_LINES):
+            check_deadline(deadline, "graph parsing")
+            for lineno, raw in enumerate(lines[first:first + _BLOCK_LINES], start=p_line + 1 + first):
+                parts = raw.split()
+                if parts and parts[0] == "e":
+                    if len(parts) != 3:
+                        raise GraphFormatError(f"line {lineno}: expected 'e <u> <v>'")
+                    u = ids.get(parts[1])
+                    if u is None:
+                        u = _file_id(parts[1], n, lineno)
+                    v = ids.get(parts[2])
+                    if v is None:
+                        v = _file_id(parts[2], n, lineno)
+                    yield u, v
+                elif not parts or parts[0][0] == "c":
+                    continue
+                elif parts[0] == "p":
+                    raise GraphFormatError(f"line {lineno}: second 'p' header")
+                else:
+                    raise GraphFormatError(f"line {lineno}: unknown record {parts[0]!r}")
+
+    try:
+        g = Graph(n, edges())
+    except SelfLoopError:
+        raise GraphFormatError(f"line {lineno}: self-loop at vertex {u + 1}") from None
+    except DuplicateEdgeError:
+        raise GraphFormatError(
+            f"line {lineno}: duplicate edge ({min(u, v) + 1},{max(u, v) + 1})"
+        ) from None
+    if declared_m != g.m:
+        raise GraphFormatError(f"header declares {declared_m} edges, file has {g.m}")
+    return g
 
 
 def _file_id(token: str, n: int, lineno: int) -> int:

@@ -19,7 +19,12 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .bounds import closed_form
-from .errors import InvalidParameterError, InvalidRegionError, WitnessRejectedError
+from .errors import (
+    DisconnectedError,
+    InvalidParameterError,
+    InvalidRegionError,
+    WitnessRejectedError,
+)
 from .generators import FamilySpec, grid_graph, prism_graph, torus_graph
 from .graph import Graph, RootView, bfs_distances, bfs_root_view, to_external_ids
 from .visibility import _members_all_visible
@@ -81,14 +86,18 @@ def quadrant_diagonals(g: Graph, n: int, x: int, quadrant: int) -> list[list[int
     Quadrant 1 is above-left of x (smaller row, smaller column), then 2
     above-right, 3 below-right, 4 below-left.  A diagonal collects the
     quadrant vertices at one graph distance from x, listed by increasing
-    row; diagonals are returned by increasing distance.  No root view is built.
+    row; diagonals are returned by increasing distance.  No root view is
+    built, and a graph the one BFS from x does not cover is refused.
     """
     if g.n != n * n:
         raise InvalidRegionError("graph is not an n-by-n product")
     g.check_vertex(x)
     if quadrant not in (1, 2, 3, 4):
         raise InvalidRegionError(f"quadrant must be 1..4, got {quadrant}")
-    return _diagonals(n, bfs_distances(g, x)[0], x, quadrant)
+    dist, order = bfs_distances(g, x)
+    if len(order) != g.n:
+        raise DisconnectedError("operation requires a connected graph")
+    return _diagonals(n, dist, x, quadrant)
 
 
 def _selection(rv: RootView, n, parities: dict[int, bool]) -> set[int]:

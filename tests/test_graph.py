@@ -724,6 +724,19 @@ def test_the_line_loop_checks_the_deadline_once_per_block(monkeypatch):
     assert checks == ["graph parsing"] * 3
 
 
+@pytest.mark.parametrize("body", [MID_FILE, SPARSE_FILE, ""],
+                         ids=["token-route", "line-loop", "no-header"])
+def test_the_header_reader_checks_the_deadline_in_a_long_prelude(monkeypatch, body):
+    """60 comment lines hold more than one block of 50, so _header checks
+    the deadline before line 51; with no header after them, only that
+    check can raise."""
+    monkeypatch.setattr(graph, "_BLOCK_LINES", 50)
+    text = "c prelude\n" * 60 + body
+    for parse in (parse_graph, _parse_lines):
+        with pytest.raises(SolveTimeoutError, match="^graph parsing exceeded its time budget$"):
+            parse(text, time.monotonic() - 1)
+
+
 def test_parse_reads_noncanonical_ids_like_int():
     g = parse_graph("p 3 2\ne 01 +2\ne 0_3 2\n")
     assert g == Graph(3, [(0, 1), (1, 2)]) and g.adj_mask == (2, 5, 2)

@@ -4,7 +4,7 @@ import pytest
 
 from vertexvis import graph, witnesses
 from vertexvis.bounds import closed_form
-from vertexvis.errors import InvalidParameterError, InvalidRegionError
+from vertexvis.errors import DisconnectedError, InvalidParameterError, InvalidRegionError
 from vertexvis.generators import FamilySpec, grid_graph, torus_graph
 from vertexvis.solvers import vv_exact, vx_exact
 from vertexvis.witnesses import (
@@ -64,6 +64,17 @@ def test_quadrant_rejects_bad_input():
         quadrant_diagonals(g, 4, 0, 5)
     with pytest.raises(InvalidRegionError):
         quadrant_diagonals(g, 5, 0, 1)
+
+
+def test_quadrant_rejects_a_disconnected_graph(monkeypatch):
+    """The vertices the BFS from x misses are not a diagonal at distance -1."""
+    def no_view(g, x):
+        raise AssertionError("distances only: no root view is built")
+
+    monkeypatch.setattr(witnesses, "bfs_root_view", no_view)
+    g = graph.Graph(16, [(0, 1), (1, 2), (2, 3)])
+    with pytest.raises(DisconnectedError):
+        quadrant_diagonals(g, 4, 0, 3)
 
 
 @pytest.mark.parametrize("family", ["grid", "prism", "torus"])
