@@ -189,7 +189,7 @@ def _cmd_table(args, _g, _x):
         check_deadline(args.deadline, "table")
         spec = FamilySpec(args.family, (n,))
         notes.update(closed_form_notes(spec))
-        # the witness is built to the closed form, and _finish checks its size
+        # the witness is built to the closed form, and witness_for checks its size
         w = witness_for(args.family, n)
         exact = None
         if args.exact_max is not None and n <= args.exact_max:

@@ -3,12 +3,13 @@
 Each construction fixes a root, partitions the coordinate quadrants around
 it into equal-distance diagonals, takes ceil(|D|/2) alternating vertices
 from every diagonal D, and appends a residue-dependent handful of axis
-vertices.  Each builder makes one root view and holds it: the selection
-reads its distances and the visibility check sweeps it.  A construction
-that fails that check raises WitnessRejectedError rather than returning
-quietly, and its size is checked against the family's closed-form target,
-which each builder takes before it builds anything, so an n below the
-closed form's range is refused there.
+vertices.  A WITNESS_BUILDERS row holds only what differs between families,
+the root and that member rule; witness_for runs the rest for all of them.
+It takes the family's closed-form target before it builds anything, so an n
+below the closed form's range is refused there, builds the graph with
+generate and one root view, which the member rule reads and the visibility
+check sweeps, and raises WitnessRejectedError for a set of the wrong size or
+one that fails that check rather than returning quietly.
 
 Coordinates are 1-based (row k, column l) with vertex id (k-1)*n + (l-1),
 matching the product id convention from the generators module.
@@ -25,7 +26,7 @@ from .errors import (
     InvalidRegionError,
     WitnessRejectedError,
 )
-from .generators import FamilySpec, grid_graph, prism_graph, torus_graph
+from .generators import FamilySpec, generate
 from .graph import Graph, RootView, bfs_distances, bfs_root_view, to_external_ids
 from .visibility import _members_all_visible
 
@@ -111,73 +112,21 @@ def _selection(rv: RootView, n, parities: dict[int, bool]) -> set[int]:
     return out
 
 
-def _finish(family: str, n: int, target: int, g: Graph, rv: RootView,
-            members: set[int]) -> WitnessResult:
-    if len(members) != target:
-        raise WitnessRejectedError(
-            f"{family}({n}) witness has size {len(members)}, wanted {target}"
-        )
-    if not _members_all_visible(rv, sum(1 << v for v in members)):
-        raise WitnessRejectedError(f"{family}({n}) witness failed verification")
-    return WitnessResult(
-        family=family,
-        n=n,
-        graph=g,
-        root=rv.root,
-        members=frozenset(members),
-        claimed_size=target,
-        verified=True,
-    )
-
-
-def grid_witness(n: int) -> WitnessResult:
-    """Extremal set for the square grid, rooted at (2,2): the whole first
-    column, the first row except (1,2), and alternating diagonal vertices
-    of the lower-right quadrant."""
-    target = closed_form(FamilySpec("grid", (n,)))
-    g = grid_graph(n)
-    rv = bfs_root_view(g, _coord_id(n, 2, 2))
+def _grid_members(n: int, rv: RootView) -> set[int]:
     members = {_coord_id(n, k, 1) for k in range(1, n + 1)}
     members |= {_coord_id(n, 1, l) for l in range(1, n + 1) if l != 2}
-    members |= _selection(rv, n, {3: True})
-    return _finish("grid", n, target, g, rv, members)
+    return members | _selection(rv, n, {3: True})
 
 
-def prism_witness(n: int) -> WitnessResult:
-    """Extremal set for the square prism (path rows, cyclic columns),
-    rooted at (2, ceil(n/2)): the first row except the root column,
-    alternating diagonals of both lower quadrants, plus the first-row
-    center and, when n = 1 mod 4, the last-row center."""
-    target = closed_form(FamilySpec("prism", (n,)))
-    g = prism_graph(n)
-    c = (n + 1) // 2
-    rv = bfs_root_view(g, _coord_id(n, 2, c))
-    members = {_coord_id(n, 1, l) for l in range(1, n + 1) if l != c}
-    members |= _selection(rv, n, {3: True, 4: True})
-    members.add(_coord_id(n, 1, c))
+def _prism_members(n: int, rv: RootView) -> set[int]:
+    members = {_coord_id(n, 1, l) for l in range(1, n + 1)}
     if n % 4 == 1:
-        members.add(_coord_id(n, n, c))
-    return _finish("prism", n, target, g, rv, members)
+        members.add(_coord_id(n, n, (n + 1) // 2))
+    return members | _selection(rv, n, {3: True, 4: True})
 
 
-def _torus_extras(n: int, c: int) -> list[tuple[int, int]]:
-    if n % 4 == 1:
-        return []
-    if n % 4 == 3:
-        return [(c, 1), (c, n)]
-    if n % 4 == 0:
-        return [(c, 1)]
-    return [(c, n), (n, c)]
-
-
-def torus_witness(n: int) -> WitnessResult:
-    """Extremal set for the square torus, rooted at the center
-    (ceil(n/2), ceil(n/2)): alternating diagonals of all four quadrants
-    plus residue-dependent axis vertices."""
-    target = closed_form(FamilySpec("torus", (n,)))
-    g = torus_graph(n)
+def _torus_members(n: int, rv: RootView) -> set[int]:
     c = (n + 1) // 2
-    rv = bfs_root_view(g, _coord_id(n, c, c))
     # Quadrant parities: the upper quadrants (1, 2) alternate from their top
     # row and the lower ones from their bottom row (the pattern is symmetric
     # under rotating the picture around the root), except for n = 2 mod 4,
@@ -187,20 +136,59 @@ def torus_witness(n: int) -> WitnessResult:
     # selected.
     top = (1, 4) if n % 4 == 2 else (1, 2)
     members = _selection(rv, n, {q: q in top for q in range(1, 5)})
-    for k, l in _torus_extras(n, c):
-        members.add(_coord_id(n, k, l))
-    return _finish("torus", n, target, g, rv, members)
+    # the axis vertices by n mod 4 = 0, 1, 2, 3
+    extras = ([(c, 1)], [], [(c, n), (n, c)], [(c, 1), (c, n)])[n % 4]
+    return members | {_coord_id(n, k, l) for k, l in extras}
 
 
-WITNESS_BUILDERS = {"grid": grid_witness, "prism": prism_witness, "torus": torus_witness}
+# family -> (root (row, col) from n, member rule over the root's view)
+WITNESS_BUILDERS = {
+    "grid": (lambda n: (2, 2), _grid_members),
+    "prism": (lambda n: (2, (n + 1) // 2), _prism_members),
+    "torus": (lambda n: ((n + 1) // 2, (n + 1) // 2), _torus_members),
+}
 
 
 def witness_for(family: str, n: int) -> WitnessResult:
+    """The verified construction of a WITNESS_BUILDERS family at n."""
     try:
-        builder = WITNESS_BUILDERS[family]
+        root, member_rule = WITNESS_BUILDERS[family]
     except KeyError:
         raise InvalidParameterError(
             f"witness constructions exist for {', '.join(WITNESS_BUILDERS)}; "
             f"got {family!r}"
         ) from None
-    return builder(n)
+    spec = FamilySpec(family, (n,))
+    target = closed_form(spec)
+    g = generate(spec)
+    rv = bfs_root_view(g, _coord_id(n, *root(n)))
+    members = member_rule(n, rv)
+    if len(members) != target:
+        raise WitnessRejectedError(
+            f"{family}({n}) witness has size {len(members)}, wanted {target}"
+        )
+    if not _members_all_visible(rv, sum(1 << v for v in members)):
+        raise WitnessRejectedError(f"{family}({n}) witness failed verification")
+    return WitnessResult(family, n, g, rv.root, frozenset(members),
+                         claimed_size=target, verified=True)
+
+
+def grid_witness(n: int) -> WitnessResult:
+    """Extremal set for the square grid, rooted at (2,2): the whole first
+    column, the first row except (1,2), and alternating diagonal vertices
+    of the lower-right quadrant."""
+    return witness_for("grid", n)
+
+
+def prism_witness(n: int) -> WitnessResult:
+    """Extremal set for the square prism (path rows, cyclic columns),
+    rooted at (2, ceil(n/2)): the whole first row, alternating diagonals
+    of both lower quadrants, and, when n = 1 mod 4, the last-row center."""
+    return witness_for("prism", n)
+
+
+def torus_witness(n: int) -> WitnessResult:
+    """Extremal set for the square torus, rooted at the center
+    (ceil(n/2), ceil(n/2)): alternating diagonals of all four quadrants
+    plus residue-dependent axis vertices."""
+    return witness_for("torus", n)

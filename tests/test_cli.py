@@ -614,9 +614,9 @@ def test_error_exit_codes(tmp_path, capsys):
     code, _, err = run(capsys, "gen", "path:20001", "-o", str(tmp_path / "big.gr"))
     assert code == 1 and err.startswith("error: ") and "above the limit" in err
     assert not (tmp_path / "big.gr").exists()
-    # a witness graph over the cap: the witness builders do not go through generate
+    # a witness graph over the cap
     assert run(capsys, "witness", "grid:200") == (
-        1, "", "error: n=40000 above the limit of 20000 vertices\n")
+        1, "", "error: grid:200 has n=40000, above the limit of 20000 vertices\n")
     # a gadget whose edge-vertex clique is over the edge cap
     code, _, err = run(capsys, "reduce", "grid:60", "-o", str(tmp_path / "gadget.gr"))
     assert code == 1 and err.startswith("error: ") and "above the limit" in err

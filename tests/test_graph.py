@@ -435,7 +435,8 @@ def mutate(text: str, op: str, pos: int, piece: str) -> str:
     elif op == "indent":
         lines[j] = " \t"[pos % 2] + lines[j]
     else:  # "e as id": the first or second id of an edge line becomes "e"
-        edges = [k for k, line in enumerate(lines) if line.startswith("e ")]
+        edges = [k for k, line in enumerate(lines)
+                 if line.startswith("e ") and len(line.split()) >= 3]
         if edges:
             k = edges[pos % len(edges)]
             tokens = lines[k].split()
@@ -502,6 +503,34 @@ def test_parse_matches_the_line_loop_on_single_mutations(g, comment, op, pos, pi
     """parse_graph reads dense canonical files as one token stream; on every
     file one edit away from canonical it must agree with the line loop."""
     text = mutate(format_graph(g, comment), op, pos, piece)
+    assert parse_outcome(parse_graph, text) == parse_outcome(_parse_lines, text)
+
+
+def test_e_as_id_skips_edge_lines_without_two_ids():
+    # an earlier edit can leave an "e" line of fewer than three tokens
+    assert mutate("p 3 1\ne 1\n", "e as id", 1, "") == "p 3 1\ne 1\n"
+    assert mutate("p 3 2\ne 1\ne 1 2\n", "e as id", 1, "") == "p 3 2\ne 1\ne 1 e\n"
+
+
+@given(
+    st.one_of(graphs(max_n=8), dense_graphs()),
+    st.sampled_from((None, "written by format_graph")),
+    st.lists(
+        st.tuples(
+            st.sampled_from(MUTATIONS + ("drop final newline", "blank line", "indent", "e as id")),
+            st.integers(0, 10**6),
+            st.sampled_from(MUTATION_PIECES + LINE_BREAK_PIECES),
+        ),
+        min_size=1,
+        max_size=3,
+    ),
+)
+@settings(max_examples=500, deadline=None)
+def test_parse_matches_the_line_loop_on_chained_mutations(g, comment, edits):
+    """Both parse routes agree on files up to three edits away from canonical."""
+    text = format_graph(g, comment)
+    for op, pos, piece in edits:
+        text = mutate(text, op, pos, piece)
     assert parse_outcome(parse_graph, text) == parse_outcome(_parse_lines, text)
 
 

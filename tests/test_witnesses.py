@@ -2,12 +2,13 @@ import hashlib
 
 import pytest
 
-from vertexvis import graph, witnesses
-from vertexvis.bounds import closed_form
+from vertexvis import cli, graph, witnesses
+from vertexvis.bounds import CLOSED_FORMS, closed_form
 from vertexvis.errors import DisconnectedError, InvalidParameterError, InvalidRegionError
-from vertexvis.generators import FamilySpec, grid_graph, torus_graph
+from vertexvis.generators import FamilySpec, generate, grid_graph, torus_graph
 from vertexvis.solvers import vv_exact, vx_exact
 from vertexvis.witnesses import (
+    WITNESS_BUILDERS,
     grid_witness,
     prism_witness,
     quadrant_diagonals,
@@ -83,6 +84,18 @@ def test_witnesses_verify_and_match_closed_form(family, n):
     w = witness_for(family, n)
     assert w.verified
     assert len(w.members) == w.claimed_size == closed_form(FamilySpec(family, (n,)))
+
+
+def test_witnesses_read_the_family_table():
+    # each WITNESS_BUILDERS family has a closed form and its graph from
+    # generate, and table offers exactly those families
+    table = cli.build_parser()._subparsers._group_actions[0].choices["table"]
+    (family_arg,) = [a for a in table._actions if a.dest == "family"]
+    assert tuple(family_arg.choices) == tuple(WITNESS_BUILDERS)
+    for family in WITNESS_BUILDERS:
+        assert family in CLOSED_FORMS
+        for n in range(4, 13):
+            assert witness_for(family, n).graph == generate(FamilySpec(family, (n,))), (family, n)
 
 
 @pytest.mark.parametrize("family", ["grid", "prism", "torus"])
