@@ -136,13 +136,12 @@ def bounds_report(
             "vv",
         )
     )
-    universal = has_universal_vertex(g)
     entries.append(
         BoundEntry(
             "degree_order_upper",
             "upper",
             (n * delta - 1) // (delta + 1),
-            universal is None,
+            delta < n - 1,
             "without a universal vertex, members outside the root's "
             "neighborhood need unblocked outside neighbors; counting both "
             "sides gives floor((n*delta-1)/(delta+1))",
@@ -299,7 +298,6 @@ def block_graph_value(g: Graph) -> int:
     """Maximum visibility number of a non-complete block graph: the number
     of simplicial vertices (both sides of the distance-based sandwich meet
     there)."""
-    require_connected(g)
     if not is_block_graph(g):
         raise NotBlockGraphError("graph has a non-complete biconnected component")
     if g.m == g.n * (g.n - 1) // 2:

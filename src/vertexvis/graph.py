@@ -65,11 +65,11 @@ class Graph:
 
     Instances are immutable after construction.  ``adj_mask[v]`` is the
     neighborhood of v as a bitmask; the exponential solvers work on these
-    masks directly.  It holds no per-root state: a root view is a value its
-    caller keeps.  ``_connected`` caches connectivity, a whole-graph fact.
+    masks directly.  It holds its edges only: a root view, and connectivity,
+    are values its callers compute and keep.
     """
 
-    __slots__ = ("n", "m", "adj", "adj_mask", "_connected")
+    __slots__ = ("n", "m", "adj", "adj_mask")
 
     def __init__(self, n: int, edges):
         """Build from 0-based edge pairs in one pass.
@@ -119,7 +119,6 @@ class Graph:
         self.m = sum(map(len, adj)) // 2
         self.adj = adj
         self.adj_mask = tuple(masks)
-        self._connected: bool | None = None
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])
@@ -229,11 +228,9 @@ def bfs_root_view(g: Graph, x: int) -> RootView:
 
 
 def is_connected(g: Graph) -> bool:
-    """Whether the BFS order from vertex 0 holds all n vertices, cached on
-    the graph.  No root view is built."""
-    if g._connected is None:
-        g._connected = len(bfs_distances(g, 0)[1]) == g.n
-    return g._connected
+    """Whether the BFS order from vertex 0 holds all n vertices, computed
+    on each call.  No root view is built."""
+    return len(bfs_distances(g, 0)[1]) == g.n
 
 
 def require_connected(g: Graph) -> None:
@@ -246,8 +243,8 @@ def connected_view(g: Graph, x: int) -> RootView:
     require_connected does) a graph its BFS order does not cover.  Per-root
     requests take their one BFS and their connectivity from here."""
     view = bfs_root_view(g, x)
-    g._connected = len(view.order) == g.n
-    require_connected(g)
+    if len(view.order) < g.n:
+        raise DisconnectedError("operation requires a connected graph")
     return view
 
 

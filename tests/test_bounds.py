@@ -115,10 +115,9 @@ def test_report_solves_share_one_deadline(monkeypatch):
 
 
 def test_report_refuses_a_bad_root_before_any_work(monkeypatch):
-    # connectivity is cached when the graph is built, so only the root's own
-    # check can refuse 99, and it must come before the exponential mu pass
+    # the graph is connected, so only the root's own check can refuse 99,
+    # and it must come before the exponential mu pass
     g = random_connected_graph(16, 0.25, 1)
-    assert g._connected
 
     def fail(*args):
         raise AssertionError("mu_brute ran before the root was checked")
@@ -150,10 +149,36 @@ def test_per_root_entries_run_one_bfs(monkeypatch):
     for spec, x in (("grid:9", 40), ("figure1:2", 3), ("cocktail:5", 7)):
         for entry in entries:
             g = generate(parse_family_spec(spec))
-            assert g._connected is None, spec
             calls.clear()
             entry(g, x)
             assert calls == [x], (spec, entry)
+
+
+def test_no_library_call_writes_into_its_graph():
+    # a Graph holds its edges only; every check computes what it needs
+    assert Graph.__slots__ == ("n", "m", "adj", "adj_mask")
+    calls = (
+        lambda g, x: graph.is_connected(g),
+        lambda g, x: graph.require_connected(g),
+        graph.connected_view,
+        vx_exact,
+        solvers.vx_greedy,
+        lambda g, x: vv_exact(g),
+        lambda g, x: bounds_report(g, compute_exact=True),
+        lambda g, x: bounds_report(g, x, compute_exact=True),
+        lambda g, x: visibility.is_x_visibility_set(g, x, ()),
+        visibility.stress_vertices,
+        lambda g, x: characterize_extremal(g),
+        lambda g, x: solvers.max_leaf_spanning_tree(g),
+        lambda g, x: graph.is_block_graph(g),
+        lambda g, x: graph.is_geodetic(g),
+    )
+    for spec, x in (("grid:4", 5), ("figure1:1", 3), ("cocktail:4", 7)):
+        for call in calls:
+            g = generate(parse_family_spec(spec))
+            before = {name: getattr(g, name) for name in Graph.__slots__}
+            call(g, x)
+            assert {name: getattr(g, name) for name in Graph.__slots__} == before, (spec, call)
 
 
 def test_characterize_examples():

@@ -15,7 +15,7 @@ import pytest
 from vertexvis.bounds import block_graph_value, bounds_report, characterize_extremal
 from vertexvis.graph import Graph, is_block_graph
 from vertexvis.solvers import max_leaf_spanning_tree, vv_exact, vx_brute, vx_exact, vx_greedy
-from vertexvis.visibility import is_x_visibility_set
+from vertexvis.visibility import has_universal_vertex, is_x_visibility_set
 
 
 class Case:
@@ -60,11 +60,14 @@ def test_exact_and_greedy_witnesses_are_visibility_sets(census):
 def test_every_bound_holds_at_its_scope_and_is_attained(census):
     """vx entries bound the root's value and are counted per root; vv
     entries, the same at every root, bound the maximum and are counted per
-    graph."""
+    graph.  degree_order_upper applies exactly when no vertex is universal."""
     attained, checked = Counter(), Counter()
     for case in census:
+        no_universal = has_universal_vertex(case.g) is None
         for x, report in enumerate(case.reports):
             for entry in report.entries:
+                if entry.name == "degree_order_upper":
+                    assert entry.applicable == no_universal, (case.g.adj, x)
                 if not entry.applicable or (entry.scope == "vv" and x > 0):
                     continue
                 truth = case.values[x] if entry.scope == "vx" else case.vv

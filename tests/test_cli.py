@@ -573,8 +573,15 @@ def test_text_and_json_agree(capsys):
 def test_error_exit_codes(tmp_path, capsys):
     bad = tmp_path / "disconnected.gr"
     bad.write_text("p 4 2\ne 1 2\ne 3 4\n")
-    code, _, err = run(capsys, "vv", str(bad))
-    assert code == 1 and "error" in err
+    one = tmp_path / "one.txt"
+    one.write_text("1\n")
+    # refused through connected_view (per root) and require_connected alike
+    for argv in (("vv",), *(("vx", "--root", "1", "--method", method)
+                            for method in ("exact", "greedy", "brute")),
+                 ("verify", "--root", "1", "--set", str(one)), ("bounds",),
+                 ("bounds", "--root", "1"), ("maxleaf",), ("mu",)):
+        code, _, err = run(capsys, argv[0], str(bad), *argv[1:])
+        assert (code, err) == (1, "error: operation requires a connected graph\n"), argv
     # a rejected file names its line and the 1-based ids
     for text, message in ((b"p 3 2\ne 1 2\ne 2 1\n", "line 3: duplicate edge (1,2)"),
                           (b"p 3 1\ne 3 3\n", "line 2: self-loop at vertex 3"),
