@@ -29,9 +29,8 @@ from .graph import Graph, is_block_graph, require_connected
 from .solvers import _require_solvable, mu_brute, vv_exact, vx_exact
 from .visibility import (
     _maximally_distant_mask,
+    _spanning_double_star,
     _stress_mask,
-    has_spanning_double_star,
-    has_universal_vertex,
     simplicial_vertices,
 )
 
@@ -229,9 +228,9 @@ def characterize_extremal(g: Graph) -> str:
     (exactly the graphs with a universal vertex), "second" when it is n-2
     (no universal vertex but a spanning double star), else "other"."""
     _require_solvable(g, 0)
-    if has_universal_vertex(g) is not None:
+    if g.max_degree() == g.n - 1:
         return "top"
-    if has_spanning_double_star(g):
+    if _spanning_double_star(g):
         return "second"
     return "other"
 

@@ -11,7 +11,6 @@ __all__ = [
     "TooLargeError",
     "InvalidParameterError",
     "IsolatedVertexError",
-    "InvalidRegionError",
     "WitnessRejectedError",
     "UnsupportedFamilyError",
     "NotBlockGraphError",
@@ -48,9 +47,6 @@ class InvalidParameterError(VertexVisError): ...
 
 
 class IsolatedVertexError(VertexVisError): ...
-
-
-class InvalidRegionError(VertexVisError): ...
 
 
 class WitnessRejectedError(VertexVisError):

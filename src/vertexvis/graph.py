@@ -274,9 +274,8 @@ def is_geodetic(g: Graph) -> bool:
     exactly one shortest path from the root when ``dag_in_mask[v]`` has one
     bit: one path to each vertex, by induction over the BFS order.
     """
-    require_connected(g)
     for x in range(g.n):
-        rv = bfs_root_view(g, x)
+        rv = connected_view(g, x)
         if any(mask.bit_count() != 1 for v, mask in enumerate(rv.dag_in_mask) if v != x):
             return False
     return True

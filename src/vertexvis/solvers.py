@@ -58,7 +58,7 @@ from typing import NamedTuple
 from .errors import InvalidParameterError, TooLargeError, check_deadline
 from .generators import np_gadget
 from .graph import (Graph, RootView, bfs_distances, bfs_root_view, connected_view,
-                    mask_to_set, require_connected, to_external_ids)
+                    mask_to_set, to_external_ids)
 from .visibility import _members_all_visible, _pairwise_visible
 
 __all__ = [
@@ -717,13 +717,15 @@ def _automorphism(g: Graph, cells: list[int], r: int, x: int, budget: int, deadl
 def _greedy_cds(g: Graph) -> int:
     """Internal vertices of a BFS tree from a max-degree vertex, each vertex
     under its smallest DAG parent: a connected dominating set used as the
-    starting incumbent."""
+    starting incumbent.  The tree's view is the connected_view of that
+    vertex, so a disconnected graph is refused here."""
     start = max(range(g.n), key=lambda v: (g.degree(v), -v))
-    return _hang(bfs_root_view(g, start), -1)[1]
+    return _hang(connected_view(g, start), -1)[1]
 
 
-def _min_cds(g: Graph, deadline) -> int:
-    """Exact minimum connected dominating set as a mask (n >= 3, connected).
+def _min_cds(g: Graph, best_mask: int, deadline) -> int:
+    """Exact minimum connected dominating set as a mask (n >= 3, connected),
+    starting from the incumbent best_mask, a connected dominating set.
 
     Grows connected sets from each possible minimum-id anchor inside the
     closed neighborhood of a smallest-degree vertex; degree-1 vertices are
@@ -738,7 +740,6 @@ def _min_cds(g: Graph, deadline) -> int:
         if g.degree(v) == 1:
             leaf_mask |= 1 << v
 
-    best_mask = _greedy_cds(g)
     best_size = best_mask.bit_count()
     node_budget = 0
 
@@ -827,7 +828,7 @@ def max_leaf_spanning_tree(g: Graph, deadline: float | None = None) -> MaxLeafRe
     """Maximum number of leaves over all spanning trees, with a tree
     realizing it.  Computed as n minus the minimum connected dominating set
     size for n >= 3; the one- and two-vertex graphs are direct."""
-    require_connected(g)
+    incumbent = _greedy_cds(g)
     if g.n == 1:
         return MaxLeafResult(value=1, root=0, tree={}, leaves=frozenset({0}))
     if g.n == 2:
@@ -836,7 +837,7 @@ def max_leaf_spanning_tree(g: Graph, deadline: float | None = None) -> MaxLeafRe
         )
     if g.n > MCDS_CAP:
         raise TooLargeError(f"exact max-leaf capped at n={MCDS_CAP}")
-    cds = _min_cds(g, deadline)
+    cds = _min_cds(g, incumbent, deadline)
     root = (cds & -cds).bit_length() - 1
     # a BFS tree of the induced connected dominating set, each member under
     # the one that discovered it (its first neighbour in BFS order), then
@@ -862,11 +863,11 @@ def max_leaf_spanning_tree(g: Graph, deadline: float | None = None) -> MaxLeafRe
 def mu_brute(g: Graph, deadline: float | None = None) -> int:
     """Largest mutual-visibility set size by descending-size enumeration;
     valid because subsets of mutual-visibility sets stay mutually visible."""
-    require_connected(g)
+    first = connected_view(g, 0)
     n = g.n
     if n > MU_CAP:
         raise TooLargeError(f"mutual-visibility brute force capped at n={MU_CAP}")
-    views = [bfs_root_view(g, v) for v in range(n)]
+    views = [first] + [bfs_root_view(g, v) for v in range(1, n)]
     checked = 0
     # any two vertices see each other, so for n >= 2 the loop ends by k = 2
     for k in range(n, 1, -1):

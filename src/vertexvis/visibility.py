@@ -213,8 +213,10 @@ def has_spanning_double_star(g: Graph) -> bool:
     a private leaf, i.e. the graph has a spanning tree with exactly two
     internal vertices."""
     require_connected(g)
-    if g.n < 4:
-        return False
+    return _spanning_double_star(g)
+
+
+def _spanning_double_star(g: Graph) -> bool:
     full = (1 << g.n) - 1
     for u, v in g.edges():
         if g.adj_mask[u] | g.adj_mask[v] | (1 << u) | (1 << v) != full:

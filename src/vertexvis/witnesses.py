@@ -4,12 +4,13 @@ Each construction fixes a root, partitions the coordinate quadrants around
 it into equal-distance diagonals, takes ceil(|D|/2) alternating vertices
 from every diagonal D, and appends a residue-dependent handful of axis
 vertices.  A WITNESS_BUILDERS row holds only what differs between families,
-the root and that member rule; witness_for runs the rest for all of them.
-It takes the family's closed-form target before it builds anything, so an n
-below the closed form's range is refused there, builds the graph with
-generate and one root view, which the member rule reads and the visibility
-check sweeps, and raises WitnessRejectedError for a set of the wrong size or
-one that fails that check rather than returning quietly.
+the root and that member rule; witness_for, the module's one entry point,
+runs the rest for all of them.  It takes the family's closed-form target
+before it builds anything, so an n below the closed form's range is refused
+there, builds the graph with generate and one root view, which the member
+rule reads and the visibility check sweeps, and raises WitnessRejectedError
+for a set of the wrong size or one that fails that check rather than
+returning quietly.
 
 Coordinates are 1-based (row k, column l) with vertex id (k-1)*n + (l-1),
 matching the product id convention from the generators module.
@@ -20,25 +21,12 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .bounds import closed_form
-from .errors import (
-    DisconnectedError,
-    InvalidParameterError,
-    InvalidRegionError,
-    WitnessRejectedError,
-)
+from .errors import InvalidParameterError, WitnessRejectedError
 from .generators import FamilySpec, generate
-from .graph import Graph, RootView, bfs_distances, bfs_root_view, to_external_ids
+from .graph import Graph, RootView, bfs_root_view, to_external_ids
 from .visibility import _members_all_visible
 
-__all__ = [
-    "WitnessResult",
-    "quadrant_diagonals",
-    "grid_witness",
-    "prism_witness",
-    "torus_witness",
-    "WITNESS_BUILDERS",
-    "witness_for",
-]
+__all__ = ["WitnessResult", "WITNESS_BUILDERS", "witness_for"]
 
 
 class WitnessResult(NamedTuple):
@@ -70,7 +58,15 @@ def _coord_id(n: int, k: int, l: int) -> int:
 
 
 def _diagonals(n: int, dist, x: int, quadrant: int) -> list[list[int]]:
-    # walking the quadrant's own rows in order lists each diagonal by row
+    """Diagonals of one coordinate quadrant around x, read off dist, the
+    distances from x.
+
+    Quadrant 1 is above-left of x (smaller row, smaller column), then 2
+    above-right, 3 below-right, 4 below-left.  A diagonal collects the
+    quadrant vertices at one graph distance from x, listed by increasing
+    row (walking the quadrant's own rows in order does that); diagonals are
+    returned by increasing distance.
+    """
     xr, xc = divmod(x, n)
     rows = range(xr) if quadrant in (1, 2) else range(xr + 1, n)
     cols = range(xc) if quadrant in (1, 4) else range(xc + 1, n)
@@ -79,26 +75,6 @@ def _diagonals(n: int, dist, x: int, quadrant: int) -> list[list[int]]:
         for v in range(r * n + cols.start, r * n + cols.stop):
             groups.setdefault(dist[v], []).append(v)
     return [groups[d] for d in sorted(groups)]
-
-
-def quadrant_diagonals(g: Graph, n: int, x: int, quadrant: int) -> list[list[int]]:
-    """Diagonals of one coordinate quadrant around x.
-
-    Quadrant 1 is above-left of x (smaller row, smaller column), then 2
-    above-right, 3 below-right, 4 below-left.  A diagonal collects the
-    quadrant vertices at one graph distance from x, listed by increasing
-    row; diagonals are returned by increasing distance.  No root view is
-    built, and a graph the one BFS from x does not cover is refused.
-    """
-    if g.n != n * n:
-        raise InvalidRegionError("graph is not an n-by-n product")
-    g.check_vertex(x)
-    if quadrant not in (1, 2, 3, 4):
-        raise InvalidRegionError(f"quadrant must be 1..4, got {quadrant}")
-    dist, order = bfs_distances(g, x)
-    if len(order) != g.n:
-        raise DisconnectedError("operation requires a connected graph")
-    return _diagonals(n, dist, x, quadrant)
 
 
 def _selection(rv: RootView, n, parities: dict[int, bool]) -> set[int]:
@@ -172,23 +148,3 @@ def witness_for(family: str, n: int) -> WitnessResult:
     return WitnessResult(family, n, g, rv.root, frozenset(members),
                          claimed_size=target, verified=True)
 
-
-def grid_witness(n: int) -> WitnessResult:
-    """Extremal set for the square grid, rooted at (2,2): the whole first
-    column, the first row except (1,2), and alternating diagonal vertices
-    of the lower-right quadrant."""
-    return witness_for("grid", n)
-
-
-def prism_witness(n: int) -> WitnessResult:
-    """Extremal set for the square prism (path rows, cyclic columns),
-    rooted at (2, ceil(n/2)): the whole first row, alternating diagonals
-    of both lower quadrants, and, when n = 1 mod 4, the last-row center."""
-    return witness_for("prism", n)
-
-
-def torus_witness(n: int) -> WitnessResult:
-    """Extremal set for the square torus, rooted at the center
-    (ceil(n/2), ceil(n/2)): alternating diagonals of all four quadrants
-    plus residue-dependent axis vertices."""
-    return witness_for("torus", n)

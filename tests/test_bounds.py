@@ -17,6 +17,7 @@ from vertexvis.bounds import (
 )
 from vertexvis.errors import (
     CompleteGraphError,
+    DisconnectedError,
     IdOutOfRangeError,
     InvalidParameterError,
     NotBlockGraphError,
@@ -152,6 +153,68 @@ def test_per_root_entries_run_one_bfs(monkeypatch):
             calls.clear()
             entry(g, x)
             assert calls == [x], (spec, entry)
+
+
+def test_whole_graph_calls_count_their_bfs(monkeypatch):
+    # a whole-graph call checks connectivity on a view it builds anyway:
+    # characterize_extremal on its _require_solvable view, mu_brute on its
+    # view of vertex 0, max_leaf_spanning_tree on its incumbent's view (the
+    # second BFS walks the dominating set), is_geodetic on each root's view
+    calls = []
+    real = graph.bfs_distances
+    for module in (bounds, graph, solvers, visibility):
+        if hasattr(module, "bfs_distances"):
+            monkeypatch.setattr(module, "bfs_distances", lambda g, x: calls.append(x) or real(g, x))
+    counts = (
+        (characterize_extremal, lambda g: 1),
+        (solvers.mu_brute, lambda g: g.n),
+        (solvers.max_leaf_spanning_tree, lambda g: 2),
+    )
+    for spec in ("cycle:6", "path:4", "grid:3"):
+        for call, count in counts:
+            g = generate(parse_family_spec(spec))
+            calls.clear()
+            call(g)
+            assert len(calls) == count(g), (spec, call)
+    calls.clear()
+    assert not graph.is_geodetic(cycle_graph(6))
+    assert len(calls) == 1
+
+
+def test_every_disconnected_refusal_keeps_its_message():
+    g = Graph(4, [(0, 1), (2, 3)])
+    calls = (
+        lambda: graph.interval(g, 0, 2),
+        lambda: graph.is_geodetic(g),
+        lambda: graph.is_block_graph(g),
+        lambda: graph.require_connected(g),
+        lambda: graph.connected_view(g, 0),
+        lambda: block_graph_value(g),
+        lambda: visibility.is_mutual_visibility_set(g, [1]),
+        lambda: visibility.has_universal_vertex(g),
+        lambda: visibility.has_spanning_double_star(g),
+        lambda: characterize_extremal(g),
+        lambda: cartesian_bounds(g, path_graph(3)),
+        lambda: cartesian_bounds(path_graph(3), g),
+        lambda: solvers.mu_brute(g),
+        lambda: solvers.max_leaf_spanning_tree(g),
+        lambda: vv_exact(g),
+        lambda: bounds_report(g),
+        # the per-root entries
+        lambda: bounds_report(g, 0),
+        lambda: vx_exact(g, 0),
+        lambda: solvers.vx_brute(g, 0),
+        lambda: solvers.vx_greedy(g, 0),
+        lambda: visibility.is_x_visibility_set(g, 0, [1]),
+        lambda: visibility.clear_reachable(g, 0, [1]),
+        lambda: visibility.is_visible_from(g, 0, [1], 2),
+        lambda: visibility.maximally_distant(g, 0),
+        lambda: visibility.stress_vertices(g, 0),
+    )
+    for call in calls:
+        with pytest.raises(DisconnectedError) as info:
+            call()
+        assert str(info.value) == "operation requires a connected graph"
 
 
 def test_no_library_call_writes_into_its_graph():

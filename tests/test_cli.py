@@ -16,7 +16,7 @@ from vertexvis.cli import main
 from vertexvis.graph import format_graph, parse_graph, read_graph_file
 from vertexvis.generators import generate, parse_family_spec
 from vertexvis.solvers import max_leaf_spanning_tree, vv_exact, vx_exact, vx_greedy
-from vertexvis.witnesses import grid_witness
+from vertexvis.witnesses import witness_for
 
 from oracles import diameter
 
@@ -209,7 +209,7 @@ def test_witness_command(capsys):
     assert payload["verified"] is True
     assert payload["claimed_size"] == 20
     assert sorted(payload["set"]) == sorted(
-        v + 1 for v in grid_witness(6).members
+        v + 1 for v in witness_for("grid", 6).members
     )
 
 

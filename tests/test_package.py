@@ -12,21 +12,21 @@ from vertexvis import bounds, errors, generators, graph, solvers, visibility, wi
 LISTED = (
     "BoundEntry", "BoundsReport", "CompleteGraphError", "DisconnectedError",
     "DuplicateEdgeError", "FamilySpec", "Graph", "GraphFormatError", "IdOutOfRangeError",
-    "InvalidParameterError", "InvalidRegionError", "IsolatedVertexError", "MaxLeafResult",
+    "InvalidParameterError", "IsolatedVertexError", "MaxLeafResult",
     "NotBlockGraphError", "ReductionResult", "RootView", "SelfLoopError", "SolveResult",
     "SolveTimeoutError", "TooLargeError", "UnsupportedFamilyError", "VertexVisError",
     "WitnessRejectedError", "WitnessResult", "bfs_root_view", "block_graph_value",
     "bounds_report", "cartesian_bounds", "cartesian_product", "characterize_extremal",
     "clear_reachable", "closed_form", "closed_form_notes", "cocktail_party", "complete_graph",
     "complete_product", "cycle_graph", "double_star", "figure_family", "format_graph",
-    "generate", "grid_graph", "grid_witness", "has_spanning_double_star",
+    "generate", "grid_graph", "has_spanning_double_star",
     "has_universal_vertex", "interval", "is_block_graph", "is_connected", "is_geodetic",
     "is_mutual_visibility_set", "is_visible_from", "is_x_visibility_set",
     "max_leaf_spanning_tree", "maximally_distant", "mu_brute", "np_gadget",
-    "parse_family_spec", "parse_graph", "path_graph", "prism_graph", "prism_witness",
-    "quadrant_diagonals", "random_block_graph", "random_connected_graph",
+    "parse_family_spec", "parse_graph", "path_graph", "prism_graph",
+    "random_block_graph", "random_connected_graph",
     "random_graph_no_isolated", "random_tree", "read_graph_file", "simplicial_vertices",
-    "star_graph", "stress_vertices", "to_external_ids", "torus_graph", "torus_witness",
+    "star_graph", "stress_vertices", "to_external_ids", "torus_graph",
     "vv_exact", "vx_brute", "vx_exact", "vx_greedy", "witness_for", "write_graph_file",
 )
 
@@ -34,13 +34,23 @@ LISTED = (
 ADDED = ("bfs_distances", "mask_to_set", "require_connected", "FAMILIES", "FIGURE_EDGES",
          "COMPLETE_PRODUCT_NOTE", "TORUS_EVEN_NOTE", "WITNESS_BUILDERS")
 
+# deleted: witness_for is the one way to build a witness
+REMOVED = ("grid_witness", "prism_witness", "torus_witness", "quadrant_diagonals",
+           "InvalidRegionError")
+
 MODULES = (bounds, errors, generators, graph, solvers, visibility, witnesses)
 
 
 def test_every_listed_name_is_still_exported():
-    assert len(LISTED) == 79
+    assert len(LISTED) == 74
     missing = [name for name in LISTED + ADDED if not hasattr(vertexvis, name)]
     assert missing == []
+
+
+def test_removed_names_are_gone():
+    assert [name for name in REMOVED if hasattr(vertexvis, name)] == []
+    assert [name for module in MODULES for name in REMOVED
+            if name in module.__all__ or hasattr(module, name)] == []
 
 
 def test_package_names_are_the_modules_all():
@@ -50,7 +60,7 @@ def test_package_names_are_the_modules_all():
                 if not name.startswith("_") and not isinstance(value, types.ModuleType)}
     assert exported == {name for module in MODULES for name in module.__all__}
     assert exported == set(LISTED + ADDED)
-    assert len(errors.__all__) == 15
+    assert len(errors.__all__) == 14
 
 
 # each result record's fields, in their documented order

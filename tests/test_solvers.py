@@ -342,7 +342,7 @@ def test_timeout_fires_inside_the_group_and_cds_searches():
         solvers._min_group_cover(sets, covers, time.monotonic() + 0.05)
     g = generate(parse_family_spec("random:32,0.15"), 1)
     with pytest.raises(SolveTimeoutError, match="max-leaf spanning tree solve"):
-        solvers._min_cds(g, time.monotonic() + 0.05)
+        solvers._min_cds(g, solvers._greedy_cds(g), time.monotonic() + 0.05)
 
 
 def test_timeout_bounds_the_whole_root_loop():

@@ -241,9 +241,9 @@ def test_universal_and_double_star():
 def test_grid_witness_reach_structure():
     # with the extremal set blocked, reachability is exactly the complement
     # of the set plus the blocked shadow behind it
-    from vertexvis.witnesses import grid_witness
+    from vertexvis.witnesses import witness_for
 
-    w = grid_witness(4)
+    w = witness_for("grid", 4)
     reach = clear_reachable(w.graph, w.root, w.members)
     shadow = {
         y

@@ -4,17 +4,11 @@ import pytest
 
 from vertexvis import cli, graph, witnesses
 from vertexvis.bounds import CLOSED_FORMS, closed_form
-from vertexvis.errors import DisconnectedError, InvalidParameterError, InvalidRegionError
+from vertexvis.errors import InvalidParameterError
 from vertexvis.generators import FamilySpec, generate, grid_graph, torus_graph
+from vertexvis.graph import bfs_distances
 from vertexvis.solvers import vv_exact, vx_exact
-from vertexvis.witnesses import (
-    WITNESS_BUILDERS,
-    grid_witness,
-    prism_witness,
-    quadrant_diagonals,
-    torus_witness,
-    witness_for,
-)
+from vertexvis.witnesses import WITNESS_BUILDERS, witness_for
 
 
 def coord(n, k, l):
@@ -26,14 +20,14 @@ def test_quadrant_diagonal_sizes_grid6(monkeypatch):
         raise AssertionError("distances only: no root view is built")
 
     monkeypatch.setattr(witnesses, "bfs_root_view", no_view)
-    g = grid_graph(6)
-    diags = quadrant_diagonals(g, 6, coord(6, 2, 2), 3)
+    g, x = grid_graph(6), coord(6, 2, 2)
+    diags = witnesses._diagonals(6, bfs_distances(g, x)[0], x, 3)
     assert [len(d) for d in diags] == [1, 2, 3, 4, 3, 2, 1]
 
 
 def test_quadrant_diagonal_sizes_grid4():
-    g = grid_graph(4)
-    diags = quadrant_diagonals(g, 4, coord(4, 2, 2), 3)
+    g, x = grid_graph(4), coord(4, 2, 2)
+    diags = witnesses._diagonals(4, bfs_distances(g, x)[0], x, 3)
     assert [len(d) for d in diags] == [1, 2, 1]
 
 
@@ -41,7 +35,7 @@ def test_quadrant_diagonal_sizes_torus5():
     g = torus_graph(5)
     x = coord(5, 3, 3)
     for q in (1, 2, 3, 4):
-        assert [len(d) for d in quadrant_diagonals(g, 5, x, q)] == [1, 2, 1]
+        assert [len(d) for d in witnesses._diagonals(5, bfs_distances(g, x)[0], x, q)] == [1, 2, 1]
 
 
 def test_quadrants_partition():
@@ -50,32 +44,13 @@ def test_quadrants_partition():
     x = coord(n, 4, 4)
     seen = set()
     for q in (1, 2, 3, 4):
-        for diag in quadrant_diagonals(g, n, x, q):
+        for diag in witnesses._diagonals(n, bfs_distances(g, x)[0], x, q):
             for v in diag:
                 assert v not in seen
                 seen.add(v)
     axes = {coord(n, 4, l) for l in range(1, n + 1)}
     axes |= {coord(n, k, 4) for k in range(1, n + 1)}
     assert seen == set(range(g.n)) - axes
-
-
-def test_quadrant_rejects_bad_input():
-    g = grid_graph(4)
-    with pytest.raises(InvalidRegionError):
-        quadrant_diagonals(g, 4, 0, 5)
-    with pytest.raises(InvalidRegionError):
-        quadrant_diagonals(g, 5, 0, 1)
-
-
-def test_quadrant_rejects_a_disconnected_graph(monkeypatch):
-    """The vertices the BFS from x misses are not a diagonal at distance -1."""
-    def no_view(g, x):
-        raise AssertionError("distances only: no root view is built")
-
-    monkeypatch.setattr(witnesses, "bfs_root_view", no_view)
-    g = graph.Graph(16, [(0, 1), (1, 2), (2, 3)])
-    with pytest.raises(DisconnectedError):
-        quadrant_diagonals(g, 4, 0, 3)
 
 
 @pytest.mark.parametrize("family", ["grid", "prism", "torus"])
@@ -111,8 +86,7 @@ def test_each_witness_runs_one_bfs(monkeypatch):
     # also on a fresh graph
     calls = []
     real = graph.bfs_distances
-    for module in (graph, witnesses):
-        monkeypatch.setattr(module, "bfs_distances", lambda g, x: calls.append(x) or real(g, x))
+    monkeypatch.setattr(graph, "bfs_distances", lambda g, x: calls.append(x) or real(g, x))
     for family in ("grid", "prism", "torus"):
         for n in range(4, 10):
             calls.clear()
@@ -131,21 +105,21 @@ def test_witness_sets_are_pinned():
 
 
 def test_witness_examples():
-    assert grid_witness(4).claimed_size == 9
-    assert grid_witness(6).claimed_size == 20
-    assert grid_witness(7).claimed_size == 27
-    assert prism_witness(5).claimed_size == 14
-    assert prism_witness(8).claimed_size == 34
-    assert prism_witness(7).claimed_size == 27
-    assert torus_witness(5).claimed_size == 12
-    assert torus_witness(7).claimed_size == 26
-    assert torus_witness(8).claimed_size == 33
+    assert witness_for("grid", 4).claimed_size == 9
+    assert witness_for("grid", 6).claimed_size == 20
+    assert witness_for("grid", 7).claimed_size == 27
+    assert witness_for("prism", 5).claimed_size == 14
+    assert witness_for("prism", 8).claimed_size == 34
+    assert witness_for("prism", 7).claimed_size == 27
+    assert witness_for("torus", 5).claimed_size == 12
+    assert witness_for("torus", 7).claimed_size == 26
+    assert witness_for("torus", 8).claimed_size == 33
 
 
 def test_witness_roots():
-    assert grid_witness(6).root_coords() == (2, 2)
-    assert prism_witness(7).root_coords() == (2, 4)
-    assert torus_witness(8).root_coords() == (4, 4)
+    assert witness_for("grid", 6).root_coords() == (2, 2)
+    assert witness_for("prism", 7).root_coords() == (2, 4)
+    assert witness_for("torus", 8).root_coords() == (4, 4)
 
 
 def test_witness_rejects_small_n():
@@ -155,13 +129,13 @@ def test_witness_rejects_small_n():
     with pytest.raises(InvalidParameterError):
         witness_for("cycle", 6)
     # the closed form's range check comes first, not an id out of the tiny graph
-    for builder, n in ((grid_witness, 1), (prism_witness, 2), (torus_witness, 3)):
+    for family, n in (("grid", 1), ("prism", 2), ("torus", 3)):
         with pytest.raises(InvalidParameterError, match="closed form needs every parameter >= 4"):
-            builder(n)
+            witness_for(family, n)
 
 
 def test_witness_json_shape():
-    w = grid_witness(5)
+    w = witness_for("grid", 5)
     payload = w.to_json_dict()
     assert payload["family"] == "grid"
     assert payload["root"] == {"id": w.root + 1, "row": 2, "col": 2}
