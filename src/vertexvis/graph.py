@@ -258,8 +258,9 @@ def interval(g: Graph, x: int, y: int) -> frozenset[int]:
     g.check_vertex(y)
     if x == y:
         raise InvalidParameterError("interval endpoints must differ")
-    require_connected(g)
-    dx = bfs_distances(g, x)[0]
+    dx, order = bfs_distances(g, x)
+    if len(order) < g.n:
+        raise DisconnectedError("operation requires a connected graph")
     dy = bfs_distances(g, y)[0]
     d = dx[y]
     return frozenset(
@@ -550,14 +551,12 @@ def format_graph(g: Graph, comment: str | None = None) -> str:
 
 
 def read_text(path) -> str:
-    """The UTF-8 text of an input file, graph or vertex set, without one
-    leading byte order mark."""
-    with open(path, "r", encoding="utf-8") as handle:
+    """The UTF-8 text of a graph or vertex-set file, less one leading BOM."""
+    with open(path, "r", encoding="utf-8-sig") as handle:
         try:
-            text = handle.read()
+            return handle.read()
         except UnicodeDecodeError as exc:
             raise GraphFormatError(f"{path}: not UTF-8 text ({exc.reason})") from exc
-    return text[1:] if text.startswith("\ufeff") else text
 
 
 def read_graph_file(path, deadline=None) -> Graph:

@@ -862,12 +862,13 @@ def max_leaf_spanning_tree(g: Graph, deadline: float | None = None) -> MaxLeafRe
 
 def mu_brute(g: Graph, deadline: float | None = None) -> int:
     """Largest mutual-visibility set size by descending-size enumeration;
-    valid because subsets of mutual-visibility sets stay mutually visible."""
+    valid because subsets of mutual-visibility sets stay mutually visible.
+    _pairwise_visible reads each pair from its smaller end: n - 1 gets no view."""
     first = connected_view(g, 0)
     n = g.n
     if n > MU_CAP:
         raise TooLargeError(f"mutual-visibility brute force capped at n={MU_CAP}")
-    views = [first] + [bfs_root_view(g, v) for v in range(1, n)]
+    views = [first] + [bfs_root_view(g, v) for v in range(1, n - 1)]
     checked = 0
     # any two vertices see each other, so for n >= 2 the loop ends by k = 2
     for k in range(n, 1, -1):

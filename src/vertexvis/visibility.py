@@ -21,7 +21,7 @@ Terminology used throughout:
 from __future__ import annotations
 
 from .errors import InvalidParameterError, check_deadline
-from .graph import Graph, RootView, bfs_root_view, connected_view, mask_to_set, require_connected
+from .graph import Graph, RootView, connected_view, mask_to_set, require_connected
 
 __all__ = [
     "clear_reachable",
@@ -117,10 +117,10 @@ def _pairwise_visible(views, members) -> bool:
 
 
 def is_mutual_visibility_set(g: Graph, s) -> bool:
-    """Decide whether every pair of members sees each other around s."""
-    require_connected(g)
+    """Whether every pair of members sees each other around s; connected_view
+    refuses a disconnected graph, from vertex 0 when s is empty."""
     members = sorted(set(s))
-    return _pairwise_visible({u: bfs_root_view(g, u) for u in members}, members)
+    return _pairwise_visible({u: connected_view(g, u) for u in members or [0]}, members)
 
 
 def _maximally_distant_mask(rv: RootView) -> int:

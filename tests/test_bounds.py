@@ -156,10 +156,13 @@ def test_per_root_entries_run_one_bfs(monkeypatch):
 
 
 def test_whole_graph_calls_count_their_bfs(monkeypatch):
-    # a whole-graph call checks connectivity on a view it builds anyway:
+    # a whole-graph call checks connectivity on a BFS it reads anyway:
     # characterize_extremal on its _require_solvable view, mu_brute on its
-    # view of vertex 0, max_leaf_spanning_tree on its incumbent's view (the
-    # second BFS walks the dominating set), is_geodetic on each root's view
+    # view of vertex 0 (it builds none of n - 1, whose pairs are read from
+    # their other end), max_leaf_spanning_tree on its incumbent's view (the
+    # second BFS walks the dominating set), is_geodetic on each root's view,
+    # interval on its BFS from x and is_mutual_visibility_set on each
+    # member's view
     calls = []
     real = graph.bfs_distances
     for module in (bounds, graph, solvers, visibility):
@@ -167,7 +170,7 @@ def test_whole_graph_calls_count_their_bfs(monkeypatch):
             monkeypatch.setattr(module, "bfs_distances", lambda g, x: calls.append(x) or real(g, x))
     counts = (
         (characterize_extremal, lambda g: 1),
-        (solvers.mu_brute, lambda g: g.n),
+        (solvers.mu_brute, lambda g: g.n - 1),
         (solvers.max_leaf_spanning_tree, lambda g: 2),
     )
     for spec in ("cycle:6", "path:4", "grid:3"):
@@ -179,18 +182,26 @@ def test_whole_graph_calls_count_their_bfs(monkeypatch):
     calls.clear()
     assert not graph.is_geodetic(cycle_graph(6))
     assert len(calls) == 1
+    calls.clear()
+    assert graph.interval(cycle_graph(6), 1, 3) == {2}
+    assert calls == [1, 3]
+    calls.clear()
+    assert visibility.is_mutual_visibility_set(cycle_graph(6), [1, 3])
+    assert calls == [1, 3]
 
 
 def test_every_disconnected_refusal_keeps_its_message():
     g = Graph(4, [(0, 1), (2, 3)])
     calls = (
         lambda: graph.interval(g, 0, 2),
+        lambda: graph.interval(g, 0, 1),
         lambda: graph.is_geodetic(g),
         lambda: graph.is_block_graph(g),
         lambda: graph.require_connected(g),
         lambda: graph.connected_view(g, 0),
         lambda: block_graph_value(g),
         lambda: visibility.is_mutual_visibility_set(g, [1]),
+        lambda: visibility.is_mutual_visibility_set(g, []),
         lambda: visibility.has_universal_vertex(g),
         lambda: visibility.has_spanning_double_star(g),
         lambda: characterize_extremal(g),
